@@ -336,13 +336,9 @@ func (e *Engine) Bottleneck(f Features) (HardwareComponent, float64, error) {
 	}
 	var best HardwareComponent
 	var bestFrac float64
-	for _, h := range HardwareComponents() {
-		fr, err := t.HardwareFraction(h)
-		if err != nil {
-			return 0, 0, err
-		}
+	for h, fr := range t.HardwareFractions() {
 		if fr > bestFrac {
-			best, bestFrac = h, fr
+			best, bestFrac = HardwareComponent(h), fr
 		}
 	}
 	return best, bestFrac, nil

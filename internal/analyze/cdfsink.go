@@ -10,25 +10,23 @@ import (
 	"repro/internal/workload"
 )
 
-// fractionSketchEdges are the shared bin edges of every time-fraction
-// sketch: 512 uniform bins over [0, 1], bounding the interior quantile error
-// of any fraction CDF to under 0.2% absolute. Shared edges are what keep
-// per-shard sketches mergeable.
-var fractionSketchEdges = func() []float64 {
+// fractionGrid is the shared bin grid of every time-fraction sketch: 512
+// uniform bins over [0, 1], bounding the interior quantile error of any
+// fraction CDF to under 0.2% absolute. Shared edges are what keep per-shard
+// sketches mergeable, and a uniform grid makes each fold an O(1) bin lookup.
+var fractionGrid = func() *stats.Grid {
 	edges, err := stats.LinGrid(0, 1, 513)
 	if err != nil {
 		panic(err)
 	}
-	return edges
+	g, err := stats.NewGrid(edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }()
 
-func newFractionSketch() *stats.Sketch {
-	s, err := stats.NewSketch(fractionSketchEdges)
-	if err != nil {
-		panic(err) // edges are a package constant; cannot fail
-	}
-	return s
-}
+func newFractionSketch() *stats.Sketch { return stats.NewGridSketch(fractionGrid) }
 
 // ComponentCDFSink folds per-job component time fractions into fixed-memory
 // CDF sketches per (class, level, component) — the streaming aggregate
@@ -200,7 +198,7 @@ func (s *ComponentCDFSink) UnmarshalBinary(data []byte) error {
 }
 
 // numHardware covers the closed hardware-attribution set of Fig. 8(a).
-var numHardware = len(core.HardwareComponents())
+const numHardware = core.NumHardwareComponents
 
 // HardwareCDFSink folds per-job hardware time fractions over all jobs into
 // fixed-memory CDF sketches per (level, hardware component) — the streaming
@@ -235,16 +233,17 @@ func (s *HardwareCDFSink) Kind() string { return kindHardwareCDF }
 // Add folds one evaluated job's hardware fractions at both levels.
 func (s *HardwareCDFSink) Add(f workload.Features, t core.Times) error {
 	s.init()
-	wj, wc := JobLevel.weight(f), CNodeLevel.weight(f)
-	for i, h := range core.HardwareComponents() {
-		fr, err := t.HardwareFraction(h)
-		if err != nil {
-			return err
-		}
-		s.byLevel[JobLevel][i].AddWeighted(fr, wj)
-		s.byLevel[CNodeLevel][i].AddWeighted(fr, wc)
-	}
+	s.add(t.HardwareFractions(), JobLevel.weight(f), CNodeLevel.weight(f))
 	return nil
+}
+
+// add folds one job's hardware-fraction vector at both levels; Add and
+// AddColumns share it so both routes run the same operations.
+func (s *HardwareCDFSink) add(fr [numHardware]float64, wj, wc float64) {
+	for h := range fr {
+		s.byLevel[JobLevel][h].AddWeighted(fr[h], wj)
+		s.byLevel[CNodeLevel][h].AddWeighted(fr[h], wc)
+	}
 }
 
 // Merge folds another HardwareCDFSink into the receiver.

@@ -93,17 +93,8 @@ func (s *HardwareCDFSink) AddColumns(c *workload.Columns, ts []core.Times) error
 		return err
 	}
 	s.init()
-	hw := core.HardwareComponents()
 	for i := range ts {
-		wj, wc := 1.0, float64(c.CNodes[i])
-		for hi, h := range hw {
-			fr, err := ts[i].HardwareFraction(h)
-			if err != nil {
-				return err
-			}
-			s.byLevel[JobLevel][hi].AddWeighted(fr, wj)
-			s.byLevel[CNodeLevel][hi].AddWeighted(fr, wc)
-		}
+		s.add(ts[i].HardwareFractions(), 1.0, float64(c.CNodes[i]))
 	}
 	return nil
 }

@@ -78,16 +78,20 @@ type classCell struct {
 	cnodes int
 }
 
-// stepHistEdges are the shared log-spaced bin edges of the step-time
+// stepHistGrid is the shared log-spaced bin grid of the step-time
 // histogram every accumulator uses, so per-shard histograms always merge.
 // The range covers 100 µs to ~3 hours per step, far beyond the calibrated
 // lognormal's support.
-var stepHistEdges = func() []float64 {
+var stepHistGrid = func() *stats.Grid {
 	edges, err := stats.LogGrid(1e-4, 1e4, 161)
 	if err != nil {
 		panic(err)
 	}
-	return edges
+	g, err := stats.NewGrid(edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }()
 
 // BreakdownAccumulator folds per-job evaluation results into every
@@ -124,12 +128,8 @@ func (a *BreakdownAccumulator) init() {
 	if a.byClass != nil {
 		return
 	}
-	h, err := stats.NewHistogram(stepHistEdges)
-	if err != nil {
-		panic(err) // edges are a package constant; cannot fail
-	}
 	a.byClass = map[workload.Class]*classCell{}
-	a.stepHist = h
+	a.stepHist = stats.NewGridHistogram(stepHistGrid)
 }
 
 // Add folds one evaluated job into every aggregate.

@@ -222,15 +222,32 @@ func (t Times) HardwareTime(h HardwareComponent) (float64, error) {
 // HardwareFraction returns the hardware component's share of the component
 // sum.
 func (t Times) HardwareFraction(h HardwareComponent) (float64, error) {
-	v, err := t.HardwareTime(h)
-	if err != nil {
-		return 0, err
+	if h < 0 || int(h) >= NumHardwareComponents {
+		return 0, fmt.Errorf("core: unknown hardware component %v", h)
 	}
+	return t.HardwareFractions()[h], nil
+}
+
+// NumHardwareComponents is the size of the closed hardware-attribution set
+// of Fig. 8a.
+const NumHardwareComponents = 5
+
+// HardwareFractions returns every hardware component's share of the
+// component sum, indexed by HardwareComponent: one pass over the breakdown
+// for callers that need all five. Each share is HardwareTime(h) / sum with
+// the same operations, so the values are bit-identical to HardwareFraction.
+func (t Times) HardwareFractions() [NumHardwareComponents]float64 {
 	sum := t.DataIO + t.Compute() + t.Weights
 	if sum == 0 {
-		return 0, nil
+		return [NumHardwareComponents]float64{}
 	}
-	return v / sum, nil
+	return [NumHardwareComponents]float64{
+		HWGPUFLOPs:  t.ComputeFLOPs / sum,
+		HWGPUMemory: t.ComputeMem / sum,
+		HWPCIe:      (t.DataIO + t.WeightsByLink[hw.LinkPCIe]) / sum,
+		HWEthernet:  t.WeightsByLink[hw.LinkEthernet] / sum,
+		HWNVLink:    t.WeightsByLink[hw.LinkNVLink] / sum,
+	}
 }
 
 // Model evaluates the analytical breakdown for workloads on one hardware
@@ -361,13 +378,9 @@ func (m *Model) Bottleneck(f workload.Features) (HardwareComponent, float64, err
 	}
 	best := HWGPUFLOPs
 	var bestFrac float64
-	for _, h := range HardwareComponents() {
-		fr, err := t.HardwareFraction(h)
-		if err != nil {
-			return 0, 0, err
-		}
+	for h, fr := range t.HardwareFractions() {
 		if fr > bestFrac {
-			best, bestFrac = h, fr
+			best, bestFrac = HardwareComponent(h), fr
 		}
 	}
 	return best, bestFrac, nil

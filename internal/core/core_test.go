@@ -237,6 +237,26 @@ func TestHardwareAttribution(t *testing.T) {
 	if _, err := tm.HardwareFraction(HardwareComponent(9)); err == nil {
 		t.Error("expected error for unknown hardware component fraction")
 	}
+
+	// HardwareFractions is HardwareTime(h) / component sum, bit for bit,
+	// in HardwareComponents order; a zero breakdown has all-zero shares.
+	if n := len(HardwareComponents()); n != NumHardwareComponents {
+		t.Fatalf("%d hardware components, NumHardwareComponents = %d", n, NumHardwareComponents)
+	}
+	frs := tm.HardwareFractions()
+	sum := tm.DataIO + tm.Compute() + tm.Weights
+	for i, h := range HardwareComponents() {
+		v, err := tm.HardwareTime(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frs[i] != v/sum {
+			t.Errorf("HardwareFractions()[%v] = %v, want %v", h, frs[i], v/sum)
+		}
+	}
+	if z := (Times{}).HardwareFractions(); z != [NumHardwareComponents]float64{} {
+		t.Errorf("zero breakdown fractions = %v", z)
+	}
 }
 
 func TestThroughputEq2(t *testing.T) {

@@ -61,9 +61,9 @@ func (a *MeanVar) UnmarshalBinary(data []byte) error {
 // MarshalBinary encodes the histogram — edges included, so the snapshot is
 // self-describing and the decoder can enforce merge compatibility.
 func (h *Histogram) MarshalBinary() ([]byte, error) {
-	w := newStatsWriter(1 + 8*(len(h.edges)+len(h.counts)+3))
+	w := newStatsWriter(1 + 8*(len(h.grid.edges)+len(h.counts)+3))
 	w.U8(histogramVersion)
-	w.F64s(h.edges)
+	w.F64s(h.grid.edges)
 	w.F64s(h.counts)
 	w.F64(h.total)
 	w.F64(h.under)
@@ -73,7 +73,8 @@ func (h *Histogram) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a MarshalBinary snapshot, replacing the receiver.
 // The edge and count invariants are re-validated, so corrupted snapshots
-// fail here instead of corrupting later merges.
+// fail here instead of corrupting later merges. The decoded edges become the
+// histogram's own Grid without a second copy.
 func (h *Histogram) UnmarshalBinary(data []byte) error {
 	r := newStatsReader(data)
 	if v := r.U8(); r.Err() == nil && v != histogramVersion {
@@ -87,7 +88,7 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("stats: histogram snapshot: %w", err)
 	}
-	fresh, err := NewHistogram(edges)
+	g, err := newGrid(edges)
 	if err != nil {
 		return fmt.Errorf("stats: histogram snapshot: %w", err)
 	}
@@ -104,10 +105,6 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("stats: histogram snapshot has invalid weight %v", v)
 		}
 	}
-	fresh.counts = counts
-	fresh.total = total
-	fresh.under = under
-	fresh.over = over
-	*h = *fresh
+	*h = Histogram{grid: g, counts: counts, total: total, under: under, over: over}
 	return nil
 }

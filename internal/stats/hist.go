@@ -5,10 +5,98 @@ import (
 	"math"
 )
 
+// Grid is an immutable, validated set of histogram bin edges. Histograms
+// and sketches built on one Grid share its edges instead of copying them,
+// and merge without comparing them edge by edge.
+//
+// NewGrid also records whether the edges are uniform, which lets a bin
+// lookup start from an O(1) arithmetic guess instead of a binary search.
+// The guess is corrected against the edges themselves, so the chosen bin is
+// always exactly the one a binary search would pick.
+type Grid struct {
+	edges []float64 // len = bins+1, strictly increasing; never mutated
+	// inv is 1/width on a uniform grid and 0 otherwise: the lookup's
+	// arithmetic guess is int((x-edges[0])*inv).
+	inv float64
+}
+
+// NewGrid validates and copies the given bin edges. Edges must be strictly
+// increasing with at least two entries.
+func NewGrid(edges []float64) (*Grid, error) {
+	return newGrid(append([]float64(nil), edges...))
+}
+
+// newGrid validates edges and adopts them without copying; the caller must
+// not retain or mutate them.
+func newGrid(edges []float64) (*Grid, error) {
+	if len(edges) < 2 {
+		return nil, fmt.Errorf("stats: histogram needs >= 2 edges, got %d", len(edges))
+	}
+	for i := 1; i < len(edges); i++ {
+		if !(edges[i] > edges[i-1]) {
+			return nil, fmt.Errorf("stats: histogram edges not increasing at %d", i)
+		}
+	}
+	return &Grid{edges: edges, inv: uniformInverse(edges)}, nil
+}
+
+// uniformInverse returns 1/width when every edge lies within a quarter bin
+// of edges[0] + i·width, and 0 when the edges are not uniform (log grids,
+// infinite edges, a range whose width overflows). The quarter-bin tolerance
+// only bounds the lookup's correction walk to one step; exactness never
+// depends on it.
+func uniformInverse(edges []float64) float64 {
+	bins := len(edges) - 1
+	e0 := edges[0]
+	width := (edges[bins] - e0) / float64(bins)
+	inv := 1 / width
+	if !(width > 0) || math.IsInf(width, 0) || math.IsInf(inv, 0) {
+		return 0
+	}
+	for i, e := range edges {
+		if !(math.Abs(e-(e0+float64(i)*width)) <= width/4) {
+			return 0
+		}
+	}
+	return inv
+}
+
+// locate returns the bin of x, the largest i with edges[i] <= x, for
+// edges[0] <= x < edges[last].
+func (g *Grid) locate(x float64) int {
+	edges := g.edges
+	last := len(edges) - 1
+	if g.inv == 0 {
+		lo, hi := 0, last
+		for lo+1 < hi {
+			mid := (lo + hi) / 2
+			if edges[mid] <= x {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	// x-edges[0] is finite and at most the grid's finite range, so the
+	// guess is within a step of the answer; the walk makes it exact.
+	i := int((x - edges[0]) * g.inv)
+	if i >= last {
+		i = last - 1
+	}
+	for edges[i] > x {
+		i--
+	}
+	for edges[i+1] <= x {
+		i++
+	}
+	return i
+}
+
 // Histogram is a fixed-bin histogram over float64 samples. Bins are
 // half-open [lo, hi) except the last, which is closed.
 type Histogram struct {
-	edges  []float64 // len = bins+1, strictly increasing
+	grid   *Grid
 	counts []float64 // weighted counts, len = bins
 	total  float64
 	under  float64 // weight below edges[0]
@@ -18,18 +106,17 @@ type Histogram struct {
 // NewHistogram creates a histogram with the given bin edges.
 // Edges must be strictly increasing with at least two entries.
 func NewHistogram(edges []float64) (*Histogram, error) {
-	if len(edges) < 2 {
-		return nil, fmt.Errorf("stats: histogram needs >= 2 edges, got %d", len(edges))
+	g, err := NewGrid(edges)
+	if err != nil {
+		return nil, err
 	}
-	for i := 1; i < len(edges); i++ {
-		if !(edges[i] > edges[i-1]) {
-			return nil, fmt.Errorf("stats: histogram edges not increasing at %d", i)
-		}
-	}
-	return &Histogram{
-		edges:  append([]float64(nil), edges...),
-		counts: make([]float64, len(edges)-1),
-	}, nil
+	return NewGridHistogram(g), nil
+}
+
+// NewGridHistogram creates an empty histogram over a shared grid built by
+// NewGrid.
+func NewGridHistogram(g *Grid) *Histogram {
+	return &Histogram{grid: g, counts: make([]float64, len(g.edges)-1)}
 }
 
 // Add inserts a sample with weight 1.
@@ -41,35 +128,26 @@ func (h *Histogram) AddWeighted(x, w float64) {
 		return
 	}
 	h.total += w
-	if x < h.edges[0] {
+	edges := h.grid.edges
+	if x < edges[0] {
 		h.under += w
 		return
 	}
-	last := len(h.edges) - 1
-	if x > h.edges[last] {
+	last := len(edges) - 1
+	if x > edges[last] {
 		h.over += w
 		return
 	}
-	if x == h.edges[last] {
+	if x == edges[last] {
 		h.counts[last-1] += w
 		return
 	}
-	// Binary search for the bin: largest i with edges[i] <= x.
-	lo, hi := 0, last
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if h.edges[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo] += w
+	h.counts[h.grid.locate(x)] += w
 }
 
 // Bins returns copies of the bin edges and weighted counts.
 func (h *Histogram) Bins() (edges, counts []float64) {
-	return append([]float64(nil), h.edges...), append([]float64(nil), h.counts...)
+	return append([]float64(nil), h.grid.edges...), append([]float64(nil), h.counts...)
 }
 
 // Total returns the total inserted weight including out-of-range samples.

@@ -93,17 +93,21 @@ func (a *MeanVar) Max() float64 { return a.max }
 
 // Merge folds another histogram with identical bin edges into the receiver.
 // Like MeanVar.Merge it is associative, so per-shard histograms fold into
-// the bulk histogram exactly.
+// the bulk histogram exactly. Histograms on one shared Grid skip the
+// edge-by-edge comparison.
 func (h *Histogram) Merge(o *Histogram) error {
 	if o == nil {
 		return nil
 	}
-	if len(h.edges) != len(o.edges) {
-		return fmt.Errorf("stats: merge of histograms with %d vs %d edges", len(h.edges), len(o.edges))
-	}
-	for i, e := range h.edges {
-		if e != o.edges[i] {
-			return fmt.Errorf("stats: merge of histograms with mismatched edge %d (%v vs %v)", i, e, o.edges[i])
+	if h.grid != o.grid {
+		he, oe := h.grid.edges, o.grid.edges
+		if len(he) != len(oe) {
+			return fmt.Errorf("stats: merge of histograms with %d vs %d edges", len(he), len(oe))
+		}
+		for i, e := range he {
+			if e != oe[i] {
+				return fmt.Errorf("stats: merge of histograms with mismatched edge %d (%v vs %v)", i, e, oe[i])
+			}
 		}
 	}
 	for i := range h.counts {
@@ -135,15 +139,16 @@ func (h *Histogram) Quantile(q float64) (float64, error) {
 	if q >= 1 {
 		return h.supportMax(), nil
 	}
+	edges := h.grid.edges
 	target := q * h.total
 	if h.under > 0 && target <= h.under {
-		return h.edges[0], nil
+		return edges[0], nil
 	}
 	run := h.under
 	for i, c := range h.counts {
 		if run+c >= target && c > 0 {
 			frac := (target - run) / c
-			return h.edges[i] + frac*(h.edges[i+1]-h.edges[i]), nil
+			return edges[i] + frac*(edges[i+1]-edges[i]), nil
 		}
 		run += c
 	}
@@ -153,27 +158,29 @@ func (h *Histogram) Quantile(q float64) (float64, error) {
 // supportMin is the lower edge of the occupied support: the first edge when
 // under-range weight exists, else the lower edge of the first non-empty bin.
 func (h *Histogram) supportMin() float64 {
+	edges := h.grid.edges
 	if h.under > 0 {
-		return h.edges[0]
+		return edges[0]
 	}
 	for i, c := range h.counts {
 		if c > 0 {
-			return h.edges[i]
+			return edges[i]
 		}
 	}
-	return h.edges[len(h.edges)-1]
+	return edges[len(edges)-1]
 }
 
 // supportMax is the upper edge of the occupied support: the last edge when
 // over-range weight exists, else the upper edge of the last non-empty bin.
 func (h *Histogram) supportMax() float64 {
+	edges := h.grid.edges
 	if h.over > 0 {
-		return h.edges[len(h.edges)-1]
+		return edges[len(edges)-1]
 	}
 	for i := len(h.counts) - 1; i >= 0; i-- {
 		if h.counts[i] > 0 {
-			return h.edges[i+1]
+			return edges[i+1]
 		}
 	}
-	return h.edges[0]
+	return edges[0]
 }

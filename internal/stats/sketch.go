@@ -50,11 +50,19 @@ type Sketch struct {
 // NewSketch builds a sketch over the given bin edges (strictly increasing,
 // at least two).
 func NewSketch(edges []float64) (*Sketch, error) {
-	h, err := NewHistogram(edges)
+	g, err := NewGrid(edges)
 	if err != nil {
 		return nil, err
 	}
-	return &Sketch{hist: h}, nil
+	return NewGridSketch(g), nil
+}
+
+// NewGridSketch builds an empty sketch over a shared grid built by NewGrid.
+// Every sketch of a family should share one Grid: the edges are stored
+// once, bin lookups on a uniform grid are O(1), and merges skip the edge
+// comparison.
+func NewGridSketch(g *Grid) *Sketch {
+	return &Sketch{hist: NewGridHistogram(g)}
 }
 
 // NewLinearSketch builds a sketch with bins uniform bins over [lo, hi] —
@@ -157,7 +165,7 @@ func (s *Sketch) P(x float64) float64 {
 	if x >= max {
 		return 1
 	}
-	edges, counts := s.hist.edges, s.hist.counts
+	edges, counts := s.hist.grid.edges, s.hist.counts
 	first, last := edges[0], edges[len(edges)-1]
 	cum := 0.0
 	switch {
@@ -200,7 +208,7 @@ const sketchVersion = 1
 // snapshot (the edges travel with the counts, so any process can decode and
 // merge it). Identical sketch state always yields identical bytes.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	w := newStatsWriter(16 + 8*(2*len(s.hist.edges)+8))
+	w := newStatsWriter(16 + 8*(2*len(s.hist.grid.edges)+8))
 	w.U8(sketchVersion)
 	mv, err := s.mv.MarshalBinary()
 	if err != nil {
@@ -234,6 +242,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	var h Histogram
 	if err := h.UnmarshalBinary(hRaw); err != nil {
 		return err
+	}
+	// Every AddWeighted and Merge moves both weights together, bit for bit,
+	// and Quantile relies on it: a mismatch is a corrupt or forged snapshot.
+	if mv.N() != h.Total() {
+		return fmt.Errorf("stats: sketch snapshot weight %v differs from histogram total %v", mv.N(), h.Total())
 	}
 	s.mv = mv
 	s.hist = &h

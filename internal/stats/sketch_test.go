@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -222,6 +223,26 @@ func TestSketchSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("truncated snapshot of %d bytes accepted", i)
 		}
 	}
+	// A MeanVar weight that differs from the histogram total is corrupt:
+	// folds keep the two equal bit for bit.
+	mv := s.mv
+	mv.n = math.Nextafter(mv.n, math.Inf(1))
+	mvRaw, err := mv.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hRaw, err := s.hist.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newStatsWriter(len(mvRaw) + len(hRaw) + 16)
+	w.U8(sketchVersion)
+	w.Raw(mvRaw)
+	w.Raw(hRaw)
+	if err := new(Sketch).UnmarshalBinary(w.Bytes()); err == nil ||
+		!strings.Contains(err.Error(), "weight") {
+		t.Errorf("weight mismatch not rejected: %v", err)
+	}
 }
 
 func TestMeanVarHistogramSnapshotRoundTrip(t *testing.T) {
@@ -268,19 +289,35 @@ func TestMeanVarHistogramSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// BenchmarkSketchAdd folds samples into a 160-bin log grid (the step-time
+// shape, binary-searched) and a 512-bin uniform fraction grid (the CDF
+// sinks' shape, O(1) lookup).
 func BenchmarkSketchAdd(b *testing.B) {
-	s, err := NewLogSketch(1e-4, 1e4, 160)
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 4096)
-	for i := range xs {
-		xs[i] = math.Exp(rng.NormFloat64())
+	logXs, fracXs := make([]float64, 4096), make([]float64, 4096)
+	for i := range logXs {
+		logXs[i] = math.Exp(rng.NormFloat64())
+		fracXs[i] = rng.Float64()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(xs[i&4095])
+	cases := []struct {
+		name string
+		new  func() (*Sketch, error)
+		xs   []float64
+	}{
+		{"log160", func() (*Sketch, error) { return NewLogSketch(1e-4, 1e4, 160) }, logXs},
+		{"uniform512", func() (*Sketch, error) { return NewLinearSketch(0, 1, 512) }, fracXs},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := c.new()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Add(c.xs[i&4095])
+			}
+		})
 	}
 }
 
