@@ -24,11 +24,11 @@
 package replay
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/analyze"
 	"repro/internal/backend"
@@ -206,15 +206,22 @@ type state struct {
 	gpusPerServer int
 	totalGPUs     int
 
-	// free[s] is server s's currently free GPU count; used/usedGen are the
-	// placement scratch (generation-stamped so attempts never re-zero).
-	free    []int
-	used    []int
-	usedGen []uint64
-	gen     uint64
+	// free[s] is server s's currently free GPU count and level[k] the
+	// bitset of servers with exactly k free GPUs; move keeps the two in
+	// step and is the only writer of either.
+	free  []int
+	level [][]uint64
+	// taken marks the servers a distinct placement attempt already holds
+	// and picks is the attempt's scratch allocation; both are empty
+	// between attempts.
+	taken []uint64
+	picks []allocation
+	// blocked is the queue head whose last placement attempt failed; it is
+	// not retried until a release or a start changes free.
+	blocked *pendingJob
 
-	pending pendingHeap
-	events  eventHeap
+	pending minHeap[*pendingJob]
+	events  minHeap[event]
 	seq     int
 
 	now         float64
@@ -228,6 +235,7 @@ type state struct {
 
 func newState(cfg Config, pol sched.Policy, factor float64, sink analyze.Sink) *state {
 	n := cfg.Cluster.NumServers()
+	words := (n + 63) / 64
 	st := &state{
 		cfg:           cfg,
 		policy:        pol,
@@ -236,17 +244,44 @@ func newState(cfg Config, pol sched.Policy, factor float64, sink analyze.Sink) *
 		gpusPerServer: cfg.Cluster.Config().GPUsPerServer,
 		totalGPUs:     cfg.Cluster.NumGPUs(),
 		free:          make([]int, n),
-		used:          make([]int, n),
-		usedGen:       make([]uint64, n),
+		taken:         make([]uint64, words),
+	}
+	st.level = make([][]uint64, st.gpusPerServer+1)
+	for k := range st.level {
+		st.level[k] = make([]uint64, words)
 	}
 	st.servers = make([]cluster.Server, n)
 	for i := 0; i < n; i++ {
 		srv, _ := cfg.Cluster.Server(i)
 		st.servers[i] = srv
-		st.free[i] = srv.NumGPUs
+		st.level[0][i>>6] |= 1 << (i & 63)
+		st.move(i, srv.NumGPUs)
 	}
-	st.pending.policy = pol
+	st.pending.less = func(a, b *pendingJob) bool {
+		if pol.Less(a.q, b.q) {
+			return true
+		}
+		if pol.Less(b.q, a.q) {
+			return false
+		}
+		return a.q.Index < b.q.Index
+	}
+	st.events.less = func(a, b event) bool {
+		if a.time != b.time {
+			return a.time < b.time
+		}
+		return a.seq < b.seq
+	}
 	return st
+}
+
+// move changes server s's free GPU count by delta and moves its bit to the
+// matching level.
+func (st *state) move(s, delta int) {
+	w, bit := s>>6, uint64(1)<<(s&63)
+	st.level[st.free[s]][w] &^= bit
+	st.free[s] += delta
+	st.level[st.free[s]][w] |= bit
 }
 
 // submit processes one evaluated arrival: advance time, admit or reject,
@@ -283,6 +318,11 @@ func (st *state) submit(index int, f workload.Features, times core.Times) error 
 		// An unknown class is a malformed record, not an admission decision.
 		return fmt.Errorf("replay: job %d: %w", index, perr)
 	}
+	if f.CNodes <= 0 {
+		// workload.Features.Validate refuses these too; a gang of no GPUs
+		// (or fewer) has no place on the free-level index.
+		return fmt.Errorf("replay: job %d (%q): CNodes must be positive, got %d", index, f.Name, f.CNodes)
+	}
 	// Admission: jobs the cluster can never host are rejected and counted
 	// (the real cluster is far larger than any replay inventory), as are
 	// arrivals past the queue bound.
@@ -294,8 +334,8 @@ func (st *state) submit(index int, f workload.Features, times core.Times) error 
 		reason = fmt.Sprintf("class %v requires NVLink servers", f.Class)
 	case place.Servers() > len(st.servers):
 		reason = fmt.Sprintf("needs %d distinct servers, cluster has %d", place.Servers(), len(st.servers))
-	case st.cfg.QueueLimit > 0 && st.pending.Len() >= st.cfg.QueueLimit:
-		reason = fmt.Sprintf("admission queue full (%d pending)", st.pending.Len())
+	case st.cfg.QueueLimit > 0 && len(st.pending.items) >= st.cfg.QueueLimit:
+		reason = fmt.Sprintf("admission queue full (%d pending)", len(st.pending.items))
 	}
 	if reason != "" {
 		st.rejected++
@@ -312,22 +352,21 @@ func (st *state) submit(index int, f workload.Features, times core.Times) error 
 		duration *= st.factor
 		st.stragglers++
 	}
-	gangs := append([]int(nil), place.Gangs...)
-	// Largest gang first: the same fit-hardest-first greedy order
+	// PlacementFor returns a fresh slice, so it is sorted in place. Largest
+	// gang first: the same fit-hardest-first greedy order
 	// sched.SimulateWith uses.
+	gangs := place.Gangs
 	for i := 1; i < len(gangs); i++ {
 		for j := i; j > 0 && gangs[j] > gangs[j-1]; j-- {
 			gangs[j], gangs[j-1] = gangs[j-1], gangs[j]
 		}
 	}
-	heap.Push(&st.pending, pendingJob{
+	st.pending.push(&pendingJob{
 		q: sched.QueuedJob{Index: index, Arrival: arrival, Duration: duration, GPUs: place.GPUs()},
 		f: f, times: times, steps: steps,
 		gangs: gangs, distinct: place.Distinct, straggler: straggler,
 	})
-	if st.pending.Len() > st.maxQueueDepth {
-		st.maxQueueDepth = st.pending.Len()
-	}
+	st.maxQueueDepth = max(st.maxQueueDepth, len(st.pending.items))
 	return st.schedule()
 }
 
@@ -345,14 +384,15 @@ func knownClass(c workload.Class) bool {
 // advanceTo processes every completion event up to and including time t,
 // re-scheduling after each release instant.
 func (st *state) advanceTo(t float64) error {
-	for st.events.Len() > 0 && st.events.items[0].time <= t {
+	for len(st.events.items) > 0 && st.events.items[0].time <= t {
 		at := st.events.items[0].time
-		for st.events.Len() > 0 && st.events.items[0].time == at {
-			e := heap.Pop(&st.events).(event)
+		for len(st.events.items) > 0 && st.events.items[0].time == at {
+			e := st.events.pop()
 			for _, a := range e.alloc {
-				st.free[a.server] += a.gpus
+				st.move(a.server, a.gpus)
 			}
 		}
+		st.blocked = nil
 		st.now = at
 		if err := st.schedule(); err != nil {
 			return err
@@ -362,18 +402,22 @@ func (st *state) advanceTo(t float64) error {
 }
 
 // schedule starts queue heads while they fit (head-of-line blocking under
-// the configured policy's order).
+// the configured policy's order). A head that already failed is not tried
+// again while free is unchanged: placement reads nothing else, so the retry
+// would fail the same way.
 func (st *state) schedule() error {
-	for st.pending.Len() > 0 {
-		head := &st.pending.items[0]
-		alloc, ok := st.tryPlace(head.gangs, head.distinct)
-		if !ok {
+	for len(st.pending.items) > 0 {
+		head := st.pending.items[0]
+		if head == st.blocked {
 			return nil
 		}
-		j := heap.Pop(&st.pending).(pendingJob)
-		for _, a := range alloc {
-			st.free[a.server] -= a.gpus
+		alloc, ok := st.tryPlace(head.gangs, head.distinct)
+		if !ok {
+			st.blocked = head
+			return nil
 		}
+		st.blocked = nil
+		j := st.pending.pop()
 		start := st.now
 		finish := start + j.q.Duration
 		st.completed++
@@ -382,7 +426,7 @@ func (st *state) schedule() error {
 		if finish > st.makespan {
 			st.makespan = finish
 		}
-		heap.Push(&st.events, event{time: finish, seq: st.seq, alloc: alloc})
+		st.events.push(event{time: finish, seq: st.seq, alloc: alloc})
 		st.seq++
 		if err := st.dispatch(Outcome{
 			Index: j.q.Index, Job: j.f, Times: j.times, Steps: j.steps,
@@ -403,60 +447,86 @@ type allocation struct {
 
 // tryPlace attempts the greedy placement: for each gang (largest first),
 // the server with the most free GPUs that fits it — ties to the lowest
-// server index — respecting distinctness. It returns the per-server
-// allocation, or ok=false leaving no state modified. The linear scan per
-// gang (instead of SimulateWith's per-attempt sort) keeps a 100k-job replay
-// on a 128-server cluster in the millions-of-comparisons range.
+// server index — skipping servers the attempt already uses when the
+// placement is distinct. Walking level[k] from the top level down to the
+// gang size and taking the lowest set bit of level[k] &^ taken is exactly
+// that pick, at O(levels × ⌈servers/64⌉) per gang instead of O(servers).
+// Each pick is applied to free as it is made; on success those moves are
+// the commit and the merged per-server allocation is returned, on failure
+// they are undone in reverse and ok=false leaves no state modified.
 func (st *state) tryPlace(gangs []int, distinct bool) ([]allocation, bool) {
-	st.gen++
-	alloc := make([]allocation, 0, len(gangs))
+	picks := st.picks[:0]
+	ok := true
 	for _, g := range gangs {
-		best, bestAvail := -1, -1
-		for s := range st.free {
-			held := 0
-			if st.usedGen[s] == st.gen {
-				held = st.used[s]
-			}
-			if distinct && held > 0 {
-				continue
-			}
-			if avail := st.free[s] - held; avail >= g && avail > bestAvail {
-				best, bestAvail = s, avail
-			}
-		}
+		best := st.pick(g, distinct)
 		if best < 0 {
-			return nil, false
+			ok = false
+			break
 		}
-		if st.usedGen[best] != st.gen {
-			st.usedGen[best] = st.gen
-			st.used[best] = 0
+		st.move(best, -g)
+		if distinct {
+			st.taken[best>>6] |= 1 << (best & 63)
 		}
-		st.used[best] += g
-		alloc = append(alloc, allocation{server: best, gpus: g})
+		picks = append(picks, allocation{server: best, gpus: g})
+	}
+	if distinct {
+		for _, a := range picks {
+			st.taken[a.server>>6] = 0
+		}
+	}
+	st.picks = picks
+	if !ok {
+		for i := len(picks) - 1; i >= 0; i-- {
+			st.move(picks[i].server, picks[i].gpus)
+		}
+		return nil, false
 	}
 	// Merge same-server entries (non-distinct placements may stack gangs).
-	merged := alloc[:0]
-	for _, a := range alloc {
+	merged := picks[:0]
+	for _, a := range picks {
 		if n := len(merged); n > 0 && merged[n-1].server == a.server {
 			merged[n-1].gpus += a.gpus
 			continue
 		}
 		merged = append(merged, a)
 	}
-	return merged, true
+	return append([]allocation(nil), merged...), true
+}
+
+// pick returns the server with the most free GPUs, at least g, that is not
+// taken when distinct — ties to the lowest index — or -1 when none fits.
+func (st *state) pick(g int, distinct bool) int {
+	for k := len(st.level) - 1; k >= g; k-- {
+		for w, set := range st.level[k] {
+			if distinct {
+				set &^= st.taken[w]
+			}
+			if set != 0 {
+				return w<<6 | bits.TrailingZeros64(set)
+			}
+		}
+	}
+	return -1
 }
 
 // drain runs the simulation to completion after the last arrival.
 func (st *state) drain() error {
-	for st.events.Len() > 0 || st.pending.Len() > 0 {
-		if st.events.Len() == 0 {
+	for len(st.events.items) > 0 || len(st.pending.items) > 0 {
+		if len(st.events.items) == 0 {
 			// Admission screens every queue entry for feasibility on an
 			// empty cluster, so a stuck queue with no in-flight work is a
 			// bug, not a trace property.
-			return fmt.Errorf("replay: %d jobs pending with no running work (placement bug)", st.pending.Len())
+			return fmt.Errorf("replay: %d jobs pending with no running work (placement bug)", len(st.pending.items))
 		}
 		if err := st.advanceTo(st.events.items[0].time); err != nil {
 			return err
+		}
+	}
+	// Conservation: with every job departed, every GPU is free again. A
+	// leaked or double-released allocation would otherwise go unnoticed.
+	for s, srv := range st.servers {
+		if st.free[s] != srv.NumGPUs {
+			return fmt.Errorf("replay: server %d ends with %d of %d GPUs free (placement bug)", s, st.free[s], srv.NumGPUs)
 		}
 	}
 	return nil
@@ -534,35 +604,6 @@ type pendingJob struct {
 	straggler bool
 }
 
-// pendingHeap orders the queue by the run's policy, ties by submission
-// index — so even a policy whose Less considers two jobs equal yields a
-// deterministic queue.
-type pendingHeap struct {
-	policy sched.Policy
-	items  []pendingJob
-}
-
-func (h pendingHeap) Len() int { return len(h.items) }
-func (h pendingHeap) Less(i, j int) bool {
-	a, b := h.items[i].q, h.items[j].q
-	if h.policy.Less(a, b) {
-		return true
-	}
-	if h.policy.Less(b, a) {
-		return false
-	}
-	return a.Index < b.Index
-}
-func (h pendingHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *pendingHeap) Push(x any)   { h.items = append(h.items, x.(pendingJob)) }
-func (h *pendingHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	item := old[n-1]
-	h.items = old[:n-1]
-	return item
-}
-
 // event is a job-finish event releasing GPUs back to servers.
 type event struct {
 	time  float64
@@ -570,24 +611,55 @@ type event struct {
 	alloc []allocation
 }
 
-// eventHeap is a min-heap on completion time, ties by start sequence.
-type eventHeap struct {
-	items []event
+// minHeap is a binary min-heap under less. The queue orders by the run's
+// policy, ties by submission index — so even a policy whose Less considers
+// two jobs equal yields a deterministic queue — and the events by
+// completion time, ties by start sequence. The sifts make exactly the
+// comparisons container/heap makes, moving the sifted item through a hole
+// instead of swapping, so the pop order matches it for any less.
+type minHeap[T any] struct {
+	items []T
+	less  func(a, b T) bool
 }
 
-func (h eventHeap) Len() int { return len(h.items) }
-func (h eventHeap) Less(i, j int) bool {
-	if h.items[i].time != h.items[j].time {
-		return h.items[i].time < h.items[j].time
+func (h *minHeap[T]) push(x T) {
+	h.items = append(h.items, x)
+	j := len(h.items) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(x, h.items[i]) {
+			break
+		}
+		h.items[j] = h.items[i]
+		j = i
 	}
-	return h.items[i].seq < h.items[j].seq
+	h.items[j] = x
 }
-func (h eventHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *eventHeap) Push(x any)   { h.items = append(h.items, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	item := old[n-1]
-	h.items = old[:n-1]
-	return item
+
+func (h *minHeap[T]) pop() T {
+	n := len(h.items) - 1
+	top, x := h.items[0], h.items[n]
+	var zero T
+	h.items[n] = zero
+	h.items = h.items[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(h.items[j2], h.items[j]) {
+			j = j2
+		}
+		if !h.less(h.items[j], x) {
+			break
+		}
+		h.items[i] = h.items[j]
+		i = j
+	}
+	h.items[i] = x
+	return top
 }

@@ -2,9 +2,12 @@ package replay
 
 import (
 	"bytes"
+	"container/heap"
 	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/analyze"
@@ -17,7 +20,7 @@ import (
 	"repro/internal/workload"
 )
 
-func testEvaluator(t *testing.T) backend.Evaluator {
+func testEvaluator(t testing.TB) backend.Evaluator {
 	t.Helper()
 	ev, err := backend.New(backend.AnalyticalName, backend.DefaultSpec())
 	if err != nil {
@@ -26,7 +29,7 @@ func testEvaluator(t *testing.T) backend.Evaluator {
 	return ev
 }
 
-func testCluster(t *testing.T, servers int) *cluster.Cluster {
+func testCluster(t testing.TB, servers int) *cluster.Cluster {
 	t.Helper()
 	c, err := cluster.New(hw.Baseline(), servers)
 	if err != nil {
@@ -391,6 +394,52 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	for _, par := range []int{2, 8} {
 		if !bytes.Equal(base, snapshot(par)) {
 			t.Errorf("parallelism %d produced a different fleet snapshot", par)
+		}
+	}
+}
+
+// intHeap adapts a slice and a less func to container/heap, the reference
+// the replay's minHeap must match.
+type intHeap struct {
+	items []int
+	less  func(a, b int) bool
+}
+
+func (h *intHeap) Len() int           { return len(h.items) }
+func (h *intHeap) Less(i, j int) bool { return h.less(h.items[i], h.items[j]) }
+func (h *intHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *intHeap) Push(x any)         { h.items = append(h.items, x.(int)) }
+func (h *intHeap) Pop() any {
+	x := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	return x
+}
+
+// TestMinHeapMatchesContainerHeap: under a total order and under a less
+// that is not even transitive, random push/pop sequences leave minHeap and
+// container/heap with the same items in the same slots and pop the same
+// values, so queue and event order cannot depend on which one runs.
+func TestMinHeapMatchesContainerHeap(t *testing.T) {
+	for name, less := range map[string]func(a, b int) bool{
+		"total":        func(a, b int) bool { return a < b },
+		"intransitive": func(a, b int) bool { return (a*7+b*13)%5 < 2 },
+	} {
+		r := rand.New(rand.NewSource(1))
+		got := minHeap[int]{less: less}
+		want := &intHeap{less: less}
+		for step := 0; step < 20000; step++ {
+			if len(got.items) > 0 && r.Intn(3) == 0 {
+				if g, w := got.pop(), heap.Pop(want).(int); g != w {
+					t.Fatalf("%s: step %d: pop = %d, container/heap %d", name, step, g, w)
+				}
+			} else {
+				x := r.Intn(100)
+				got.push(x)
+				heap.Push(want, x)
+			}
+			if !slices.Equal(got.items, want.items) {
+				t.Fatalf("%s: step %d: items %v, container/heap %v", name, step, got.items, want.items)
+			}
 		}
 	}
 }

@@ -1,0 +1,103 @@
+package pai_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	pai "repro"
+	"repro/internal/hw"
+)
+
+// goldenReplaySHA256 pins the SHA-256 of Engine.Replay's fleet-sink
+// snapshot (WriteSinkSnapshot) followed by the %+v-formatted ReplayStats for
+// three fixed-seed scenarios. The constants were recorded before placement
+// moved from a linear server scan to free-level bitsets, so they prove every
+// later performance change keeps each placement and every byte: they change
+// only with an intentional snapshot-format or model change (the trace
+// generator, the step-time model or the scheduling rules), never with a
+// faster event loop.
+var goldenReplaySHA256 = map[string]string{
+	"fifo-congested-stragglers": "0b121af96683f90680d9899b353b927c167823ac73046e9610398f0880256b61",
+	"sjf-queue-limit":           "1f743d00045e0ff023d734fe741357446bc748c3ed145e745aff2aced679a77b",
+	"no-nvlink-rejects":         "2982c1c6d7f3b3c50e7da58247f957e36f26c58eecc07db5fe3d86d1a616c837",
+}
+
+// goldenReplayTrace generates the fixed-seed, arrival-stamped trace behind
+// the golden replay cases.
+func goldenReplayTrace(t *testing.T) []pai.Features {
+	t.Helper()
+	p := pai.DefaultTraceParams()
+	p.Seed = 7
+	p.NumJobs = 3000
+	p.ArrivalRate = 900
+	tr, err := pai.GenerateTrace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.Jobs
+}
+
+// TestReplayGoldenSnapshot replays the golden trace under each scenario and
+// checks the hash of the fleet snapshot plus the scalar stats.
+func TestReplayGoldenSnapshot(t *testing.T) {
+	jobs := goldenReplayTrace(t)
+	noNVLink, err := pai.New(pai.WithConfig(hw.BaselineNoNVLink()), pai.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline, err := pai.New(pai.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		eng  *pai.Engine
+		opts []pai.ReplayOption
+		// check asserts the scenario exercises what it is named after.
+		check func(pai.ReplayStats) bool
+	}{
+		{"fifo-congested-stragglers", baseline, []pai.ReplayOption{
+			pai.WithReplayServers(16),
+			pai.WithReplayStragglers(0.05, 4),
+			pai.WithReplayStragglerSeed(3),
+			pai.WithReplaySteps(200),
+			pai.WithReplayUtilizationWindow(60),
+		}, func(s pai.ReplayStats) bool { return s.MaxQueueDepth > 100 && s.Stragglers > 0 }},
+		{"sjf-queue-limit", baseline, []pai.ReplayOption{
+			pai.WithReplayServers(16),
+			pai.WithReplayPolicy("sjf"),
+			pai.WithReplayQueueLimit(64),
+			pai.WithReplaySteps(200),
+			pai.WithReplayUtilizationWindow(60),
+		}, func(s pai.ReplayStats) bool { return s.MaxQueueDepth == 64 && s.Rejected > 0 }},
+		{"no-nvlink-rejects", noNVLink, []pai.ReplayOption{
+			pai.WithReplayServers(24),
+			pai.WithReplaySteps(100),
+			pai.WithReplayUtilizationWindow(60),
+		}, func(s pai.ReplayStats) bool { return s.Rejected > 0 && s.Completed > 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.eng.Replay(context.Background(), pai.NewSliceJobSource(jobs), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.check(res.Stats) {
+				t.Fatalf("scenario does not exercise its case: %+v", res.Stats)
+			}
+			var buf bytes.Buffer
+			if err := pai.WriteSinkSnapshot(&buf, res.Sinks); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&buf, "%+v", res.Stats)
+			sum := sha256.Sum256(buf.Bytes())
+			if got, want := hex.EncodeToString(sum[:]), goldenReplaySHA256[tc.name]; got != want {
+				t.Errorf("replay snapshot+stats SHA-256 = %s, want %s (stats %+v)", got, want, res.Stats)
+			}
+		})
+	}
+}
