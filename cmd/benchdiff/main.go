@@ -55,6 +55,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/report"
 	"repro/internal/version"
 )
 
@@ -81,16 +82,9 @@ type result struct {
 	// CDF and Projection are the sketch-backed sections of -full/-merge
 	// runs; decoded generically and compared for exact equality when both
 	// sides carry them.
-	CDF        map[string]any `json:"cdf"`
-	Projection map[string]any `json:"projection"`
-	Fidelity   struct {
-		ClassJobShare   map[string]float64 `json:"class_job_share"`
-		ClassCNodeShare map[string]float64 `json:"class_cnode_share"`
-		OverallCNode    map[string]float64 `json:"overall_cnode_level"`
-		MeanStepSec     float64            `json:"mean_step_sec"`
-		P50StepSec      float64            `json:"p50_step_sec"`
-		P99StepSec      float64            `json:"p99_step_sec"`
-	} `json:"fidelity"`
+	CDF        map[string]any  `json:"cdf"`
+	Projection map[string]any  `json:"projection"`
+	Fidelity   report.Fidelity `json:"fidelity"`
 }
 
 func main() {

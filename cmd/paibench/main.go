@@ -139,7 +139,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -152,6 +151,7 @@ import (
 	"time"
 
 	pai "repro"
+	"repro/internal/report"
 	"repro/internal/version"
 )
 
@@ -238,12 +238,12 @@ type Result struct {
 	Resplits              int `json:"resplits,omitempty"`
 	CoordWorkers          int `json:"coord_workers,omitempty"`
 
-	Fidelity Fidelity `json:"fidelity"`
+	Fidelity report.Fidelity `json:"fidelity"`
 
 	// CDF and Projection report the sketch-backed sections; populated only
 	// under -full and -merge, where the full report sink runs.
-	CDF        *CDFSection  `json:"cdf,omitempty"`
-	Projection *ProjSection `json:"projection,omitempty"`
+	CDF        *report.CDFSection  `json:"cdf,omitempty"`
+	Projection *report.ProjSection `json:"projection,omitempty"`
 
 	// Replay reports the discrete-event cluster replay (-replay): the -trace
 	// stream scheduled onto a finite GPU inventory instead of evaluated at
@@ -257,35 +257,6 @@ type Result struct {
 type CodecStats struct {
 	NsPerRecord   float64 `json:"ns_per_record"`
 	RecordsPerSec float64 `json:"records_per_sec"`
-}
-
-// Quantiles is a compact p50/p90/p99 triple of one sketched distribution.
-type Quantiles struct {
-	P50 float64 `json:"p50"`
-	P90 float64 `json:"p90"`
-	P99 float64 `json:"p99"`
-}
-
-// CDFSection carries the per-class CDF headline quantiles of the Fig. 8
-// sketches (job level).
-type CDFSection struct {
-	// WeightsFraction maps class -> quantiles of the weights-traffic time
-	// fraction (Fig. 8b-d headline lines).
-	WeightsFraction map[string]Quantiles `json:"weights_fraction"`
-	// EthernetFraction is the all-workloads Ethernet-attribution fraction
-	// (Fig. 8a headline line).
-	EthernetFraction Quantiles `json:"ethernet_fraction"`
-}
-
-// ProjSection carries the streamed Fig. 9 projection summary.
-type ProjSection struct {
-	N                     int     `json:"n"`
-	FracNodeNotSped       float64 `json:"frac_node_not_sped"`
-	FracThroughputNotSped float64 `json:"frac_throughput_not_sped"`
-	MeanNodeSpeedup       float64 `json:"mean_node_speedup"`
-	MeanThroughputSpeedup float64 `json:"mean_throughput_speedup"`
-	NodeSpeedupP50        float64 `json:"node_speedup_p50"`
-	NodeSpeedupP99        float64 `json:"node_speedup_p99"`
 }
 
 // ReplaySection is the fleet-level summary of one -replay run: admission
@@ -315,31 +286,6 @@ type ReplaySection struct {
 	QueueDelayP99     float64 `json:"queue_delay_p99"`
 	MaxQueueDepth     int     `json:"max_queue_depth"`
 }
-
-// Fidelity holds the streamed trace's collective aggregates next to the
-// paper's published headline values, so a baseline diff catches both
-// performance and statistical drift.
-type Fidelity struct {
-	ClassJobShare   map[string]float64 `json:"class_job_share"`
-	ClassCNodeShare map[string]float64 `json:"class_cnode_share"`
-	// OverallCNode maps data_io/weights/compute to the cNode-level overall
-	// share (Sec. III-D reports weights 62%, compute 35%).
-	OverallCNode map[string]float64 `json:"overall_cnode_level"`
-	MeanStepSec  float64            `json:"mean_step_sec"`
-	P50StepSec   float64            `json:"p50_step_sec"`
-	P99StepSec   float64            `json:"p99_step_sec"`
-	// PaperAbsDelta maps headline-stat name to |streamed - paper|:
-	// ps_cnode_share (0.81), overall_weights (0.62), overall_compute (0.35).
-	PaperAbsDelta map[string]float64 `json:"paper_abs_delta"`
-}
-
-// Paper headline references: Fig. 5b (PS/Worker cNode share ~81%) and
-// Sec. III-D (cNode-level communication 62%, computation 35%).
-const (
-	paperPSCNodeShare  = 0.81
-	paperOverallComm   = 0.62
-	paperOverallComput = 0.35
-)
 
 // Multi-shard defaults: a production-shaped repetitive trace small enough
 // that its distinct set fits the default cache with room to spare.
@@ -894,14 +840,6 @@ func measure(eng *pai.Engine, cfg config, stderr io.Writer) (*Result, error) {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 
-	acc, err := breakdownOf(sink)
-	if err != nil {
-		return nil, err
-	}
-	fid, err := fidelity(acc)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Schema:        "paibench/1",
 		Jobs:          n,
@@ -914,7 +852,6 @@ func measure(eng *pai.Engine, cfg config, stderr io.Writer) (*Result, error) {
 		AllocsPerJob:  float64(after.Mallocs-before.Mallocs) / float64(n),
 		BytesPerJob:   float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
 		PeakHeapBytes: peak.max(),
-		Fidelity:      *fid,
 	}
 	if cfg.tracePath != "" {
 		res.TraceFile = cfg.tracePath
@@ -942,11 +879,8 @@ func measure(eng *pai.Engine, cfg config, stderr io.Writer) (*Result, error) {
 	res.CacheAvgEntryBytes = st.AvgEntryBytes
 	res.CacheBlockHits = st.BlockHits
 	res.CacheBlockMisses = st.BlockMisses
-	if cfg.full {
-		res.CDF, res.Projection, err = sketchSections(sink)
-		if err != nil {
-			return nil, err
-		}
+	if _, err := fillSections(res, sink); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -1101,60 +1035,6 @@ func breakdownOf(sink pai.Sink) (*pai.BreakdownAccumulator, error) {
 	return nil, fmt.Errorf("sink %q carries no breakdown accumulator", sink.Kind())
 }
 
-// sketchSections assembles the cdf/projection result sections from a full
-// report sink.
-func sketchSections(sink pai.Sink) (*CDFSection, *ProjSection, error) {
-	ms, ok := sink.(*pai.MultiSink)
-	if !ok {
-		return nil, nil, fmt.Errorf("sink %q is not a full report sink", sink.Kind())
-	}
-	cdf := &CDFSection{WeightsFraction: map[string]Quantiles{}}
-	var proj *ProjSection
-	for _, inner := range ms.Sinks() {
-		switch s := inner.(type) {
-		case *pai.ComponentCDFSink:
-			for _, class := range s.Classes() {
-				sk, err := s.CDF(class, pai.JobLevel, pai.CompWeights)
-				if err != nil {
-					return nil, nil, err
-				}
-				cdf.WeightsFraction[class.String()] = quantilesOf(sk)
-			}
-		case *pai.HardwareCDFSink:
-			sk, err := s.CDF(pai.JobLevel, pai.HWEthernet)
-			if err != nil {
-				return nil, nil, err
-			}
-			cdf.EthernetFraction = quantilesOf(sk)
-		case *pai.ProjectionSink:
-			if s.N() == 0 {
-				// No PS/Worker job streamed by (tiny traces); omit the
-				// section rather than failing the whole run.
-				continue
-			}
-			sum, err := s.Summary()
-			if err != nil {
-				return nil, nil, err
-			}
-			node := s.NodeSpeedups()
-			proj = &ProjSection{
-				N:                     sum.N,
-				FracNodeNotSped:       sum.FracNodeNotSped,
-				FracThroughputNotSped: sum.FracThroughputNotSped,
-				MeanNodeSpeedup:       sum.MeanNodeSpeedup,
-				MeanThroughputSpeedup: sum.MeanThroughputSpeedup,
-				NodeSpeedupP50:        node.Quantile(0.50),
-				NodeSpeedupP99:        node.Quantile(0.99),
-			}
-		}
-	}
-	return cdf, proj, nil
-}
-
-func quantilesOf(s *pai.Sketch) Quantiles {
-	return Quantiles{P50: s.Quantile(0.50), P90: s.Quantile(0.90), P99: s.Quantile(0.99)}
-}
-
 // shardMetaBase renders the run-identifying provenance base: everything
 // that changes the evaluated jobs or their breakdowns. Every shard of one
 // run must share it; the shard index is the one field allowed to differ.
@@ -1291,23 +1171,34 @@ func runMerge(paths []string, seed int64, out string, stdout, stderr io.Writer) 
 // (-merge and -coordinate), so the two emit the same schema by
 // construction.
 func finishFoldedResult(sink pai.Sink, res *Result, out string, stdout io.Writer) error {
-	acc, err := breakdownOf(sink)
-	if err != nil {
-		return err
-	}
-	fid, err := fidelity(acc)
+	jobs, err := fillSections(res, sink)
 	if err != nil {
 		return err
 	}
 	res.Schema = "paibench/1"
-	res.Jobs = acc.N()
+	res.Jobs = jobs
+	return writeResult(res, out, stdout)
+}
+
+// fillSections fills res's fidelity section from a folded sink, and its
+// cdf/projection sections when the sink is a full report sink (-full,
+// -merge), and returns the folded job count.
+func fillSections(res *Result, sink pai.Sink) (int, error) {
+	acc, err := breakdownOf(sink)
+	if err != nil {
+		return 0, err
+	}
+	fid, err := report.FidelityOf(acc)
+	if err != nil {
+		return 0, err
+	}
 	res.Fidelity = *fid
-	if _, isMulti := sink.(*pai.MultiSink); isMulti {
-		if res.CDF, res.Projection, err = sketchSections(sink); err != nil {
-			return err
+	if ms, ok := sink.(*pai.MultiSink); ok {
+		if res.CDF, res.Projection, err = report.SketchSections(ms); err != nil {
+			return 0, err
 		}
 	}
-	return writeResult(res, out, stdout)
+	return acc.N(), nil
 }
 
 // coordPayloadVersion tags the assignment payload a coordinator hands its
@@ -2027,50 +1918,6 @@ func timeDecode(pass func() (int, error)) (CodecStats, error) {
 		NsPerRecord:   float64(elapsed.Nanoseconds()) / float64(records),
 		RecordsPerSec: float64(records) / elapsed.Seconds(),
 	}, nil
-}
-
-// fidelity extracts the headline aggregates and their deltas vs the paper.
-func fidelity(acc *pai.BreakdownAccumulator) (*Fidelity, error) {
-	c, err := acc.Constitution()
-	if err != nil {
-		return nil, err
-	}
-	overall, err := acc.Overall(pai.CNodeLevel)
-	if err != nil {
-		return nil, err
-	}
-	p50, err := acc.StepTimeQuantile(0.50)
-	if err != nil {
-		return nil, err
-	}
-	p99, err := acc.StepTimeQuantile(0.99)
-	if err != nil {
-		return nil, err
-	}
-	fid := &Fidelity{
-		ClassJobShare:   map[string]float64{},
-		ClassCNodeShare: map[string]float64{},
-		OverallCNode: map[string]float64{
-			"data_io": overall[pai.CompDataIO],
-			"weights": overall[pai.CompWeights],
-			"compute": overall[pai.CompComputeFLOPs] + overall[pai.CompComputeMem],
-		},
-		MeanStepSec: acc.StepTime().Mean(),
-		P50StepSec:  p50,
-		P99StepSec:  p99,
-	}
-	for class, share := range c.JobShare {
-		fid.ClassJobShare[class.String()] = share
-	}
-	for class, share := range c.CNodeShare {
-		fid.ClassCNodeShare[class.String()] = share
-	}
-	fid.PaperAbsDelta = map[string]float64{
-		"ps_cnode_share":  math.Abs(fid.ClassCNodeShare[pai.PSWorker.String()] - paperPSCNodeShare),
-		"overall_weights": math.Abs(fid.OverallCNode["weights"] - paperOverallComm),
-		"overall_compute": math.Abs(fid.OverallCNode["compute"] - paperOverallComput),
-	}
-	return fid, nil
 }
 
 // peakSampler polls the live heap on a fixed period until stopped.

@@ -1,8 +1,8 @@
 // Command paiserve runs the evaluation-as-a-service daemon: a persistent
 // HTTP server that accepts streamed NDJSON trace uploads per tenant, folds
-// every evaluated job into a sliding ring of time-window sinks, and serves
-// live reports, framed sink snapshots (consumable by paibench -merge) and
-// service metrics.
+// every evaluated job into a sliding ring of live time-window sinks (a late
+// job is one add into its window), and serves live reports, framed sink
+// snapshots (consumable by paibench -merge) and service metrics.
 //
 // Usage:
 //
@@ -19,8 +19,8 @@
 //	GET  /healthz  GET /version  GET /metrics
 //
 // On SIGTERM (or interrupt) the daemon drains gracefully: in-flight uploads
-// finish (bounded by -drain-timeout), each tenant's sealed state is flushed
-// to -state-dir as a framed snapshot, and the process exits 0.
+// finish (bounded by -drain-timeout), each tenant's windows are folded and
+// flushed to -state-dir as one framed snapshot, and the process exits 0.
 package main
 
 import (
@@ -40,6 +40,16 @@ import (
 	pai "repro"
 	"repro/internal/serve"
 	"repro/internal/version"
+)
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, and idleTimeout how long a keep-alive connection may sit unused,
+// so a client that never finishes a request cannot hold a connection
+// forever. Request bodies get no read deadline: uploads stream for as long
+// as the trace lasts.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 func main() {
@@ -106,6 +116,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	// Catch the drain signals before announcing the address, so a signal
+	// sent as soon as the listen line appears already drains.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -115,9 +129,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	logger.Printf("listening on %s (backend %s, %d workers, %d windows of %s)",
 		ln.Addr(), eng.Backend(), eng.Parallelism(), *windowCount, *windowWidth)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()

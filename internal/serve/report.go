@@ -3,30 +3,20 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/analyze"
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // This file renders a folded window sink as a live report: a human text
 // form (the paichar sections), and a JSON form carrying the "paibench/1"
-// schema — the same field names cmd/paibench emits — so `benchdiff -smoke
-// -assert` and `benchdiff -fidelity-only` gate daemon reports exactly like
-// batch results. Fields beyond the paibench set (tenant, window metadata)
-// are strictly additive.
-
-// Paper headline references mirrored from cmd/paibench: Fig. 5b (PS/Worker
-// cNode share ~81%) and Sec. III-D (communication 62%, computation 35%).
-const (
-	paperPSCNodeShare  = 0.81
-	paperOverallComm   = 0.62
-	paperOverallComput = 0.35
-)
+// schema — its sections built by internal/report, as cmd/paibench's are —
+// so `benchdiff -smoke -assert` and `benchdiff -fidelity-only` gate daemon
+// reports exactly like batch results. Fields beyond the paibench set
+// (tenant, window metadata) are strictly additive.
 
 // reportJSON is the daemon's machine-readable report (schema "paibench/1").
 type reportJSON struct {
@@ -45,42 +35,11 @@ type reportJSON struct {
 	CacheMisses  uint64  `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`
 
-	Fidelity   *fidelityJSON `json:"fidelity,omitempty"`
-	CDF        *cdfJSON      `json:"cdf,omitempty"`
-	Projection *projJSON     `json:"projection,omitempty"`
+	Fidelity   *report.Fidelity    `json:"fidelity,omitempty"`
+	CDF        *report.CDFSection  `json:"cdf,omitempty"`
+	Projection *report.ProjSection `json:"projection,omitempty"`
 
 	Note string `json:"note,omitempty"`
-}
-
-type quantilesJSON struct {
-	P50 float64 `json:"p50"`
-	P90 float64 `json:"p90"`
-	P99 float64 `json:"p99"`
-}
-
-type cdfJSON struct {
-	WeightsFraction  map[string]quantilesJSON `json:"weights_fraction"`
-	EthernetFraction quantilesJSON            `json:"ethernet_fraction"`
-}
-
-type projJSON struct {
-	N                     int     `json:"n"`
-	FracNodeNotSped       float64 `json:"frac_node_not_sped"`
-	FracThroughputNotSped float64 `json:"frac_throughput_not_sped"`
-	MeanNodeSpeedup       float64 `json:"mean_node_speedup"`
-	MeanThroughputSpeedup float64 `json:"mean_throughput_speedup"`
-	NodeSpeedupP50        float64 `json:"node_speedup_p50"`
-	NodeSpeedupP99        float64 `json:"node_speedup_p99"`
-}
-
-type fidelityJSON struct {
-	ClassJobShare   map[string]float64 `json:"class_job_share"`
-	ClassCNodeShare map[string]float64 `json:"class_cnode_share"`
-	OverallCNode    map[string]float64 `json:"overall_cnode_level"`
-	MeanStepSec     float64            `json:"mean_step_sec"`
-	P50StepSec      float64            `json:"p50_step_sec"`
-	P99StepSec      float64            `json:"p99_step_sec"`
-	PaperAbsDelta   map[string]float64 `json:"paper_abs_delta"`
 }
 
 // parts splits a report sink into its constituent sinks.
@@ -105,94 +64,6 @@ func parts(ms *analyze.MultiSink) (acc *analyze.BreakdownAccumulator,
 	return acc, cdfs, hwCDFs, proj, nil
 }
 
-func quantilesOf(s *stats.Sketch) quantilesJSON {
-	return quantilesJSON{P50: s.Quantile(0.50), P90: s.Quantile(0.90), P99: s.Quantile(0.99)}
-}
-
-// fidelityOf mirrors cmd/paibench's fidelity section over a folded
-// accumulator.
-func fidelityOf(acc *analyze.BreakdownAccumulator) (*fidelityJSON, error) {
-	c, err := acc.Constitution()
-	if err != nil {
-		return nil, err
-	}
-	overall, err := acc.Overall(analyze.CNodeLevel)
-	if err != nil {
-		return nil, err
-	}
-	p50, err := acc.StepTimeQuantile(0.50)
-	if err != nil {
-		return nil, err
-	}
-	p99, err := acc.StepTimeQuantile(0.99)
-	if err != nil {
-		return nil, err
-	}
-	fid := &fidelityJSON{
-		ClassJobShare:   map[string]float64{},
-		ClassCNodeShare: map[string]float64{},
-		OverallCNode: map[string]float64{
-			"data_io": overall[core.CompDataIO],
-			"weights": overall[core.CompWeights],
-			"compute": overall[core.CompComputeFLOPs] + overall[core.CompComputeMem],
-		},
-		MeanStepSec: acc.StepTime().Mean(),
-		P50StepSec:  p50,
-		P99StepSec:  p99,
-	}
-	for class, share := range c.JobShare {
-		fid.ClassJobShare[class.String()] = share
-	}
-	for class, share := range c.CNodeShare {
-		fid.ClassCNodeShare[class.String()] = share
-	}
-	fid.PaperAbsDelta = map[string]float64{
-		"ps_cnode_share":  math.Abs(fid.ClassCNodeShare[workload.PSWorker.String()] - paperPSCNodeShare),
-		"overall_weights": math.Abs(fid.OverallCNode["weights"] - paperOverallComm),
-		"overall_compute": math.Abs(fid.OverallCNode["compute"] - paperOverallComput),
-	}
-	return fid, nil
-}
-
-// sketchSectionsOf mirrors cmd/paibench's cdf/projection sections.
-func sketchSectionsOf(cdfs *analyze.ComponentCDFSink, hwCDFs *analyze.HardwareCDFSink,
-	projSink *analyze.ProjectionSink) (*cdfJSON, *projJSON, error) {
-	var cdf *cdfJSON
-	if cdfs != nil && hwCDFs != nil {
-		cdf = &cdfJSON{WeightsFraction: map[string]quantilesJSON{}}
-		for _, class := range cdfs.Classes() {
-			sk, err := cdfs.CDF(class, analyze.JobLevel, core.CompWeights)
-			if err != nil {
-				return nil, nil, err
-			}
-			cdf.WeightsFraction[class.String()] = quantilesOf(sk)
-		}
-		sk, err := hwCDFs.CDF(analyze.JobLevel, core.HWEthernet)
-		if err != nil {
-			return nil, nil, err
-		}
-		cdf.EthernetFraction = quantilesOf(sk)
-	}
-	var proj *projJSON
-	if projSink != nil && projSink.N() > 0 {
-		sum, err := projSink.Summary()
-		if err != nil {
-			return nil, nil, err
-		}
-		node := projSink.NodeSpeedups()
-		proj = &projJSON{
-			N:                     sum.N,
-			FracNodeNotSped:       sum.FracNodeNotSped,
-			FracThroughputNotSped: sum.FracThroughputNotSped,
-			MeanNodeSpeedup:       sum.MeanNodeSpeedup,
-			MeanThroughputSpeedup: sum.MeanThroughputSpeedup,
-			NodeSpeedupP50:        node.Quantile(0.50),
-			NodeSpeedupP99:        node.Quantile(0.99),
-		}
-	}
-	return cdf, proj, nil
-}
-
 // reportJSON assembles the machine-readable report of one folded sink.
 func (s *Server) reportJSON(tenant string, lastN, jobs int, sink *analyze.MultiSink) (*reportJSON, error) {
 	cs := s.cfg.Engine.CacheStats()
@@ -212,14 +83,14 @@ func (s *Server) reportJSON(tenant string, lastN, jobs int, sink *analyze.MultiS
 		rep.Note = "no jobs in the folded windows"
 		return rep, nil
 	}
-	acc, cdfs, hwCDFs, projSink, err := parts(sink)
+	acc, _, _, _, err := parts(sink)
 	if err != nil {
 		return nil, err
 	}
-	if rep.Fidelity, err = fidelityOf(acc); err != nil {
+	if rep.Fidelity, err = report.FidelityOf(acc); err != nil {
 		return nil, err
 	}
-	if rep.CDF, rep.Projection, err = sketchSectionsOf(cdfs, hwCDFs, projSink); err != nil {
+	if rep.CDF, rep.Projection, err = report.SketchSections(sink); err != nil {
 		return nil, err
 	}
 	return rep, nil

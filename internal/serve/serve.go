@@ -173,8 +173,7 @@ func (s *Server) tenantFor(id string, create bool) (*tenant, error) {
 	if len(s.tenants) >= s.cfg.MaxTenants {
 		return nil, fmt.Errorf("tenant limit (%d) reached", s.cfg.MaxTenants)
 	}
-	ring, err := window.New(s.cfg.WindowWidth.Seconds(), s.cfg.WindowCount,
-		s.reportFactory, s.meta)
+	ring, err := window.New(s.cfg.WindowWidth.Seconds(), s.cfg.WindowCount, s.reportFactory)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +232,8 @@ type uploadResponse struct {
 // tenant's ring. The codec comes from Content-Type (falling back to byte
 // sniffing, see formatFor), the body is bounded by MaxUploadBytes and never
 // buffered: decode -> evaluate -> ring.Add runs record by record (block by
-// block for columnar uploads).
+// block for columnar uploads). Every record, late or not, is one Add into
+// its window's live sink; nothing is encoded until a snapshot is asked for.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !validTenantID(id) {
@@ -317,7 +317,7 @@ func formatFor(contentType string) string {
 	return tracegen.FormatAuto
 }
 
-// foldTenant folds the newest lastN windows (<= 0 folds the whole ring)
+// fold folds the newest lastN windows (<= 0 folds the whole ring)
 // under the tenant lock.
 func (t *tenant) fold(lastN int) (*analyze.MultiSink, int, error) {
 	t.mu.Lock()
@@ -500,8 +500,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // FlushState writes every tenant's whole-ring fold as a framed snapshot
-// file <dir>/<tenant>.snap — the sealed-state flush of graceful drain. Call
-// after the HTTP server has drained, so no upload mutates a ring mid-fold.
+// file <dir>/<tenant>.snap — the flush of graceful drain, and with /snapshot
+// the only place a ring's live windows are encoded. Call after the HTTP
+// server has drained, so no upload mutates a ring mid-fold.
 func (s *Server) FlushState(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -45,8 +45,8 @@ func newTestServer(t *testing.T, mutate func(*serve.Config)) (*serve.Server, *ht
 	return s, ts
 }
 
-// stampedTrace renders an arrival-stamped generated trace as NDJSON.
-func stampedTrace(t *testing.T, jobs int, seed int64) []byte {
+// generated is an arrival-stamped generated trace.
+func generated(t *testing.T, jobs int, seed int64) *pai.Trace {
 	t.Helper()
 	p := pai.DefaultTraceParams()
 	p.NumJobs = jobs
@@ -56,11 +56,22 @@ func stampedTrace(t *testing.T, jobs int, seed int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+func ndjson(t *testing.T, tr *pai.Trace) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// stampedTrace renders an arrival-stamped generated trace as NDJSON.
+func stampedTrace(t *testing.T, jobs int, seed int64) []byte {
+	t.Helper()
+	return ndjson(t, generated(t, jobs, seed))
 }
 
 func upload(t *testing.T, ts *httptest.Server, tenant string, body []byte) map[string]any {

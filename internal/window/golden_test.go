@@ -1,0 +1,109 @@
+package window_test
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	pai "repro"
+	"repro/internal/analyze"
+	"repro/internal/window"
+)
+
+// goldenRing streams a fixed-seed evaluated trace through a ring of full
+// report sinks. Arrivals are laid out so the stream exercises every Add
+// branch: in-order jobs fill windows w ≡ 0, 2 (mod 3) and leave w ≡ 1
+// empty; every 17th job lands three windows behind (an older non-empty
+// window), every 23rd two windows behind (an empty window or a non-empty
+// one, by residue), every 101st twelve windows behind (older than the
+// 8-window ring, so dropped once the head has moved on); and the stream
+// spans ~45 windows, so the ring rotates.
+func goldenRing(t *testing.T) *window.Ring {
+	t.Helper()
+	const (
+		width  = 60.0
+		count  = 8
+		perWin = 40
+	)
+	p := pai.DefaultTraceParams()
+	p.NumJobs = 1200
+	p.Seed = 21
+	tr, err := pai.GenerateTrace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Jobs {
+		k := i / perWin
+		w := 3*(k/2) + 2*(k%2) // windows 0, 2, 3, 5, 6, 8, ...
+		switch {
+		case i%101 == 50:
+			w -= 12
+		case i%23 == 7:
+			w -= 2
+		case i%17 == 5:
+			w -= 3
+		}
+		if w < 0 {
+			w = 0
+		}
+		tr.Jobs[i].ArrivalSec = float64(w)*width + width*float64(i%perWin)/perWin
+	}
+	eng, err := pai.New(pai.WithConfig(pai.BaselineConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := window.New(width, count, func() (*analyze.MultiSink, error) {
+		return eng.NewReportSink(pai.ToAllReduceLocal)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.EvaluateSource(context.Background(), pai.NewSliceJobSource(tr.Jobs),
+		func(res pai.StreamResult) error { return r.Add(res.Job, res.Times) }); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestRingFoldGolden pins the snapshot bytes of Fold(1), Fold(3) and
+// Fold(count), and the formatted Stats, over the late-heavy golden stream.
+// How the ring stores its windows is free to change; these bytes are not.
+func TestRingFoldGolden(t *testing.T) {
+	r := goldenRing(t)
+	st := r.Stats()
+	if st.Late == 0 || st.Dropped == 0 || st.Rotated == 0 {
+		t.Fatalf("golden stream misses a branch: %+v", st)
+	}
+	want := map[string]string{
+		"fold1": "0d2171e7c8aa82bbfa4b2c6fa8faa5429ce508cc07254803243390eafe80cea8",
+		"fold3": "edc2f255649cd2f02b231a5e71bca7b9ecefab6a3e49ff2e3b32bf73607aa130",
+		"fold8": "94b8aa429283d8aaa140b2425cf37bc39014fac9ca46862e675f47958939ab69",
+		"stats": "af13e5908b075ec1928c767489f3895228f75b026479623f3984dc99c3c17a67",
+	}
+	got := map[string]string{}
+	for _, lastN := range []int{1, 3, r.Count()} {
+		sink, _, err := r.Fold(lastN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := pai.WriteSinkSnapshot(&buf, sink); err != nil {
+			t.Fatal(err)
+		}
+		got[fmt.Sprintf("fold%d", lastN)] = sha(buf.Bytes())
+	}
+	got["stats"] = sha([]byte(fmt.Sprintf("%+v", st)))
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s: sha256 %s, want %s", k, got[k], w)
+		}
+	}
+}
+
+func sha(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
+}

@@ -1,11 +1,10 @@
 // Package window buckets a continuous stream of evaluated jobs into
 // fixed-width time windows of mergeable analysis sinks — the serving-side
 // counterpart of the batch shard fold (analyze.FoldSinks). A Ring holds the
-// most recent B windows of width W seconds: the newest window accumulates
-// live, older windows are sealed into framed snapshots (analyze.WriteSnapshot
-// framing, so a window's state is exactly the bytes a batch worker would
-// ship), and windows older than the ring are rotated out for flat memory
-// under unbounded streams.
+// most recent B windows of width W seconds, each a live sink that keeps
+// folding for as long as the window stays in the ring, so a late arrival is
+// one Add into its window. Windows older than the ring are rotated out for
+// flat memory under unbounded streams.
 //
 // Fold merges the last N windows in ascending window order through a fresh
 // factory sink — the exact merge shape of analyze.FoldSinks — so the folded
@@ -14,7 +13,6 @@
 package window
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -30,24 +28,18 @@ import (
 type Factory func() (*analyze.MultiSink, error)
 
 // Ring is the WindowRing: a bounded ring of time windows, each folding the
-// jobs whose ArrivalSec falls inside it. The newest window is a live sink;
-// sealed windows are stored only as framed snapshot bytes (a few KB each,
-// independent of job count), and the unseal path (factory + Merge) restores
-// live state bit-exactly, so late arrivals into a sealed window re-open it
-// without drift. A Ring is not goroutine-safe; callers serialize access.
+// jobs whose ArrivalSec falls inside it. Every non-empty window inside the
+// ring is a live factory sink, so memory is bounded by Count sinks and a
+// window accepts jobs for its whole life in the ring, not just while it is
+// the newest. A Ring is not goroutine-safe; callers serialize access.
 type Ring struct {
 	width   float64
 	count   int
 	factory Factory
-	// meta is the provenance base stamped into sealed-window snapshots;
-	// window index rides in the shard-index field.
-	meta string
 
 	started bool
-	head    int64 // index of the live (newest) window
-	live    *analyze.MultiSink
-	liveN   int
-	sealed  map[int64]*bucket
+	head    int64             // index of the newest window
+	windows map[int64]*bucket // non-empty windows inside the ring
 
 	jobs    int64
 	late    int64
@@ -55,14 +47,14 @@ type Ring struct {
 	rotated int64
 }
 
-// bucket is one sealed window: its framed snapshot and job count.
+// bucket is one non-empty window: its live sink and job count.
 type bucket struct {
-	frame []byte
-	n     int
+	sink *analyze.MultiSink
+	n    int
 }
 
 // New builds a ring of count windows of width seconds each.
-func New(width float64, count int, factory Factory, meta string) (*Ring, error) {
+func New(width float64, count int, factory Factory) (*Ring, error) {
 	if width <= 0 || math.IsNaN(width) || math.IsInf(width, 0) {
 		return nil, fmt.Errorf("window: width must be finite and > 0, got %v", width)
 	}
@@ -72,8 +64,8 @@ func New(width float64, count int, factory Factory, meta string) (*Ring, error) 
 	if factory == nil {
 		return nil, errors.New("window: nil factory")
 	}
-	return &Ring{width: width, count: count, factory: factory, meta: meta,
-		sealed: map[int64]*bucket{}}, nil
+	return &Ring{width: width, count: count, factory: factory,
+		windows: map[int64]*bucket{}}, nil
 }
 
 // Width returns the window width in seconds.
@@ -93,116 +85,51 @@ func (r *Ring) indexOf(arrival float64) int64 {
 
 // Add folds one evaluated job into the window its arrival time selects.
 // Jobs for windows newer than the head rotate the ring forward; jobs for
-// sealed windows still inside the ring re-open them (unseal, add, re-seal);
-// jobs older than the ring are counted and dropped.
+// older windows still inside the ring are counted late and added to their
+// window; jobs older than the ring are counted and dropped.
 func (r *Ring) Add(f workload.Features, t core.Times) error {
 	idx := r.indexOf(f.ArrivalSec)
-	if !r.started {
+	switch {
+	case !r.started:
+		r.started, r.head = true, idx
+	case idx > r.head:
+		r.rotateTo(idx)
+	case idx <= r.head-int64(r.count):
+		r.dropped++
+		return nil
+	case idx < r.head:
+		r.late++
+	}
+	b, ok := r.windows[idx]
+	if !ok {
 		s, err := r.factory()
 		if err != nil {
 			return err
 		}
-		r.started, r.head, r.live, r.liveN = true, idx, s, 0
+		b = &bucket{sink: s}
 	}
-	switch {
-	case idx == r.head:
-		// Common case: in-order arrival into the live window.
-	case idx > r.head:
-		if err := r.rotateTo(idx); err != nil {
-			return err
-		}
-	default: // idx < head: out-of-order arrival
-		if idx <= r.head-int64(r.count) {
-			r.dropped++
-			return nil
-		}
-		r.late++
-		return r.addSealed(idx, f, t)
-	}
-	if err := r.live.Add(f, t); err != nil {
+	if err := b.sink.Add(f, t); err != nil {
 		return err
 	}
-	r.liveN++
+	if !ok {
+		r.windows[idx] = b
+	}
+	b.n++
 	r.jobs++
 	return nil
 }
 
-// rotateTo seals the live window, prunes windows that fall off the ring, and
-// opens a fresh live window at idx.
-func (r *Ring) rotateTo(idx int64) error {
-	if err := r.seal(r.head, r.live, r.liveN); err != nil {
-		return err
-	}
+// rotateTo moves the head to idx and prunes the windows that fall off the
+// ring.
+func (r *Ring) rotateTo(idx int64) {
+	r.head = idx
 	oldest := idx - int64(r.count) + 1
-	for w := range r.sealed {
+	for w := range r.windows {
 		if w < oldest {
-			delete(r.sealed, w)
+			delete(r.windows, w)
 			r.rotated++
 		}
 	}
-	s, err := r.factory()
-	if err != nil {
-		return err
-	}
-	r.head, r.live, r.liveN = idx, s, 0
-	return nil
-}
-
-// seal frames a window's sink into snapshot bytes. Empty windows are not
-// stored: folding them would merge empty sinks, a no-op by construction.
-func (r *Ring) seal(idx int64, s *analyze.MultiSink, n int) error {
-	if n == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := analyze.WriteSnapshotMeta(&buf, s, analyze.ShardMeta(r.meta, int(idx))); err != nil {
-		return fmt.Errorf("window: seal window %d: %w", idx, err)
-	}
-	r.sealed[idx] = &bucket{frame: buf.Bytes(), n: n}
-	return nil
-}
-
-// unseal restores a sealed window to live, addable state. A restored
-// snapshot alone is merge/report-only (its projection sink has no
-// projector), so restoration goes through a fresh factory sink and one
-// Merge — which copies the snapshot state bit-exactly into a sink that can
-// keep folding.
-func (r *Ring) unseal(b *bucket) (*analyze.MultiSink, error) {
-	snap, _, err := analyze.ReadSnapshotMeta(bytes.NewReader(b.frame))
-	if err != nil {
-		return nil, err
-	}
-	s, err := r.factory()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Merge(snap); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// addSealed folds a late arrival into a sealed window: unseal, add, re-seal.
-func (r *Ring) addSealed(idx int64, f workload.Features, t core.Times) error {
-	var s *analyze.MultiSink
-	var err error
-	n := 0
-	if b, ok := r.sealed[idx]; ok {
-		if s, err = r.unseal(b); err != nil {
-			return fmt.Errorf("window: reopen window %d: %w", idx, err)
-		}
-		n = b.n
-	} else if s, err = r.factory(); err != nil {
-		return err
-	}
-	if err := s.Add(f, t); err != nil {
-		return err
-	}
-	if err := r.seal(idx, s, n+1); err != nil {
-		return err
-	}
-	r.jobs++
-	return nil
 }
 
 // Fold merges the newest lastN windows (lastN <= 0 or > Count folds the
@@ -219,59 +146,41 @@ func (r *Ring) Fold(lastN int) (*analyze.MultiSink, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if !r.started {
-		return total, 0, nil
-	}
 	jobs := 0
 	for w := r.head - int64(lastN) + 1; w <= r.head; w++ {
-		switch {
-		case w == r.head:
-			if err := total.Merge(r.live); err != nil {
-				return nil, 0, err
-			}
-			jobs += r.liveN
-		default:
-			b, ok := r.sealed[w]
-			if !ok {
-				continue // empty window: merging it would be a no-op
-			}
-			snap, _, err := analyze.ReadSnapshotMeta(bytes.NewReader(b.frame))
-			if err != nil {
-				return nil, 0, fmt.Errorf("window: fold window %d: %w", w, err)
-			}
-			if err := total.Merge(snap); err != nil {
-				return nil, 0, err
-			}
-			jobs += b.n
+		b, ok := r.windows[w]
+		if !ok {
+			continue // empty window: merging it would be a no-op
 		}
+		if err := total.Merge(b.sink); err != nil {
+			return nil, 0, fmt.Errorf("window: fold window %d: %w", w, err)
+		}
+		jobs += b.n
 	}
 	return total, jobs, nil
 }
 
 // Stats is a point-in-time occupancy snapshot for /metrics.
 type Stats struct {
-	// Jobs counts every job folded into the ring (late re-opens included,
+	// Jobs counts every job folded into the ring (late arrivals included,
 	// too-old drops excluded).
 	Jobs int64 `json:"jobs"`
-	// Head is the index of the live window (arrival 0 is window 0).
+	// Head is the index of the newest window (arrival 0 is window 0).
 	Head int64 `json:"head_window"`
 	// Occupied counts non-empty windows currently in the ring.
 	Occupied int `json:"windows_occupied"`
-	// Late counts out-of-order arrivals that re-opened a sealed window.
+	// Late counts out-of-order arrivals folded into a window behind the
+	// head.
 	Late int64 `json:"late_arrivals"`
 	// Dropped counts arrivals older than the whole ring, silently skipped.
 	Dropped int64 `json:"dropped_too_old"`
-	// Rotated counts sealed windows aged out of the ring.
+	// Rotated counts non-empty windows aged out of the ring.
 	Rotated int64 `json:"windows_rotated"`
 }
 
 // Stats reports ring occupancy.
 func (r *Ring) Stats() Stats {
-	occ := len(r.sealed)
-	if r.started && r.liveN > 0 {
-		occ++
-	}
-	return Stats{Jobs: r.jobs, Head: r.head, Occupied: occ,
+	return Stats{Jobs: r.jobs, Head: r.head, Occupied: len(r.windows),
 		Late: r.late, Dropped: r.dropped, Rotated: r.rotated}
 }
 
@@ -279,11 +188,8 @@ func (r *Ring) Stats() Stats {
 // introspection for tests and debugging.
 func (r *Ring) Windows() []int64 {
 	var ws []int64
-	for w := range r.sealed {
+	for w := range r.windows {
 		ws = append(ws, w)
-	}
-	if r.started && r.liveN > 0 {
-		ws = append(ws, r.head)
 	}
 	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
 	return ws

@@ -127,7 +127,7 @@ func feed(t *testing.T, r *window.Ring, recs []rec) {
 // byte-identical to the offline per-window shard fold of the same records.
 func TestFoldMatchesOfflineFold(t *testing.T) {
 	const width = 10.0
-	r, err := window.New(width, 16, factory, "test")
+	r, err := window.New(width, 16, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFoldMatchesOfflineFold(t *testing.T) {
 // to the newest lastN windows, including when some of them are empty.
 func TestFoldLastNSubset(t *testing.T) {
 	const width = 10.0
-	r, err := window.New(width, 16, factory, "test")
+	r, err := window.New(width, 16, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestFoldLastNSubset(t *testing.T) {
 // the surviving windows.
 func TestFoldAcrossRotationBoundary(t *testing.T) {
 	const width, count = 10.0, 4
-	r, err := window.New(width, count, factory, "test")
+	r, err := window.New(width, count, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,12 @@ func TestFoldAcrossRotationBoundary(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderIntoSealedBucket sends late arrivals into already-sealed
-// windows: they must re-open the bucket and the fold must stay byte-exact.
-func TestOutOfOrderIntoSealedBucket(t *testing.T) {
+// TestOutOfOrderIntoOlderWindow sends late arrivals into windows behind the
+// head: they must fold into their own window and the fold must stay
+// byte-exact.
+func TestOutOfOrderIntoOlderWindow(t *testing.T) {
 	const width = 10.0
-	r, err := window.New(width, 8, factory, "test")
+	r, err := window.New(width, 8, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestOutOfOrderIntoSealedBucket(t *testing.T) {
 // counted and excluded, not folded and not fatal.
 func TestTooOldArrivalsDropped(t *testing.T) {
 	const width, count = 10.0, 3
-	r, err := window.New(width, count, factory, "test")
+	r, err := window.New(width, count, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestTooOldArrivalsDropped(t *testing.T) {
 // TestEmptyRingFolds checks an unstarted ring folds to the empty factory
 // sink without error.
 func TestEmptyRingFolds(t *testing.T) {
-	r, err := window.New(60, 8, factory, "test")
+	r, err := window.New(60, 8, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,13 +300,13 @@ func TestEmptyRingFolds(t *testing.T) {
 
 // TestNewRejectsBadParams pins the constructor validation.
 func TestNewRejectsBadParams(t *testing.T) {
-	if _, err := window.New(0, 8, factory, ""); err == nil {
+	if _, err := window.New(0, 8, factory); err == nil {
 		t.Fatal("zero width accepted")
 	}
-	if _, err := window.New(60, 0, factory, ""); err == nil {
+	if _, err := window.New(60, 0, factory); err == nil {
 		t.Fatal("zero count accepted")
 	}
-	if _, err := window.New(60, 8, nil, ""); err == nil {
+	if _, err := window.New(60, 8, nil); err == nil {
 		t.Fatal("nil factory accepted")
 	}
 }
@@ -333,7 +334,7 @@ func TestEngineFoldByteIdentity(t *testing.T) {
 	}
 
 	const width = 60.0
-	r, err := window.New(width, 64, reportFactory, "identity-test")
+	r, err := window.New(width, 64, reportFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
