@@ -22,8 +22,8 @@
 //	         [-retries N] [flags]
 //	paibench -coordinate ADDR -trace FILE [-workers N] [-slow N]
 //	         [-slow-delay D] [-microshard G] [-shard-timeout D] [flags]
-//	paibench -worker HOST:PORT [-fail-after N]
-//	paibench -worker HOST:PORT -steal [-hint JOBS_PER_SEC] [-slow-delay D]
+//	paibench -worker HOST:PORT [-hint JOBS_PER_SEC] [-slow-delay D]
+//	         [-fail-after N]
 //
 // With -shards N the trace is split into N generator partitions drained
 // concurrently by independent worker sets into per-shard accumulators and
@@ -52,18 +52,23 @@
 // -fidelity-only).
 //
 // Networked coordination replaces the snapshot files with TCP:
-// `-coordinate ADDR` listens, hands one shard assignment at a time to every
-// connected worker, streams each worker's snapshot back over the
-// connection, and folds them exactly like -merge. `-workers N` spawns N
-// local worker processes for the zero-config single-machine path;
-// `-worker HOST:PORT` connects out from any machine. A worker that dies
-// mid-shard (or exceeds -shard-timeout) has its shard requeued to another
-// worker, up to -retries attempts per shard; provenance carried in every
-// snapshot guards the fold against duplicates and foreign runs, so the
-// retried merged result is still byte-identical to the single-process
+// `-coordinate ADDR` listens and serves the M shards as a grid of M cells
+// (cell i is shard i) to every connected worker over the work-stealing
+// protocol described under -coordinate -trace below: workers pull
+// contiguous cell ranges, stream one snapshot per cell back over the
+// connection, and the coordinator folds them exactly like -merge.
+// `-workers N` spawns N local worker processes for the zero-config
+// single-machine path; `-worker HOST:PORT` connects out from any machine and
+// serves either payload kind. A worker that dies mid-range (or makes no
+// progress for -shard-timeout) has its un-received cells requeued to
+// another worker, up to -retries attempts per cell; provenance carried in
+// every snapshot guards the fold against duplicates and foreign runs, so
+// the retried merged result is still byte-identical to the single-process
 // -shards M -full run. -chaos N gives the first N spawned workers
 // -fail-after, which hard-exits the worker (exit 137, the kill -9 status)
-// mid-shard — the failure-injection smoke CI runs on every push.
+// once it has folded that many jobs, before it sends the cell; they start
+// alone and the other workers only once they have exited, so each dies
+// holding cells — the failure-injection smoke CI runs on every push.
 //
 // -full runs the same full report sink in a single process, adding the
 // cdf/projection sections to the result JSON; the timing gates of CI use
@@ -90,8 +95,8 @@
 // golden baseline gates).
 //
 // -coordinate ADDR -trace FILE distributes the same partition grid over
-// work-stealing range workers (-worker HOST:PORT -steal): the coordinator
-// hands each worker a contiguous cell range sized by its advertised
+// the same range workers (-worker HOST:PORT): the coordinator hands each
+// worker a contiguous cell range sized by its advertised
 // -hint throughput (even split when any worker abstains), workers stream
 // one snapshot per cell back as it completes, and a worker that makes no
 // progress for -shard-timeout has its unfinished tail re-split and
@@ -228,10 +233,9 @@ type Result struct {
 	TraceFile   string `json:"trace_file,omitempty"`
 	TraceFormat string `json:"trace_format,omitempty"`
 
-	// Work-stealing scheduler statistics (populated by -coordinate -trace):
-	// micro-shard grid size, range assignments sent, cells stolen from
-	// stragglers past the per-cell deadline, range re-splits, and workers
-	// admitted.
+	// Work-stealing scheduler statistics (populated by -coordinate): cell
+	// grid size, range assignments sent, cells stolen from stragglers past
+	// the per-cell deadline, range re-splits, and workers admitted.
 	MicroShards           int `json:"micro_shards,omitempty"`
 	MicroShardAssignments int `json:"micro_shard_assignments,omitempty"`
 	StolenCells           int `json:"stolen_cells,omitempty"`
@@ -323,10 +327,6 @@ type config struct {
 	// grain is the grid's cell size in records (-microshard).
 	parFile int
 	grain   int
-	// failAfter > 0 hard-exits the process (exit 137, like kill -9) after
-	// that many jobs of the first partition — the chaos injection the
-	// coordinator smoke uses to exercise the retry path.
-	failAfter int
 }
 
 // newEngine builds the evaluation engine a resolved config describes; the
@@ -400,21 +400,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	chaos := fs.Int("chaos", 0,
 		"with -coordinate -workers: give this many spawned workers -fail-after, so they die mid-shard (failure-injection smoke)")
 	workerAddr := fs.String("worker", "",
-		"network worker mode: connect to a coordinator at HOST:PORT and evaluate assigned shards until the run completes")
-	steal := fs.Bool("steal", false,
-		"with -worker: serve work-stealing micro-shard range assignments (the worker half of -coordinate -trace; implied for its spawned local workers)")
+		"network worker mode: connect to a coordinator at HOST:PORT and evaluate assigned cell ranges until the run completes")
 	hint := fs.Float64("hint", 0,
-		"with -worker -steal: advertised jobs/sec throughput for capacity-weighted range sizing (0 = unknown, even split)")
+		"with -worker: advertised jobs/sec throughput for capacity-weighted range sizing (0 = unknown, even split)")
 	slow := fs.Int("slow", 0,
 		"with -coordinate -trace -workers: make this many spawned workers deliberate stragglers (-slow-delay before every cell after their first), so their in-flight ranges are stolen (steal-injection smoke)")
 	slowDelay := fs.Duration("slow-delay", 0,
-		"with -worker -steal: sleep this long before every cell after the process's first (deliberate straggler); with -coordinate -trace, the delay handed to -slow workers (default 2s)")
+		"with -worker: sleep this long before every cell after the process's first (deliberate straggler); with -coordinate -trace, the delay handed to -slow workers (default 2s)")
 	failAfter := fs.Int("fail-after", 0,
-		"with -worker: hard-exit (code 137, like kill -9) after evaluating this many jobs of an assignment; with -coordinate, the value handed to -chaos workers (default 500)")
+		"with -worker: hard-exit (code 137, like kill -9) once this many jobs of an assignment are folded, before their cell is sent; with -coordinate, the value handed to -chaos workers (default 500)")
 	shardTimeout := fs.Duration("shard-timeout", 2*time.Minute,
-		"with -coordinate: per-shard attempt deadline before the shard is requeued to another worker; with -coordinate -trace, the per-cell progress deadline before a straggler's in-flight tail is re-split and stolen (0 = none)")
+		"with -coordinate: per-cell progress deadline before a worker's in-flight tail is re-split and requeued to other workers (0 = none)")
 	retries := fs.Int("retries", 3,
-		"with -coordinate: per-shard assignment budget, first attempt included")
+		"with -coordinate: per-cell assignment budget, first attempt included")
 	out := fs.String("o", "", "result JSON file (default stdout)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -464,13 +462,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if fs.NArg() > 0 {
 			return fmt.Errorf("unexpected arguments %q in worker mode", fs.Args())
 		}
-		if *steal {
-			return runRangeWorkerMode(*workerAddr, *hint, *slowDelay, stderr)
-		}
-		return runWorkerMode(*workerAddr, *failAfter, stderr)
-	}
-	if *steal {
-		return fmt.Errorf("-steal is worker mode; it requires -worker")
+		return runWorkerMode(*workerAddr, *hint, *slowDelay, *failAfter, stderr)
 	}
 	if *merge {
 		return runMerge(fs.Args(), *seed, *out, stdout, stderr)
@@ -566,29 +558,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-chaos %d must be between 0 and -workers %d", *chaos, *workers)
 		}
 		if *retries < 1 {
-			return fmt.Errorf("-retries %d: every shard needs at least one attempt", *retries)
+			return fmt.Errorf("-retries %d: every cell needs at least one attempt", *retries)
 		}
+		co := coordOpts{addr: *coordinate, workers: *workers, timeout: *shardTimeout, retries: *retries}
 		if cfg.tracePath != "" {
 			if *slow < 0 || *slow > *workers {
 				return fmt.Errorf("-slow %d must be between 0 and -workers %d", *slow, *workers)
 			}
 			if *chaos > 0 {
-				return fmt.Errorf("-chaos is shard-mode failure injection; -coordinate -trace uses -slow")
+				return fmt.Errorf("-chaos is generator-partition failure injection; -coordinate -trace uses -slow")
 			}
-			d := *slowDelay
-			if *slow > 0 && d <= 0 {
-				d = defaultSlowDelay
+			co.slow, co.slowDelay = *slow, *slowDelay
+			if co.slow > 0 && co.slowDelay <= 0 {
+				co.slowDelay = defaultSlowDelay
 			}
-			return runCoordinateTrace(cfg, *coordinate, *workers, *slow, d, *shardTimeout, *retries, *out, stdout, stderr)
+		} else {
+			if *slow > 0 {
+				return fmt.Errorf("-slow injects stragglers into trace cells; it requires -coordinate -trace")
+			}
+			co.chaos, co.failAfter = *chaos, *failAfter
+			if co.failAfter <= 0 {
+				co.failAfter = defaultChaosFailAfter
+			}
 		}
-		if *slow > 0 {
-			return fmt.Errorf("-slow injects stragglers into the work-stealing mode; it requires -coordinate -trace")
-		}
-		chaosFailAfter := *failAfter
-		if chaosFailAfter <= 0 {
-			chaosFailAfter = defaultChaosFailAfter
-		}
-		return runCoordinate(cfg, *coordinate, *workers, *chaos, chaosFailAfter, *shardTimeout, *retries, *out, stdout, stderr)
+		return runCoordinate(cfg, co, *out, stdout, stderr)
 	}
 	if *slow > 0 {
 		return fmt.Errorf("-slow requires -coordinate -trace")
@@ -990,33 +983,11 @@ func stream(eng *pai.Engine, cfg config, stderr io.Writer) (sink pai.Sink, count
 			wg.Wait()
 		})
 	}
-	if cfg.failAfter > 0 {
-		// Chaos injection: die abruptly partway into the first partition.
-		srcs[0] = &killSource{src: srcs[0], after: cfg.failAfter}
-	}
 	fsink, fcounts, ferr := eng.EvaluateSourcesInto(context.Background(), sinkFactory(eng, cfg), srcs...)
 	if ferr != nil {
 		return nil, fcounts, false, ferr
 	}
 	return fsink, fcounts, false, nil
-}
-
-// killSource models a worker lost to kill -9: after yielding `after` jobs
-// it terminates the whole process — no snapshot, no protocol goodbye, just
-// a dead TCP connection for the coordinator to notice. 137 is the exit
-// status a SIGKILLed process reports.
-type killSource struct {
-	src   pai.JobSource
-	after int
-	seen  int
-}
-
-func (k *killSource) Next() (pai.Features, error) {
-	if k.seen >= k.after {
-		os.Exit(137)
-	}
-	k.seen++
-	return k.src.Next()
 }
 
 // breakdownOf extracts the breakdown accumulator from a sink (directly or
@@ -1201,14 +1172,15 @@ func fillSections(res *Result, sink pai.Sink) (int, error) {
 	return acc.N(), nil
 }
 
-// coordPayloadVersion tags the assignment payload a coordinator hands its
-// workers; a worker from a different release refuses the run instead of
-// silently evaluating the wrong parameterization.
+// coordPayloadVersion tags the payload of a coordinated generator run,
+// whose cell i is shard i; a worker picks its cell evaluator by this tag,
+// and one from a different release refuses the run instead of silently
+// evaluating the wrong parameterization.
 const coordPayloadVersion = "paibench/coord/1"
 
-// defaultChaosFailAfter is how many jobs a -chaos worker evaluates before
-// dying, when -fail-after is not given: early enough to be unambiguously
-// mid-shard for every CI-sized trace.
+// defaultChaosFailAfter is how many jobs a -chaos worker folds before
+// dying, when -fail-after is not given: within its first cell for every
+// CI-sized trace.
 const defaultChaosFailAfter = 500
 
 // encodePayload renders the full run parameterization a worker needs to
@@ -1264,42 +1236,6 @@ func parsePayload(p []byte) (config, error) {
 	return cfg, nil
 }
 
-// runWorkerMode is network worker mode: connect to the coordinator,
-// reconstitute the run from each assignment's payload, evaluate the
-// assigned partition through the full report sink, and stream the snapshot
-// back. failAfter > 0 arms chaos injection (see killSource).
-func runWorkerMode(addr string, failAfter int, stderr io.Writer) error {
-	runner := func(ctx context.Context, a pai.ShardAssignment) (pai.Sink, string, int, error) {
-		cfg, err := parsePayload(a.Payload)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		if a.Shards != cfg.shards {
-			return nil, "", 0, fmt.Errorf("assignment grid %d does not match payload shards %d", a.Shards, cfg.shards)
-		}
-		cfg.shardIndex = a.Index
-		cfg.failAfter = failAfter
-		eng, err := newEngine(cfg)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		start := time.Now()
-		sink, counts, _, err := stream(eng, cfg, stderr)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		n := 0
-		for _, c := range counts {
-			n += c
-		}
-		fmt.Fprintf(stderr, "paibench worker: shard %d/%d attempt %d: %d jobs in %.2fs\n",
-			a.Index, a.Shards, a.Attempt, n, time.Since(start).Seconds())
-		return sink, shardMeta(cfg), n, nil
-	}
-	fmt.Fprintf(stderr, "paibench: worker connecting to %s\n", addr)
-	return pai.ServeShardWorker(context.Background(), addr, runner)
-}
-
 // syncWriter serializes writes from the coordinator's own logging and the
 // spawned workers' piped stderr, which arrive from separate goroutines.
 type syncWriter struct {
@@ -1313,94 +1249,9 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// runCoordinate is network coordinator mode: listen, optionally spawn local
-// worker processes (the zero-config path), hand out the cfg.shards
-// partitions, fold the returned snapshots — retrying shards lost to worker
-// death or the per-shard deadline — and emit the same full result JSON a
-// -merge run produces.
-func runCoordinate(cfg config, addr string, workers, chaos, chaosFailAfter int, shardTimeout time.Duration, retries int, out string, stdout, stderr io.Writer) error {
-	sw := &syncWriter{w: stderr}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	fmt.Fprintf(sw, "paibench: coordinating %d shard(s) on %s (%d local worker(s), %d chaos)\n",
-		cfg.shards, ln.Addr(), workers, chaos)
-
-	var cmds []*exec.Cmd
-	if workers > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < workers; i++ {
-			wargs := []string{"-worker", ln.Addr().String()}
-			if i < chaos {
-				wargs = append(wargs, "-fail-after", strconv.Itoa(chaosFailAfter))
-			}
-			cmd := exec.Command(exe, wargs...)
-			cmd.Stderr = sw
-			// The marker lets a test binary recognize it was re-executed as
-			// a worker; the real paibench binary ignores it.
-			cmd.Env = append(os.Environ(), "PAIBENCH_EXEC_WORKER=1")
-			if err := cmd.Start(); err != nil {
-				return fmt.Errorf("spawn worker %d: %w", i, err)
-			}
-			cmds = append(cmds, cmd)
-		}
-	}
-	defer func() {
-		// Chaos workers are already dead (exit 137) and healthy ones exit
-		// after the coordinator's done message or connection close; the
-		// kill only sweeps up workers stranded by a coordinator error.
-		for _, cmd := range cmds {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}()
-
-	// The coordinator evaluates nothing itself, but folding through the
-	// same report-sink factory the single-process run uses pins the fold
-	// base to the expected sink shape.
-	eng, err := newEngine(cfg)
-	if err != nil {
-		return err
-	}
-	opts := pai.CoordinatorOptions{
-		ShardTimeout: shardTimeout,
-		MaxAttempts:  retries,
-		Provenance:   shardMetaBase(cfg),
-		// Spawn-local workers must connect promptly, so arm the stall
-		// detector from the start: if they all die before (or after)
-		// dialing in, the run fails at -shard-timeout instead of hanging.
-		ExpectWorkers: workers > 0,
-		NewSink:       func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) },
-		Logf:          func(format string, args ...any) { fmt.Fprintf(sw, format+"\n", args...) },
-	}
-	start := time.Now()
-	sink, _, err := pai.CoordinateShards(context.Background(), ln, cfg.shards, encodePayload(cfg), opts)
-	if err != nil {
-		return err
-	}
-	res := &Result{
-		Seed:         cfg.seed,
-		Backend:      cfg.backendName,
-		Shards:       cfg.shards,
-		DistinctJobs: cfg.distinct,
-		Note:         fmt.Sprintf("coordinated %d shard(s) over TCP; timing fields not populated", cfg.shards),
-	}
-	if err := finishFoldedResult(sink, res, out, stdout); err != nil {
-		return err
-	}
-	fmt.Fprintf(sw, "paibench: coordinated %d shard(s), %d jobs in %.2fs\n",
-		cfg.shards, res.Jobs, time.Since(start).Seconds())
-	return nil
-}
-
-// coordTracePayloadVersion tags the range-assignment payload of the
-// work-stealing trace mode; workers from a different release (or handed a
-// static-shard payload) refuse the run.
+// coordTracePayloadVersion tags the payload of a coordinated indexed-trace
+// run, whose cells are the trace's micro-shard grid; workers from a
+// different release refuse the run.
 const coordTracePayloadVersion = "paibench/coord-trace/1"
 
 // defaultSlowDelay is the straggler injection handed to -slow workers when
@@ -1487,45 +1338,96 @@ func openIndexedTrace(path string) (*os.File, *pai.ColumnIndexedReader, error) {
 	return f, ir, nil
 }
 
-// runRangeWorkerMode is the work-stealing worker (-worker ADDR -steal):
-// connect, advertise the throughput hint, and for every assigned cell range
-// fold each cell of the trace's partition grid into its own full report
-// sink, streaming one snapshot per cell back the moment it completes.
+// cellEval folds one cell of an assignment's grid into a fresh full report
+// sink and returns it with its provenance string and job count.
+type cellEval func(ctx context.Context, cell int) (sink pai.Sink, meta string, jobs int, err error)
+
+// openCells reconstitutes the run an assignment's payload describes — a
+// generator partition grid (paibench/coord/1, cell i is shard i) or an
+// indexed trace's micro-shard grid (paibench/coord-trace/1) — checks that
+// its grid matches the assignment, and returns the per-cell evaluator plus
+// a release function.
+func openCells(a pai.MicroShardAssignment, stderr io.Writer) (cellEval, func(), error) {
+	var cfg config
+	var err error
+	switch version, _, _ := strings.Cut(string(a.Payload), " "); version {
+	case coordPayloadVersion:
+		cfg, err = parsePayload(a.Payload)
+	case coordTracePayloadVersion:
+		cfg, err = parseTracePayload(a.Payload)
+	default:
+		err = fmt.Errorf("assignment payload is neither %q nor %q", coordPayloadVersion, coordTracePayloadVersion)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, err := newEngine(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.tracePath == "" {
+		if a.Cells != cfg.shards {
+			return nil, nil, fmt.Errorf("assignment grid %d does not match payload shards %d", a.Cells, cfg.shards)
+		}
+		return func(ctx context.Context, cell int) (pai.Sink, string, int, error) {
+			c := cfg
+			c.shardIndex = cell
+			sink, counts, _, err := stream(eng, c, stderr)
+			if err != nil {
+				return nil, "", 0, err
+			}
+			return sink, shardMeta(c), counts[0], nil
+		}, func() {}, nil
+	}
+	f, ir, err := openIndexedTrace(cfg.tracePath)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n := len(ir.Index().Partition(cfg.grain)); n != a.Cells {
+		f.Close()
+		return nil, nil, fmt.Errorf("%s yields a %d-cell grid at grain %d, assignment names %d", cfg.tracePath, n, cfg.grain, a.Cells)
+	}
+	base := traceMetaBase(cfg)
+	factory := func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) }
+	return func(ctx context.Context, cell int) (pai.Sink, string, int, error) {
+		sink, n, err := eng.EvaluateIndexedCell(ctx, ir, cfg.grain, cell, factory)
+		return sink, pai.ShardSnapshotMeta(base, cell), n, err
+	}, func() { f.Close() }, nil
+}
+
+// runWorkerMode is network worker mode (-worker ADDR): connect, advertise
+// the throughput hint, and for every assigned cell range reconstitute the
+// run from the payload and fold each cell into its own full report sink,
+// streaming one snapshot per cell back the moment it completes.
 // slowDelay > 0 makes this worker a deliberate straggler: it sleeps that
 // long before every cell after the process's first, so the coordinator's
 // per-cell deadline steals its in-flight tail (the e2e steal smoke).
-func runRangeWorkerMode(addr string, hint float64, slowDelay time.Duration, stderr io.Writer) error {
+// failAfter > 0 is chaos injection: once that many jobs of an assignment
+// are folded, the process exits 137 (the kill -9 status) before sending the
+// cell — no snapshot, no goodbye, just a dead connection holding cells.
+func runWorkerMode(addr string, hint float64, slowDelay time.Duration, failAfter int, stderr io.Writer) error {
 	sawFirst := false
 	runner := func(ctx context.Context, a pai.MicroShardAssignment, emit func(cell int, sink pai.Sink, meta string, jobs int) error) error {
-		cfg, err := parseTracePayload(a.Payload)
+		eval, release, err := openCells(a, stderr)
 		if err != nil {
 			return err
 		}
-		eng, err := newEngine(cfg)
-		if err != nil {
-			return err
-		}
-		f, ir, err := openIndexedTrace(cfg.tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if n := len(ir.Index().Partition(cfg.grain)); n != a.Cells {
-			return fmt.Errorf("%s yields a %d-cell grid at grain %d, assignment names %d", cfg.tracePath, n, cfg.grain, a.Cells)
-		}
-		base := traceMetaBase(cfg)
-		factory := func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) }
+		defer release()
+		folded := 0
 		for cell := a.Lo; cell < a.Hi; cell++ {
 			if slowDelay > 0 && sawFirst {
 				time.Sleep(slowDelay)
 			}
 			sawFirst = true
 			start := time.Now()
-			sink, n, err := eng.EvaluateIndexedCell(ctx, ir, cfg.grain, cell, factory)
+			sink, meta, n, err := eval(ctx, cell)
 			if err != nil {
 				return err
 			}
-			if err := emit(cell, sink, pai.ShardSnapshotMeta(base, cell), n); err != nil {
+			if folded += n; failAfter > 0 && folded >= failAfter {
+				os.Exit(137)
+			}
+			if err := emit(cell, sink, meta, n); err != nil {
 				return err
 			}
 			fmt.Fprintf(stderr, "paibench worker: cell %d/%d attempt %d: %d jobs in %.2fs\n",
@@ -1533,98 +1435,171 @@ func runRangeWorkerMode(addr string, hint float64, slowDelay time.Duration, stde
 		}
 		return nil
 	}
-	fmt.Fprintf(stderr, "paibench: range worker connecting to %s\n", addr)
+	fmt.Fprintf(stderr, "paibench: worker connecting to %s\n", addr)
 	return pai.ServeMicroShardWorker(context.Background(), addr, hint, runner)
 }
 
-// runCoordinateTrace is the work-stealing coordinator (-coordinate -trace):
-// partition the trace's block index into micro-shard cells, serve
-// capacity-sized cell ranges to range workers, steal stalled tails past the
-// per-cell deadline, and fold the per-cell snapshots in cell order — the
-// merged result is byte-identical to the single-process
-// `-trace FILE -par-file N` run over the same grain, no matter how cells
-// were distributed, stolen, or retried.
-func runCoordinateTrace(cfg config, addr string, workers, slow int, slowDelay time.Duration, cellTimeout time.Duration, retries int, out string, stdout, stderr io.Writer) error {
-	if strings.ContainsAny(cfg.tracePath, " \t") {
-		return fmt.Errorf("-coordinate -trace: path %q contains whitespace, which the payload encoding cannot carry", cfg.tracePath)
+// coordOpts is the coordinator-mode flag set: where to listen, how many
+// local workers to spawn (the first chaos of them with -fail-after
+// failAfter, the first slow of them with -slow-delay slowDelay), the
+// per-cell deadline and the per-cell attempt budget.
+type coordOpts struct {
+	addr                 string
+	workers, chaos, slow int
+	failAfter            int
+	slowDelay, timeout   time.Duration
+	retries              int
+}
+
+// spawnWorkers starts co.workers local worker processes dialing addr,
+// appending each to cmds. The co.chaos chaos workers start alone and the
+// rest only once they have exited, so every chaos worker is sure to pull
+// cells and die holding them — the failure the -chaos smoke injects.
+func spawnWorkers(addr string, co coordOpts, stderr io.Writer, cmds *[]*exec.Cmd) error {
+	if co.workers == 0 {
+		return nil
 	}
-	sw := &syncWriter{w: stderr}
-	f, ir, err := openIndexedTrace(cfg.tracePath)
+	exe, err := os.Executable()
 	if err != nil {
 		return err
 	}
-	cells := len(ir.Index().Partition(cfg.grain))
-	f.Close() // the coordinator folds snapshots; it never reads the trace body
-	ln, err := net.Listen("tcp", addr)
+	spawn := func(i int) error {
+		wargs := []string{"-worker", addr}
+		if i < co.chaos {
+			wargs = append(wargs, "-fail-after", strconv.Itoa(co.failAfter))
+		}
+		if i < co.slow {
+			wargs = append(wargs, "-slow-delay", co.slowDelay.String())
+		}
+		cmd := exec.Command(exe, wargs...)
+		cmd.Stderr = stderr
+		// The marker lets a test binary recognize it was re-executed as a
+		// worker; the real paibench binary ignores it.
+		cmd.Env = append(os.Environ(), "PAIBENCH_EXEC_WORKER=1")
+		if err := cmd.Start(); err != nil {
+			return fmt.Errorf("spawn worker %d: %w", i, err)
+		}
+		*cmds = append(*cmds, cmd)
+		return nil
+	}
+	for i := 0; i < co.chaos; i++ {
+		if err := spawn(i); err != nil {
+			return err
+		}
+	}
+	for _, cmd := range *cmds {
+		cmd.Wait() // exit 137 is the injected death, not an error
+	}
+	for i := co.chaos; i < co.workers; i++ {
+		if err := spawn(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runCoordinate is network coordinator mode: listen, optionally spawn local
+// worker processes (the zero-config path), serve the run's cell grid — the
+// cfg.shards generator partitions, or the micro-shard cells of an indexed
+// -trace — fold the returned snapshots in cell order, retrying cells lost
+// to worker death or stolen past the per-cell deadline, and emit the same
+// full result JSON a -merge run (or a single-process -trace -par-file run)
+// produces.
+func runCoordinate(cfg config, co coordOpts, out string, stdout, stderr io.Writer) error {
+	cells, payload, base := cfg.shards, encodePayload(cfg), shardMetaBase(cfg)
+	what := fmt.Sprintf("%d shard(s)", cells)
+	res := &Result{
+		Seed:         cfg.seed,
+		Backend:      cfg.backendName,
+		Shards:       cfg.shards,
+		DistinctJobs: cfg.distinct,
+	}
+	if cfg.tracePath != "" {
+		if strings.ContainsAny(cfg.tracePath, " \t") {
+			return fmt.Errorf("-coordinate -trace: path %q contains whitespace, which the payload encoding cannot carry", cfg.tracePath)
+		}
+		f, ir, err := openIndexedTrace(cfg.tracePath)
+		if err != nil {
+			return err
+		}
+		cells = len(ir.Index().Partition(cfg.grain))
+		f.Close() // the coordinator folds snapshots; it never reads the trace body
+		payload, base = encodeTracePayload(cfg), traceMetaBase(cfg)
+		what = fmt.Sprintf("%d micro-shard(s) of %s", cells, cfg.tracePath)
+		res.DistinctJobs = 0 // -distinct shapes generated traces only
+		res.TraceFile, res.TraceFormat = cfg.tracePath, cfg.traceFormat
+	}
+
+	sw := &syncWriter{w: stderr}
+	ln, err := net.Listen("tcp", co.addr)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
-	fmt.Fprintf(sw, "paibench: coordinating %d micro-shard(s) of %s on %s (%d local worker(s), %d slow)\n",
-		cells, cfg.tracePath, ln.Addr(), workers, slow)
+	fmt.Fprintf(sw, "paibench: coordinating %s on %s (%d local worker(s), %d chaos, %d slow)\n",
+		what, ln.Addr(), co.workers, co.chaos, co.slow)
 
-	var cmds []*exec.Cmd
-	if workers > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < workers; i++ {
-			wargs := []string{"-worker", ln.Addr().String(), "-steal"}
-			if i < slow {
-				wargs = append(wargs, "-slow-delay", slowDelay.String())
-			}
-			cmd := exec.Command(exe, wargs...)
-			cmd.Stderr = sw
-			cmd.Env = append(os.Environ(), "PAIBENCH_EXEC_WORKER=1")
-			if err := cmd.Start(); err != nil {
-				return fmt.Errorf("spawn worker %d: %w", i, err)
-			}
-			cmds = append(cmds, cmd)
-		}
-	}
-	defer func() {
-		for _, cmd := range cmds {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	}()
-
+	// The coordinator evaluates nothing itself, but folding through the
+	// same report-sink factory the single-process run uses pins the fold
+	// base to the expected sink shape.
 	eng, err := newEngine(cfg)
 	if err != nil {
 		return err
 	}
 	opts := pai.MicroShardOptions{
-		CellTimeout:   cellTimeout,
-		MaxAttempts:   retries,
-		Provenance:    traceMetaBase(cfg),
-		ExpectWorkers: workers > 0,
+		CellTimeout: co.timeout,
+		MaxAttempts: co.retries,
+		Provenance:  base,
+		// Spawn-local workers must connect promptly, so arm the stall
+		// detector from the start: if they all die before (or after)
+		// dialing in, the run fails at -shard-timeout instead of hanging.
+		ExpectWorkers: co.workers > 0,
 		NewSink:       func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) },
 		Logf:          func(format string, args ...any) { fmt.Fprintf(sw, format+"\n", args...) },
 	}
+	type outcome struct {
+		sink  pai.Sink
+		stats pai.MicroShardStats
+		err   error
+	}
 	start := time.Now()
-	sink, _, stats, err := pai.CoordinateMicroShards(context.Background(), ln, cells, encodeTracePayload(cfg), opts)
-	if err != nil {
+	runDone := make(chan outcome, 1)
+	go func() {
+		sink, _, stats, err := pai.CoordinateMicroShards(context.Background(), ln, cells, payload, opts)
+		runDone <- outcome{sink, stats, err}
+	}()
+
+	var cmds []*exec.Cmd
+	defer func() {
+		// Chaos workers are already dead (exit 137) and healthy ones exit
+		// after the coordinator's done message or connection close; the
+		// kill only sweeps up workers stranded by a coordinator error.
+		for _, cmd := range cmds {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	}()
+	if err := spawnWorkers(ln.Addr().String(), co, sw, &cmds); err != nil {
+		ln.Close()
+		<-runDone
 		return err
 	}
-	res := &Result{
-		Seed:                  cfg.seed,
-		Backend:               cfg.backendName,
-		Shards:                1,
-		TraceFile:             cfg.tracePath,
-		TraceFormat:           cfg.traceFormat,
-		MicroShards:           cells,
-		MicroShardAssignments: stats.Assignments,
-		StolenCells:           stats.StolenCells,
-		Resplits:              stats.Resplits,
-		CoordWorkers:          stats.Workers,
-		Note:                  fmt.Sprintf("work-stealing coordination over %d micro-shard(s); timing fields not populated", cells),
+	r := <-runDone
+	if r.err != nil {
+		return r.err
 	}
-	if err := finishFoldedResult(sink, res, out, stdout); err != nil {
+	stats := r.stats
+	res.MicroShards = cells
+	res.MicroShardAssignments = stats.Assignments
+	res.StolenCells = stats.StolenCells
+	res.Resplits = stats.Resplits
+	res.CoordWorkers = stats.Workers
+	res.Note = fmt.Sprintf("coordinated %s over TCP; timing fields not populated", what)
+	if err := finishFoldedResult(r.sink, res, out, stdout); err != nil {
 		return err
 	}
-	fmt.Fprintf(sw, "paibench: coordinated %d micro-shard(s), %d jobs in %.2fs (%d assignment(s), %d stolen cell(s), %d re-split(s))\n",
-		cells, res.Jobs, time.Since(start).Seconds(), stats.Assignments, stats.StolenCells, stats.Resplits)
+	fmt.Fprintf(sw, "paibench: coordinated %s, %d jobs in %.2fs (%d assignment(s), %d stolen cell(s), %d re-split(s))\n",
+		what, res.Jobs, time.Since(start).Seconds(), stats.Assignments, stats.StolenCells, stats.Resplits)
 	return nil
 }
 

@@ -175,9 +175,6 @@ func TestParFileValidation(t *testing.T) {
 	if err := run([]string{"-jobs", "1000", "-microshard", "0"}, &out, &errw); err == nil {
 		t.Error("-microshard 0 accepted")
 	}
-	if err := run([]string{"-steal"}, &out, &errw); err == nil {
-		t.Error("-steal without -worker accepted")
-	}
 	if err := run([]string{"-jobs", "1000", "-slow", "1"}, &out, &errw); err == nil {
 		t.Error("-slow without -coordinate -trace accepted")
 	}

@@ -659,71 +659,80 @@ func (e *Engine) NewReportSink(target ProjectionTarget) (*MultiSink, error) {
 	), nil
 }
 
-// ShardSources builds the job source for one shard assignment — the
-// caller's mapping from a coordinator's shard grid position to the jobs of
-// that partition (a trace-file decoder, a generator partition, a slice).
-// It is called once per assignment, so retried shards get a fresh source.
-type ShardSources func(a ShardAssignment) (JobSource, error)
+// ShardSources builds the job source for one cell of a distributed run's
+// grid — the caller's mapping from a cell index to the jobs of that
+// partition (a trace-file decoder, a generator partition, a slice). A static
+// sharded run maps cell i to shard i. It is called once per cell
+// evaluation, so retried cells get a fresh source.
+type ShardSources func(cell int) (JobSource, error)
 
-// ShardRunner adapts the engine into the worker side of networked
-// distributed evaluation: each assignment streams the partition built by
-// sources through the engine's evaluator (cache included) into a fresh
-// sink built by factory, stamped with the assignment's provenance.
-func (e *Engine) ShardRunner(sources ShardSources, factory func() (Sink, error)) DistributedRunner {
-	return func(ctx context.Context, a ShardAssignment) (Sink, string, int, error) {
-		ev, err := e.evaluator()
-		if err != nil {
-			return nil, "", 0, err
+// cellRunner adapts the engine into the worker side of networked
+// distributed evaluation: each cell of an assigned range streams the
+// partition built by sources through the engine's evaluator (cache
+// included) into a fresh sink built by factory, stamped with the cell's
+// provenance and emitted the moment its fold completes.
+func (e *Engine) cellRunner(ev backend.Evaluator, sources ShardSources, factory func() (Sink, error)) MicroShardRunner {
+	return func(ctx context.Context, a MicroShardAssignment, emit func(int, Sink, string, int) error) error {
+		if sources == nil {
+			return fmt.Errorf("pai: distributed worker with nil sources")
 		}
-		if sources == nil || factory == nil {
-			return nil, "", 0, fmt.Errorf("pai: ShardRunner with nil sources or factory")
+		for cell := a.Lo; cell < a.Hi; cell++ {
+			src, err := sources(cell)
+			if err != nil {
+				return err
+			}
+			sink, err := factory()
+			if err != nil {
+				return err
+			}
+			n, err := analyze.FoldInto(ctx, ev, e.parallelism, src, sink)
+			if err != nil {
+				return err
+			}
+			if err := emit(cell, sink, analyze.ShardMeta(a.Provenance, cell), n); err != nil {
+				return err
+			}
 		}
-		src, err := sources(a)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		sink, err := factory()
-		if err != nil {
-			return nil, "", 0, err
-		}
-		n, err := analyze.FoldInto(ctx, ev, e.parallelism, src, sink)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		return sink, analyze.ShardMeta(a.Provenance, a.Index), n, nil
+		return nil
 	}
 }
 
-// DistributedWorker connects out to a coordinator at addr and serves shard
-// assignments through this engine until the coordinator finishes the run —
-// the library form of `paibench -worker`. It returns nil on a clean
-// completion, or the protocol/evaluation error that ended the session.
+// DistributedWorker connects out to a coordinator at addr and serves cell
+// ranges through this engine until the coordinator finishes the run — the
+// library form of `paibench -worker`. It returns nil on a clean completion,
+// or the protocol/evaluation error that ended the session.
 func (e *Engine) DistributedWorker(ctx context.Context, addr string, sources ShardSources, factory func() (Sink, error)) error {
-	if _, err := e.evaluator(); err != nil {
+	ev, err := e.evaluator()
+	if err != nil {
 		return err
 	}
-	return coord.Work(ctx, addr, e.ShardRunner(sources, factory))
+	if factory == nil {
+		return fmt.Errorf("pai: DistributedWorker with nil sink factory")
+	}
+	return coord.WorkDynamic(ctx, addr, 0, e.cellRunner(ev, sources, factory))
 }
 
 // EvaluateDistributed is the networked EvaluateSourcesInto: the engine acts
-// as coordinator on ln, hands each of the `shards` partitions to a
-// connected worker, streams the per-shard sink snapshots back over TCP, and
-// folds them in shard-index order with the exact Merge — byte-identical to
-// the in-process EvaluateSourcesInto over the same partitions, even when a
-// worker dies mid-shard and the shard is retried elsewhere (set
-// opts.ShardTimeout so hung workers are abandoned).
+// as coordinator on ln over a grid of `shards` cells, hands connected
+// workers contiguous cell ranges (work stealing, see CoordinateMicroShards),
+// streams the per-cell sink snapshots back over TCP, and folds them in cell
+// order with the exact Merge — byte-identical to the in-process
+// EvaluateSourcesInto over the same partitions, even when a worker dies
+// mid-range and its cells are retried elsewhere (set opts.CellTimeout so
+// hung workers are abandoned).
 //
 // localWorkers > 0 spawns that many in-process worker loops dialing ln's
 // address — the zero-config path — and arms the coordinator's stall
-// detector so a run whose workers all die fails at opts.ShardTimeout
+// detector so a run whose workers all die fails at opts.CellTimeout
 // instead of hanging. External workers built on Engine.DistributedWorker
 // (with equivalent sources/factory semantics) can connect to the same
 // listener from other processes or machines; `paibench -worker` cannot —
 // its assignments must carry a paibench payload, which this method does
 // not send. The listener is closed on return. It returns the merged sink
-// and per-shard job counts.
-func (e *Engine) EvaluateDistributed(ctx context.Context, ln net.Listener, shards, localWorkers int, sources ShardSources, factory func() (Sink, error), opts *CoordinatorOptions) (Sink, []int, error) {
-	if _, err := e.evaluator(); err != nil {
+// and per-cell job counts.
+func (e *Engine) EvaluateDistributed(ctx context.Context, ln net.Listener, shards, localWorkers int, sources ShardSources, factory func() (Sink, error), opts *MicroShardOptions) (Sink, []int, error) {
+	ev, err := e.evaluator()
+	if err != nil {
 		return nil, nil, err
 	}
 	if ln == nil {
@@ -732,7 +741,7 @@ func (e *Engine) EvaluateDistributed(ctx context.Context, ln net.Listener, shard
 	if factory == nil {
 		return nil, nil, fmt.Errorf("pai: EvaluateDistributed with nil sink factory")
 	}
-	var o CoordinatorOptions
+	var o MicroShardOptions
 	if opts != nil {
 		o = *opts
 	}
@@ -745,20 +754,20 @@ func (e *Engine) EvaluateDistributed(ctx context.Context, ln net.Listener, shard
 	var wg sync.WaitGroup
 	if localWorkers > 0 {
 		o.ExpectWorkers = true
-		runner := e.ShardRunner(sources, factory)
+		runner := e.cellRunner(ev, sources, factory)
 		addr := ln.Addr().String()
 		for i := 0; i < localWorkers; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				// Worker teardown at end of run (coordinator closes the
-				// connection) is expected; real shard failures surface
+				// connection) is expected; real cell failures surface
 				// through the coordinator's retry accounting instead.
-				_ = coord.Work(ctx, addr, runner)
+				_ = coord.WorkDynamic(ctx, addr, 0, runner)
 			}()
 		}
 	}
-	sink, counts, err := coord.Run(ctx, ln, shards, nil, o)
+	sink, counts, _, err := coord.RunDynamic(ctx, ln, shards, nil, o)
 	wg.Wait()
 	return sink, counts, err
 }

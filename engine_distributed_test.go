@@ -23,11 +23,11 @@ func distTraceParams(shards, jobsPerShard int) []pai.TraceParams {
 	return ps
 }
 
-// distSources maps a shard assignment to a fresh generator partition, so
-// retried shards re-stream identical jobs.
+// distSources maps cell i of the grid to a fresh generator partition i, so
+// retried cells re-stream identical jobs.
 func distSources(params []pai.TraceParams) pai.ShardSources {
-	return func(a pai.ShardAssignment) (pai.JobSource, error) {
-		return pai.NewTraceSource(params[a.Index])
+	return func(cell int) (pai.JobSource, error) {
+		return pai.NewTraceSource(params[cell])
 	}
 }
 
@@ -74,7 +74,7 @@ func TestEvaluateDistributedMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist, distCounts, err := eng.EvaluateDistributed(ctx, ln, shards, 2, distSources(params), factory,
-		&pai.CoordinatorOptions{Provenance: "engine-dist-test", ShardTimeout: 30 * time.Second})
+		&pai.MicroShardOptions{Provenance: "engine-dist-test", CellTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,6 +189,21 @@ func (r *Reader) Int() int {
 	return int(v)
 }
 
+// Scalar reads a non-negative uvarint that counts nothing in the input — an
+// index, an attempt number, a total. Unlike Int it is not bounded by the
+// remaining bytes, only by int's range.
+func (r *Reader) Scalar() int {
+	v := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if v > math.MaxInt {
+		r.fail("value %d overflows int", v)
+		return 0
+	}
+	return int(v)
+}
+
 // F64 reads a float64 from its IEEE-754 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 

@@ -131,3 +131,18 @@ func TestU32RoundTripAndTruncation(t *testing.T) {
 		t.Error("truncated U32 did not error")
 	}
 }
+
+func TestScalarUnboundedByInput(t *testing.T) {
+	w := NewWriter(16)
+	w.Int(1 << 40) // a scalar, written the way Int writes counts
+	r := NewReader(w.Bytes())
+	if got := r.Scalar(); got != 1<<40 || r.Err() != nil {
+		t.Errorf("Scalar = %d, %v; want 1<<40 with nothing after it", got, r.Err())
+	}
+	w = NewWriter(16)
+	w.Uvarint(math.MaxUint64)
+	r = NewReader(w.Bytes())
+	if got := r.Scalar(); got != 0 || r.Err() == nil {
+		t.Errorf("overflowing Scalar = %d, %v; want an error", got, r.Err())
+	}
+}

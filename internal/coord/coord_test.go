@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,8 +32,8 @@ func testJobs(tb testing.TB, n int) []workload.Features {
 }
 
 // shardAcc folds the round-robin partition `index of shards` of jobs into a
-// fresh accumulator — the deterministic per-shard work every test worker
-// performs.
+// fresh accumulator — the deterministic per-shard work of a static sharded
+// run, where cell i of the grid is shard i.
 func shardAcc(tb testing.TB, b backend.Backend, jobs []workload.Features, shards, index int) (*analyze.BreakdownAccumulator, int) {
 	tb.Helper()
 	acc := analyze.NewBreakdownAccumulator()
@@ -49,8 +51,9 @@ func shardAcc(tb testing.TB, b backend.Backend, jobs []workload.Features, shards
 	return acc, n
 }
 
-// directFoldBytes is the reference result: per-shard accumulators merged in
-// shard-index order, first shard as the fold base (Options.NewSink nil).
+// directFoldBytes is the reference result of a static sharded run: the
+// per-shard accumulators merged in shard-index order, first shard as the
+// fold base (DynamicOptions.NewSink nil).
 func directFoldBytes(tb testing.TB, b backend.Backend, jobs []workload.Features, shards int) []byte {
 	tb.Helper()
 	total, _ := shardAcc(tb, b, jobs, shards, 0)
@@ -76,12 +79,18 @@ func testBackend(tb testing.TB) backend.Backend {
 	return b
 }
 
-// testRunner evaluates assignments over the shared job set, stamping the
-// given provenance base.
-func testRunner(tb testing.TB, b backend.Backend, jobs []workload.Features, base string) Runner {
-	return func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
-		acc, n := shardAcc(tb, b, jobs, a.Shards, a.Index)
-		return acc, analyze.ShardMeta(base, a.Index), n, nil
+// shardRunner evaluates every cell of an assignment as the round-robin
+// shard of the same index, stamping the given provenance base — a static
+// sharded run served over the cell grid.
+func shardRunner(tb testing.TB, b backend.Backend, jobs []workload.Features, base string) RangeRunner {
+	return func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
+		for cell := a.Lo; cell < a.Hi; cell++ {
+			acc, n := shardAcc(tb, b, jobs, a.Cells, cell)
+			if err := emit(cell, acc, analyze.ShardMeta(base, cell), n); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 
@@ -104,26 +113,76 @@ func listen(tb testing.TB) net.Listener {
 	return ln
 }
 
-// startWorkers launches n Work loops and returns a wait function that
-// reports their errors.
-func startWorkers(ctx context.Context, addr string, run Runner, n int) func() []error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = Work(ctx, addr, run)
-		}(i)
+// dialRange connects like a worker, completes the handshake, and reads the
+// first range assignment — the raw-frame start of every fake worker below.
+// The caller owns the returned connection.
+func dialRange(addr string) (net.Conn, RangeAssignment, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, RangeAssignment{}, err
 	}
-	return func() []error {
-		wg.Wait()
-		return errs
+	if err := workerHandshake(conn, 0); err != nil {
+		conn.Close()
+		return nil, RangeAssignment{}, err
+	}
+	typ, p, err := readFrame(conn)
+	if err == nil && typ != msgRange {
+		err = fmt.Errorf("fake worker got %q frame", typ)
+	}
+	var a RangeAssignment
+	if err == nil {
+		a, err = decodeRange(p)
+	}
+	if err != nil {
+		conn.Close()
+		return nil, RangeAssignment{}, err
+	}
+	return conn, a, nil
+}
+
+// crashAfterAssign connects like a worker, accepts one range, and drops the
+// connection without replying — the observable shape of a worker killed
+// mid-range. It reports the received assignment on assigned.
+func crashAfterAssign(t *testing.T, addr string, assigned chan<- RangeAssignment) {
+	conn, a, err := dialRange(addr)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	assigned <- a
+	conn.Close() // no result, no fail message — just a dead connection
+}
+
+// readUntilClosed drains conn until the peer closes it.
+func readUntilClosed(conn net.Conn) {
+	io.Copy(io.Discard, conn)
+}
+
+// pullBarrier wraps run so no range starts folding until n ranges have been
+// pulled. A worker can pull a second range only after its first returns, so
+// the first n ranges go to n distinct workers: all n are admitted before
+// the run can finish. (A worker dialing after the last fold is refused, and
+// rightly so.) The grid must leave every one of the n workers a span under
+// the capacity halving, which holds whenever cells >= 2n-1.
+func pullBarrier(n int, run RangeRunner) RangeRunner {
+	var pulled atomic.Int32
+	all := make(chan struct{})
+	return func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
+		if pulled.Add(1) == int32(n) {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		return run(ctx, a, emit)
 	}
 }
 
-// TestRunMatchesDirectFold: two networked workers over loopback TCP must
-// fold to bytes identical to the in-process shard merge.
+// TestRunMatchesDirectFold: a static sharded run — cell i is shard i —
+// served to two networked workers over loopback TCP must fold to bytes
+// identical to the in-process shard merge, with per-shard job counts.
 func TestRunMatchesDirectFold(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -133,8 +192,8 @@ func TestRunMatchesDirectFold(t *testing.T) {
 	const base = "coordtest run=1"
 
 	ln := listen(t)
-	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 2)
-	sink, counts, err := Run(ctx, ln, shards, []byte("payload"), Options{Provenance: base})
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, pullBarrier(2, shardRunner(t, b, jobs, base)), 2)
+	sink, counts, stats, err := RunDynamic(ctx, ln, shards, []byte("payload"), DynamicOptions{Provenance: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +202,9 @@ func TestRunMatchesDirectFold(t *testing.T) {
 			t.Errorf("worker error: %v", werr)
 		}
 	}
-	total := 0
+	if stats.Workers != 2 {
+		t.Errorf("stats.Workers = %d, want 2", stats.Workers)
+	}
 	for i, c := range counts {
 		want := len(jobs) / shards
 		if i < len(jobs)%shards {
@@ -152,10 +213,6 @@ func TestRunMatchesDirectFold(t *testing.T) {
 		if c != want {
 			t.Errorf("shard %d count = %d, want %d", i, c, want)
 		}
-		total += c
-	}
-	if total != len(jobs) {
-		t.Errorf("total jobs = %d, want %d", total, len(jobs))
 	}
 	raw, err := sink.MarshalBinary()
 	if err != nil {
@@ -166,8 +223,8 @@ func TestRunMatchesDirectFold(t *testing.T) {
 	}
 }
 
-// TestRunWithSinkFactory: Options.NewSink switches to the FoldSinks fold
-// shape (empty base, merge every shard); bytes must still match.
+// TestRunWithSinkFactory: DynamicOptions.NewSink switches to the FoldSinks
+// fold shape (empty base, merge every cell); bytes must still match.
 func TestRunWithSinkFactory(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -176,8 +233,8 @@ func TestRunWithSinkFactory(t *testing.T) {
 	const shards = 2
 
 	ln := listen(t)
-	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, ""), 1)
-	sink, _, err := Run(ctx, ln, shards, nil, Options{
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, shardRunner(t, b, jobs, ""), 1)
+	sink, _, _, err := RunDynamic(ctx, ln, shards, nil, DynamicOptions{
 		NewSink: func() (analyze.Sink, error) { return analyze.NewBreakdownAccumulator(), nil },
 	})
 	if err != nil {
@@ -193,42 +250,10 @@ func TestRunWithSinkFactory(t *testing.T) {
 	}
 }
 
-// crashAfterAssign connects like a worker, accepts one assignment, and
-// drops the connection without replying — the observable shape of a worker
-// killed mid-shard. It reports the received assignment on assigned.
-func crashAfterAssign(t *testing.T, addr string, assigned chan<- Assignment) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, msgHello, encodeHello()); err != nil {
-		t.Error(err)
-		return
-	}
-	if _, _, err := readFrame(conn); err != nil {
-		t.Error(err)
-		return
-	}
-	typ, p, err := readFrame(conn)
-	if err != nil || typ != msgAssign {
-		t.Errorf("crash worker got %q frame, err %v", typ, err)
-		return
-	}
-	a, err := decodeAssign(p)
-	if err != nil {
-		t.Error(err)
-		return
-	}
-	assigned <- a
-	// Dying here: no result, no fail message — just a dead connection.
-}
-
-// TestWorkerDeathMidShardRetries: killing a worker after it accepted a
-// shard must requeue that shard onto a surviving worker and still produce
-// the byte-identical merged result.
+// TestWorkerDeathMidShardRetries: a worker killed after delivering the
+// first cell of its range keeps that cell folded; only the un-received
+// tail is requeued onto a surviving worker, and the merged result is still
+// byte-identical.
 func TestWorkerDeathMidShardRetries(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -240,7 +265,7 @@ func TestWorkerDeathMidShardRetries(t *testing.T) {
 	var logMu sync.Mutex
 	var logLines []string
 	ln := listen(t)
-	opts := Options{
+	opts := DynamicOptions{
 		Provenance: base,
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
@@ -248,35 +273,51 @@ func TestWorkerDeathMidShardRetries(t *testing.T) {
 			logMu.Unlock()
 		},
 	}
-
-	assigned := make(chan Assignment, 1)
-	go crashAfterAssign(t, ln.Addr().String(), assigned)
-
 	type outcome struct {
-		sink   analyze.Sink
-		counts []int
-		err    error
+		sink analyze.Sink
+		err  error
 	}
 	runDone := make(chan outcome, 1)
 	go func() {
-		sink, counts, err := Run(ctx, ln, shards, nil, opts)
-		runDone <- outcome{sink, counts, err}
+		sink, _, _, err := RunDynamic(ctx, ln, shards, nil, opts)
+		runDone <- outcome{sink, err}
 	}()
 
-	// Wait until the crash worker holds a shard, then bring up the healthy
-	// worker that must absorb the requeue.
-	select {
-	case <-assigned:
-	case <-ctx.Done():
-		t.Fatal("crash worker never received an assignment")
+	// The lone first worker pulls [0, 2) (half the backlog), delivers
+	// cell 0, and dies before cell 1.
+	conn, a, err := dialRange(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 1)
+	if a.Lo != 0 || a.Hi != 2 {
+		t.Fatalf("lone worker pulled [%d, %d), want [0, 2)", a.Lo, a.Hi)
+	}
+	acc, n := shardAcc(t, b, jobs, shards, 0)
+	if err := writeFrame(conn, msgResult, encodeResult(0, a.Attempt, n, snapshotBytes(t, acc, analyze.ShardMeta(base, 0)))); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+
+	var seenMu sync.Mutex
+	seen := map[int]bool{}
+	healthy := shardRunner(t, b, jobs, base)
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
+		seenMu.Lock()
+		for cell := a.Lo; cell < a.Hi; cell++ {
+			seen[cell] = true
+		}
+		seenMu.Unlock()
+		return healthy(ctx, a, emit)
+	}, 1)
 
 	out := <-runDone
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
 	wait()
+	if seen[0] {
+		t.Error("the dead worker's delivered cell 0 was evaluated again")
+	}
 	raw, err := out.sink.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -286,19 +327,13 @@ func TestWorkerDeathMidShardRetries(t *testing.T) {
 	}
 	logMu.Lock()
 	defer logMu.Unlock()
-	requeued := false
-	for _, line := range logLines {
-		if strings.Contains(line, "requeueing") {
-			requeued = true
-		}
-	}
-	if !requeued {
-		t.Errorf("worker death did not surface as a requeue; log:\n%s", strings.Join(logLines, "\n"))
+	if log := strings.Join(logLines, "\n"); !strings.Contains(log, "cells [1, 2) in flight") {
+		t.Errorf("worker death did not requeue the un-received tail [1, 2); log:\n%s", log)
 	}
 }
 
-// TestShardTimeoutRequeues: a worker that accepts a shard and never
-// responds must lose it to the per-shard deadline.
+// TestShardTimeoutRequeues: a worker that accepts a range and never
+// responds must lose all of it to the per-cell deadline.
 func TestShardTimeoutRequeues(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -308,54 +343,37 @@ func TestShardTimeoutRequeues(t *testing.T) {
 	const base = "coordtest run=timeout"
 
 	ln := listen(t)
-	assigned := make(chan Assignment, 1)
-	// Sleeper: accepts one assignment, then hangs until its conn is closed.
-	go func() {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer conn.Close()
-		if err := writeFrame(conn, msgHello, encodeHello()); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, _, err := readFrame(conn); err != nil {
-			t.Error(err)
-			return
-		}
-		typ, p, err := readFrame(conn)
-		if err != nil || typ != msgAssign {
-			t.Errorf("sleeper got %q frame, err %v", typ, err)
-			return
-		}
-		a, _ := decodeAssign(p)
-		assigned <- a
-		readFrame(conn) // blocks until the coordinator abandons us
-	}()
-
-	runDone := make(chan error, 1)
-	var sink analyze.Sink
-	go func() {
-		var err error
-		sink, _, err = Run(ctx, ln, shards, nil, Options{
-			Provenance:   base,
-			ShardTimeout: 200 * time.Millisecond,
-		})
-		runDone <- err
-	}()
-	select {
-	case <-assigned:
-	case <-ctx.Done():
-		t.Fatal("sleeper never received an assignment")
+	type outcome struct {
+		sink  analyze.Sink
+		stats DynamicStats
+		err   error
 	}
-	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 1)
-	if err := <-runDone; err != nil {
+	runDone := make(chan outcome, 1)
+	go func() {
+		sink, _, stats, err := RunDynamic(ctx, ln, shards, nil, DynamicOptions{
+			Provenance:  base,
+			CellTimeout: 200 * time.Millisecond,
+		})
+		runDone <- outcome{sink, stats, err}
+	}()
+	// Sleeper: accepts one range, then hangs until the coordinator
+	// abandons it.
+	conn, _, err := dialRange(ln.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn.Close()
+	go readUntilClosed(conn)
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, shardRunner(t, b, jobs, base), 1)
+	out := <-runDone
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
 	wait()
-	raw, err := sink.MarshalBinary()
+	if out.stats.StolenCells < 1 {
+		t.Errorf("stats.StolenCells = %d, want the sleeper's range stolen", out.stats.StolenCells)
+	}
+	raw, err := out.sink.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,8 +382,8 @@ func TestShardTimeoutRequeues(t *testing.T) {
 	}
 }
 
-// TestFailureReportsRetryInPlace: a worker that reports a shard failure
-// stays connected and gets the shard again; success on a later attempt
+// TestFailureReportsRetryInPlace: a worker that reports a cell failure
+// stays connected and gets the cell again; success on a later attempt
 // completes the run.
 func TestFailureReportsRetryInPlace(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -375,20 +393,27 @@ func TestFailureReportsRetryInPlace(t *testing.T) {
 	const shards = 2
 	const base = "coordtest run=flaky"
 
-	flaky := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
+	healthy := shardRunner(t, b, jobs, base)
+	flaky := func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
 		if a.Attempt == 1 {
-			return nil, "", 0, fmt.Errorf("transient failure on shard %d", a.Index)
+			return fmt.Errorf("transient failure on cells [%d, %d)", a.Lo, a.Hi)
 		}
-		acc, n := shardAcc(t, b, jobs, a.Shards, a.Index)
-		return acc, analyze.ShardMeta(base, a.Index), n, nil
+		return healthy(ctx, a, emit)
 	}
 	ln := listen(t)
-	wait := startWorkers(ctx, ln.Addr().String(), flaky, 1)
-	sink, _, err := Run(ctx, ln, shards, nil, Options{Provenance: base, MaxAttempts: 3})
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, flaky, 1)
+	sink, _, stats, err := RunDynamic(ctx, ln, shards, nil, DynamicOptions{Provenance: base, MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait()
+	for _, werr := range wait() {
+		if werr != nil {
+			t.Errorf("worker error: %v", werr)
+		}
+	}
+	if stats.Workers != 1 {
+		t.Errorf("stats.Workers = %d, want the one flaky worker to have stayed connected", stats.Workers)
+	}
 	raw, err := sink.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -398,39 +423,39 @@ func TestFailureReportsRetryInPlace(t *testing.T) {
 	}
 }
 
-// TestAttemptBudgetExhaustionFailsRun: a shard that keeps failing must fail
+// TestAttemptBudgetExhaustionFailsRun: a cell that keeps failing must fail
 // the whole run with the attempt budget named, not hang — and the failure
-// must reach idle workers as an abort, so they exit non-zero too.
+// must reach the worker as an abort, so it exits non-zero too.
 func TestAttemptBudgetExhaustionFailsRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	broken := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
-		return nil, "", 0, fmt.Errorf("always broken")
+	broken := func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
+		return fmt.Errorf("always broken")
 	}
 	ln := listen(t)
-	wait := startWorkers(ctx, ln.Addr().String(), broken, 1)
-	_, _, err := Run(ctx, ln, 1, nil, Options{MaxAttempts: 2})
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, broken, 1)
+	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{MaxAttempts: 2})
 	if err == nil || !strings.Contains(err.Error(), "budget spent") {
 		t.Errorf("exhausted retries returned %v", err)
 	}
 	for _, werr := range wait() {
 		if werr == nil || !strings.Contains(werr.Error(), "aborted") {
-			t.Errorf("worker saw a failed run as clean: %v", werr)
+			t.Errorf("worker saw a failed run as anything but an abort: %v", werr)
 		}
 	}
 }
 
-// TestAllWorkersLostFailsRun: when the only worker dies with shards still
+// TestAllWorkersLostFailsRun: when the only worker dies with cells still
 // queued, the stall detector must fail the run instead of waiting forever
 // for a worker that will never come back.
 func TestAllWorkersLostFailsRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	ln := listen(t)
-	assigned := make(chan Assignment, 1)
+	assigned := make(chan RangeAssignment, 1)
 	go crashAfterAssign(t, ln.Addr().String(), assigned)
 	start := time.Now()
-	_, _, err := Run(ctx, ln, 2, nil, Options{ShardTimeout: 200 * time.Millisecond})
+	_, _, _, err := RunDynamic(ctx, ln, 2, nil, DynamicOptions{CellTimeout: 200 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "no active workers") {
 		t.Errorf("all-workers-lost run returned %v", err)
 	}
@@ -444,8 +469,8 @@ func TestAllWorkersLostFailsRun(t *testing.T) {
 	}
 }
 
-// TestGarbageConnectionIgnored: a client that fails the handshake must not
-// disturb the run.
+// TestGarbageConnectionIgnored: a client that fails the handshake is
+// dropped and must not disturb the run.
 func TestGarbageConnectionIgnored(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -454,33 +479,46 @@ func TestGarbageConnectionIgnored(t *testing.T) {
 	const base = "coordtest run=garbage"
 
 	ln := listen(t)
+	type outcome struct {
+		sink analyze.Sink
+		err  error
+	}
+	runDone := make(chan outcome, 1)
 	go func() {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			return
-		}
-		conn.Write([]byte("GET / HTTP/1.1\r\n\r\n"))
-		conn.Close()
+		sink, _, _, err := RunDynamic(ctx, ln, 2, nil, DynamicOptions{Provenance: base})
+		runDone <- outcome{sink, err}
 	}()
-	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 1)
-	sink, _, err := Run(ctx, ln, 2, nil, Options{Provenance: base})
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	conn.Write([]byte("GET / HTTP/1.1\r\n\r\n"))
+	readUntilClosed(conn) // the coordinator hangs up on us
+	conn.Close()
+
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, shardRunner(t, b, jobs, base), 1)
+	out := <-runDone
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
 	wait()
-	if sink == nil {
-		t.Fatal("no sink")
+	raw, err := out.sink.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, directFoldBytes(t, b, jobs, 2)) {
+		t.Error("fold after a garbage connection is not byte-identical to the direct shard merge")
 	}
 }
 
 // TestOfferRejectsDuplicateShard is the at-most-once guard: a second
-// snapshot for an already-folded shard must be rejected via its provenance,
+// snapshot for an already-folded cell must be rejected via its provenance,
 // not silently folded twice.
 func TestOfferRejectsDuplicateShard(t *testing.T) {
 	b := testBackend(t)
 	jobs := testJobs(t, 60)
 	const base = "coordtest run=dup"
-	st := newRunState(context.Background(), 2, nil, Options{Provenance: base})
+	st := newDynState(context.Background(), 2, nil, DynamicOptions{Provenance: base})
 
 	acc, n := shardAcc(t, b, jobs, 2, 0)
 	snap := snapshotBytes(t, acc, analyze.ShardMeta(base, 0))
@@ -489,21 +527,21 @@ func TestOfferRejectsDuplicateShard(t *testing.T) {
 	}
 	err := st.offer(0, snap, n)
 	if !errors.Is(err, ErrDuplicateShard) {
-		t.Errorf("duplicate shard accepted: %v", err)
+		t.Errorf("duplicate cell accepted: %v", err)
 	}
-	// The recorded shard is untouched by the rejected duplicate.
+	// The recorded cell is untouched by the rejected duplicate.
 	if st.counts[0] != n || st.sinks[0] == nil || st.remaining != 1 {
 		t.Errorf("duplicate mutated state: counts=%v remaining=%d", st.counts, st.remaining)
 	}
 }
 
 // TestOfferRejectsForeignAndMislabeled: snapshots from another run, or
-// carrying the wrong shard index, must not fold.
+// carrying the wrong cell index, must not fold.
 func TestOfferRejectsForeignAndMislabeled(t *testing.T) {
 	b := testBackend(t)
 	jobs := testJobs(t, 60)
 	const base = "coordtest run=prov"
-	st := newRunState(context.Background(), 2, nil, Options{Provenance: base})
+	st := newDynState(context.Background(), 2, nil, DynamicOptions{Provenance: base})
 	acc, n := shardAcc(t, b, jobs, 2, 0)
 
 	// Wrong run base.
@@ -513,7 +551,7 @@ func TestOfferRejectsForeignAndMislabeled(t *testing.T) {
 	}
 	// Right base, wrong index.
 	misfiled := snapshotBytes(t, acc, analyze.ShardMeta(base, 1))
-	if err := st.offer(0, misfiled, n); err == nil || !strings.Contains(err.Error(), "does not name shard") {
+	if err := st.offer(0, misfiled, n); err == nil || !strings.Contains(err.Error(), "does not name cell") {
 		t.Errorf("mislabeled index accepted: %v", err)
 	}
 	// No provenance at all.
@@ -528,7 +566,7 @@ func TestOfferRejectsForeignAndMislabeled(t *testing.T) {
 		t.Error("corrupted snapshot accepted")
 	}
 	if st.remaining != 2 {
-		t.Errorf("rejected offers consumed shards: remaining=%d", st.remaining)
+		t.Errorf("rejected offers consumed cells: remaining=%d", st.remaining)
 	}
 }
 
@@ -537,7 +575,7 @@ func TestOfferRejectsForeignAndMislabeled(t *testing.T) {
 func TestOfferConsistencyWithoutPinnedBase(t *testing.T) {
 	b := testBackend(t)
 	jobs := testJobs(t, 60)
-	st := newRunState(context.Background(), 2, nil, Options{})
+	st := newDynState(context.Background(), 2, nil, DynamicOptions{})
 	acc0, n0 := shardAcc(t, b, jobs, 2, 0)
 	acc1, n1 := shardAcc(t, b, jobs, 2, 1)
 
@@ -552,10 +590,38 @@ func TestOfferConsistencyWithoutPinnedBase(t *testing.T) {
 	}
 }
 
+// helloListener signals on hello each time the coordinator finishes writing
+// its handshake reply on an accepted connection — the moment the worker
+// behind it is admitted, after which its handler parks for work.
+type helloListener struct {
+	net.Listener
+	hello chan struct{}
+}
+
+func (l helloListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &helloConn{Conn: c, hello: l.hello}, nil
+}
+
+type helloConn struct {
+	net.Conn
+	hello chan struct{}
+	once  sync.Once
+}
+
+func (c *helloConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.once.Do(func() { c.hello <- struct{}{} })
+	return n, err
+}
+
 // TestFailFastWorkerDefersToHealthy: a worker that deterministically fails
-// a shard must not burn the shard's whole attempt budget re-serving its own
-// failure; after one failure it defers, and a healthy worker that joins
-// completes the run.
+// a cell must not burn the cell's whole attempt budget re-serving its own
+// failure; the post-failure pause hands the cell to a parked healthy
+// worker, which completes the run.
 func TestFailFastWorkerDefersToHealthy(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -563,36 +629,43 @@ func TestFailFastWorkerDefersToHealthy(t *testing.T) {
 	jobs := testJobs(t, 100)
 	const base = "coordtest run=failfast"
 
-	failedOnce := make(chan struct{}, 1)
-	broken := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
-		select {
-		case failedOnce <- struct{}{}:
-		default:
+	ln := helloListener{Listener: listen(t), hello: make(chan struct{}, 2)}
+	gotCell := make(chan struct{})
+	healthyParked := make(chan struct{})
+	var brokenCalls atomic.Int32
+	broken := func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
+		if brokenCalls.Add(1) == 1 {
+			close(gotCell)
+			<-healthyParked
 		}
-		return nil, "", 0, fmt.Errorf("deterministically broken worker")
+		return fmt.Errorf("deterministically broken worker")
 	}
-	ln := listen(t)
-	waitBroken := startWorkers(ctx, ln.Addr().String(), broken, 1)
 
-	runDone := make(chan error, 1)
-	var sink analyze.Sink
-	go func() {
-		var err error
-		sink, _, err = Run(ctx, ln, 1, nil, Options{Provenance: base})
-		runDone <- err
-	}()
-	select {
-	case <-failedOnce:
-	case <-ctx.Done():
-		t.Fatal("broken worker never received an assignment")
+	type outcome struct {
+		sink analyze.Sink
+		err  error
 	}
-	waitHealthy := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 1)
-	if err := <-runDone; err != nil {
-		t.Fatalf("run failed despite a healthy worker: %v", err)
+	runDone := make(chan outcome, 1)
+	go func() {
+		sink, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{Provenance: base})
+		runDone <- outcome{sink, err}
+	}()
+	waitBroken := startDynWorkers(ctx, ln.Addr().String(), 0, broken, 1)
+	<-ln.hello
+	<-gotCell
+	// The broken worker holds the cell; admit the healthy worker, and only
+	// then let the broken one report its failure.
+	waitHealthy := startDynWorkers(ctx, ln.Addr().String(), 0, shardRunner(t, b, jobs, base), 1)
+	<-ln.hello
+	close(healthyParked)
+
+	out := <-runDone
+	if out.err != nil {
+		t.Fatalf("run failed despite a healthy worker: %v", out.err)
 	}
 	waitBroken()
 	waitHealthy()
-	raw, err := sink.MarshalBinary()
+	raw, err := out.sink.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,13 +676,13 @@ func TestFailFastWorkerDefersToHealthy(t *testing.T) {
 
 // TestExpectWorkersFailsWhenNoneConnect: with ExpectWorkers armed (the
 // spawn-local mode), a run whose workers never dial in must fail at the
-// shard timeout instead of hanging forever.
+// cell timeout instead of hanging forever.
 func TestExpectWorkersFailsWhenNoneConnect(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	ln := listen(t)
 	start := time.Now()
-	_, _, err := Run(ctx, ln, 1, nil, Options{ShardTimeout: 200 * time.Millisecond, ExpectWorkers: true})
+	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{CellTimeout: 200 * time.Millisecond, ExpectWorkers: true})
 	if err == nil || !strings.Contains(err.Error(), "no active workers") {
 		t.Errorf("worker-less armed run returned %v", err)
 	}
@@ -619,21 +692,21 @@ func TestExpectWorkersFailsWhenNoneConnect(t *testing.T) {
 }
 
 // TestAllWorkersFailedShardBurnsBudget is the anti-livelock guard: when
-// every connected worker has failed a shard, nobody defers — the shard is
-// re-served until the attempt budget terminates the run with the budget
-// error, in bounded time, even with no ShardTimeout set.
+// every connected worker fails a cell, the cell is re-served until the
+// attempt budget terminates the run with the budget error, in bounded
+// time, even with no CellTimeout set.
 func TestAllWorkersFailedShardBurnsBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	broken := func(ctx context.Context, a Assignment) (analyze.Sink, string, int, error) {
-		return nil, "", 0, fmt.Errorf("broken everywhere")
+	broken := func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
+		return fmt.Errorf("broken everywhere")
 	}
 	ln := listen(t)
-	wait := startWorkers(ctx, ln.Addr().String(), broken, 2)
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, broken, 2)
 	start := time.Now()
-	_, _, err := Run(ctx, ln, 1, nil, Options{MaxAttempts: 4})
+	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{MaxAttempts: 4})
 	if err == nil || !strings.Contains(err.Error(), "budget spent") {
-		t.Errorf("universally-failing shard returned %v", err)
+		t.Errorf("universally-failing cell returned %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Errorf("budget exhaustion took %v (livelock?)", elapsed)
@@ -642,7 +715,8 @@ func TestAllWorkersFailedShardBurnsBudget(t *testing.T) {
 }
 
 // TestHandshakeFrameCapped: an unauthenticated peer claiming a huge hello
-// frame must be rejected without the coordinator allocating it.
+// frame must be dropped at once, without the coordinator allocating the
+// frame or waiting out its handshake timeout.
 func TestHandshakeFrameCapped(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -651,33 +725,37 @@ func TestHandshakeFrameCapped(t *testing.T) {
 	const base = "coordtest run=hugehello"
 
 	ln := listen(t)
+	type outcome struct {
+		sink analyze.Sink
+		err  error
+	}
+	runDone := make(chan outcome, 1)
 	go func() {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Frame header claiming a 256 MiB hello, then silence: the
-		// coordinator must drop us, not allocate and wait.
-		hdr := []byte{msgHello, 0x00, 0x00, 0x00, 0x10}
-		conn.Write(hdr)
-		// Hold the conn open; the run below must complete regardless.
-		buf := make([]byte, 1)
-		conn.Read(buf)
+		sink, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{Provenance: base})
+		runDone <- outcome{sink, err}
 	}()
-	wait := startWorkers(ctx, ln.Addr().String(), testRunner(t, b, jobs, base), 1)
-	start := time.Now()
-	sink, _, err := Run(ctx, ln, 1, nil, Options{Provenance: base})
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait()
-	if sink == nil {
-		t.Fatal("no sink")
+	// Frame header claiming a 256 MiB hello, then silence: the coordinator
+	// must hang up, not allocate and wait.
+	start := time.Now()
+	conn.Write([]byte{msgHello, 0x00, 0x00, 0x00, 0x10})
+	readUntilClosed(conn)
+	conn.Close()
+	if elapsed := time.Since(start); elapsed > handshakeTimeout/3 {
+		t.Errorf("huge-hello peer held its handler for %v", elapsed)
 	}
-	// The bogus peer must not have pinned the run for its handshakeTimeout.
-	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Errorf("huge-hello peer stalled the run for %v", elapsed)
+
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, shardRunner(t, b, jobs, base), 1)
+	out := <-runDone
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	wait()
+	if out.sink == nil {
+		t.Fatal("no sink")
 	}
 }
 
@@ -685,7 +763,7 @@ func TestHandshakeFrameCapped(t *testing.T) {
 // payload allocation or read.
 func TestReadFrameCapped(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgHello, encodeHello()); err != nil {
+	if err := writeFrame(&buf, msgHello, encodeHello(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readFrameCapped(bytes.NewReader(buf.Bytes()), maxHelloFrame); err != nil {

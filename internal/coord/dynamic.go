@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -12,26 +13,61 @@ import (
 	"repro/internal/analyze"
 )
 
-// DynamicOptions tunes a work-stealing (RunDynamic) run. The zero value is
-// usable: no per-cell deadline, DefaultMaxAttempts attempts per cell, no
-// span cap, provenance bases required to agree but not pinned.
+// DefaultMaxAttempts is the per-cell assignment budget when DynamicOptions
+// leaves MaxAttempts zero: the first attempt plus two retries.
+const DefaultMaxAttempts = 3
+
+// handshakeTimeout bounds the hello exchange, so a stray connection (port
+// scanner, misdirected client) cannot pin a handler goroutine.
+const handshakeTimeout = 30 * time.Second
+
+// failedShardBackoff is how long a handler sits out after its worker
+// reports a failure: the requeued span goes to any other parked worker (a
+// parked channel receiver gets it directly), so one deterministically
+// broken worker cannot burn a cell's whole attempt budget in microseconds
+// while healthy workers are busy. If the worker is truly alone it re-takes
+// the span after the pause and the budget still bounds total failures.
+const failedShardBackoff = 100 * time.Millisecond
+
+// ErrDuplicateShard reports a snapshot offered for a cell that has already
+// been folded — the at-most-once guard. The coordinator drops duplicates
+// (the retried cell is byte-identical by determinism); callers folding
+// snapshots by hand can test for it with errors.Is.
+var ErrDuplicateShard = errors.New("coord: duplicate snapshot for an already-folded shard")
+
+// DynamicOptions tunes a RunDynamic run. The zero value is usable: no
+// per-cell deadline, DefaultMaxAttempts attempts per cell, no span cap,
+// provenance bases required to agree across cells but not pinned.
 type DynamicOptions struct {
 	// CellTimeout is the per-cell progress deadline: a worker that delivers
 	// neither a cell result nor a failure within it is abandoned, and the
 	// un-received tail of its range is re-split and requeued for other
-	// workers to steal. It also arms the stall detector (see
-	// Options.ShardTimeout). Zero disables both.
+	// workers to steal. It also arms the stall detector: once any worker
+	// has connected, a run with cells pending, no range in flight, and no
+	// progress for a whole CellTimeout fails with an error instead of
+	// waiting forever on workers that are all gone. Zero disables both — a
+	// hung or vanished worker then hangs the run, so set it whenever
+	// workers can die.
 	CellTimeout time.Duration
-	// MaxAttempts bounds assignments per cell (first included). Zero means
-	// DefaultMaxAttempts.
+	// MaxAttempts bounds assignments per cell (first included). When a
+	// cell exhausts it, the run fails. Zero means DefaultMaxAttempts.
 	MaxAttempts int
-	// ExpectWorkers arms the stall detector from the start (spawn-local
-	// mode); see Options.ExpectWorkers.
+	// ExpectWorkers arms the stall detector from the start instead of
+	// waiting for the first connection. Set it when the caller spawns the
+	// workers itself, where failing to connect at all is itself a stall;
+	// leave it false for connect-out runs that may legitimately idle until
+	// an operator starts workers elsewhere.
 	ExpectWorkers bool
-	// Provenance, when non-empty, pins the run base every cell snapshot must
-	// carry; see Options.Provenance.
+	// Provenance, when non-empty, is the run-identifying base every cell
+	// snapshot's provenance must carry (analyze.MetaBase); mismatches are
+	// treated as worker failures and retried elsewhere. When empty, the
+	// first accepted snapshot's base becomes the requirement.
 	Provenance string
-	// NewSink builds the empty fold base; see Options.NewSink.
+	// NewSink, when set, builds the empty aggregate the cell sinks merge
+	// into — the exact fold shape of analyze.FoldSinks. When nil, the
+	// lowest cell's sink is the fold base (the shape of `paibench -merge`).
+	// Both shapes produce identical bytes; NewSink also lets the caller pin
+	// the expected sink type.
 	NewSink func() (analyze.Sink, error)
 	// MaxSpan caps the number of cells in one assignment regardless of the
 	// capacity weighting. Zero means no cap.
@@ -66,13 +102,18 @@ type span struct{ lo, hi int }
 // other workers. The per-cell snapshots fold in cell order with the exact
 // analyze merge, so the result is byte-identical to a single-process run
 // over the same grid no matter how the cells were distributed, stolen, or
-// retried. It returns the merged sink, per-cell job counts, and scheduler
-// statistics; the listener is closed on return.
+// retried. A static sharded run is the same call with cell i standing for
+// shard i. It returns the merged sink, per-cell job counts, and scheduler
+// statistics once every cell is folded, a cell exhausts its attempt budget,
+// or ctx is cancelled; the listener is closed on return.
 func RunDynamic(ctx context.Context, ln net.Listener, cells int, payload []byte, opts DynamicOptions) (analyze.Sink, []int, DynamicStats, error) {
 	if ln == nil {
 		return nil, nil, DynamicStats{}, fmt.Errorf("coord: RunDynamic with nil listener")
 	}
 	if cells < 1 {
+		// The contract is "listener closed on return" even for early
+		// errors: a caller that already pointed workers at ln must not be
+		// left with them blocked on a live socket.
 		ln.Close()
 		return nil, nil, DynamicStats{}, fmt.Errorf("coord: RunDynamic with %d cells", cells)
 	}
@@ -164,6 +205,11 @@ type dynState struct {
 	failure   error
 	stats     DynamicStats
 
+	// Stall detection: a requeued span sitting in the work queue has no
+	// per-attempt deadline, so if every worker is gone the run would wait
+	// forever. everConnected arms the detector (a coordinator may
+	// legitimately idle indefinitely before the first worker dials in);
+	// lastProgress advances on every connect, assignment, requeue and fold.
 	everConnected bool
 	lastProgress  time.Time
 }
@@ -198,6 +244,7 @@ func newDynState(ctx context.Context, cells int, payload []byte, opts DynamicOpt
 	return st
 }
 
+// finish records the run outcome once and releases every waiter.
 func (st *dynState) finish(err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -213,6 +260,23 @@ func (st *dynState) finishLocked(err error) {
 	close(st.done)
 }
 
+// connState tracks what a handler is doing with its connection, so teardown
+// can force-close only connections that are blocked in a read (handshake or
+// awaiting a cell result). Idle handlers are left alone to deliver the
+// final done or abort message without racing a concurrent Close.
+type connState int8
+
+const (
+	connHandshake connState = iota
+	connIdle
+	connBusy
+)
+
+// beginHandler registers a new connection and charges the handler
+// WaitGroup — or reports false when the run has already finished, so no
+// handler can start (and thus Add can never race the teardown Wait: the
+// Add and the finish are serialized by the mutex, and Wait runs only after
+// finish).
 func (st *dynState) beginHandler(conn net.Conn) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -234,6 +298,7 @@ func (st *dynState) untrack(conn net.Conn) {
 	conn.Close()
 }
 
+// setIdle marks a handler as not blocked on its worker.
 func (st *dynState) setIdle(conn net.Conn) {
 	st.mu.Lock()
 	if _, ok := st.conns[conn]; ok {
@@ -242,6 +307,9 @@ func (st *dynState) setIdle(conn net.Conn) {
 	st.mu.Unlock()
 }
 
+// setBusy marks a handler as about to block reading its worker — unless the
+// run already finished, in which case it reports false and the handler must
+// bail out (its connection may be force-closed at any moment).
 func (st *dynState) setBusy(conn net.Conn) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -254,6 +322,8 @@ func (st *dynState) setBusy(conn net.Conn) bool {
 	return true
 }
 
+// closeConns unblocks handlers stuck reading dead or slow workers at
+// teardown. Idle connections are spared so their handlers can send done.
 func (st *dynState) closeConns() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -312,13 +382,15 @@ func (st *dynState) target(conn net.Conn) int {
 
 // beginSpan charges one attempt for every cell of [lo, hi) and returns the
 // highest per-cell attempt number — or an error when some cell's budget is
-// already spent, which fails the run.
-func (st *dynState) beginSpan(lo, hi int) (int, error) {
+// already spent, which fails the run. A failing conn is marked idle in the
+// same critical section, so teardown leaves it open for the abort.
+func (st *dynState) beginSpan(conn net.Conn, lo, hi int) (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	maxAttempt := 0
 	for i := lo; i < hi; i++ {
 		if st.attempts[i] >= st.opts.MaxAttempts {
+			st.conns[conn] = connIdle
 			st.finishLocked(fmt.Errorf("coord: cell %d failed %d attempt(s), budget spent", i, st.attempts[i]))
 			return 0, st.failure
 		}
@@ -394,6 +466,10 @@ func (st *dynState) offer(cell int, snapshot []byte, jobs int) error {
 	return nil
 }
 
+// checkStalled fails the run when cells are pending, no worker is busy,
+// and nothing has progressed for a whole CellTimeout — the state a run
+// reaches when every worker died and their spans sit requeued with nobody
+// to take them (a queued span has no per-attempt deadline of its own).
 func (st *dynState) checkStalled(timeout time.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -427,7 +503,7 @@ func (st *dynState) serve(conn net.Conn) {
 		st.opts.Logf("coord: %s: handshake rejected (%v)", conn.RemoteAddr(), herr)
 		return
 	}
-	if err := writeFrame(conn, msgHello, encodeHello()); err != nil {
+	if err := writeFrame(conn, msgHello, encodeHello(0)); err != nil {
 		return
 	}
 	conn.SetDeadline(time.Time{})
@@ -443,14 +519,7 @@ func (st *dynState) serve(conn net.Conn) {
 				return
 			}
 		case <-st.done:
-			st.mu.Lock()
-			failure := st.failure
-			st.mu.Unlock()
-			if failure != nil {
-				writeFrame(conn, msgAbort, encodeAbort(failure.Error()))
-			} else {
-				writeFrame(conn, msgDone, nil)
-			}
+			st.sendOutcome(conn)
 			return
 		case <-st.ctx.Done():
 			return
@@ -461,8 +530,9 @@ func (st *dynState) serve(conn net.Conn) {
 			st.requeue(s.lo+t, s.hi, false, false)
 			s.hi = s.lo + t
 		}
-		attempt, err := st.beginSpan(s.lo, s.hi)
+		attempt, err := st.beginSpan(conn, s.lo, s.hi)
 		if err != nil {
+			st.sendOutcome(conn)
 			return
 		}
 		a := RangeAssignment{
@@ -479,10 +549,14 @@ func (st *dynState) serve(conn net.Conn) {
 			return
 		}
 		// Collect one frame per cell, resetting the progress deadline after
-		// each — a straggler is detected per cell, not per range.
+		// each — a straggler is detected per cell, not per range. next is
+		// the first cell not yet received: every requeue starts there.
 		next := s.lo
 	collect:
 		for next < s.hi {
+			if !st.setBusy(conn) {
+				return // the run is over; nothing left to requeue
+			}
 			if st.opts.CellTimeout > 0 {
 				conn.SetReadDeadline(time.Now().Add(st.opts.CellTimeout))
 			}
@@ -498,6 +572,10 @@ func (st *dynState) serve(conn net.Conn) {
 				st.requeue(next, s.hi, stolen, true)
 				return
 			}
+			// The frame is in hand: this handler is no longer blocked on the
+			// network, so teardown must not force-close the connection out
+			// from under the done message the final cell's fold triggers.
+			st.setIdle(conn)
 			switch typ {
 			case msgResult:
 				cell, _, jobs, snapshot, derr := decodeResult(p)
@@ -522,8 +600,10 @@ func (st *dynState) serve(conn net.Conn) {
 					st.requeue(next, s.hi, false, true)
 					return
 				}
-				st.opts.Logf("coord: worker %s reports at cell %d: %s; requeueing [%d, %d)", conn.RemoteAddr(), failCell, msg, failCell, s.hi)
-				st.requeue(failCell, s.hi, false, false)
+				// Requeue from next, not failCell: a report naming a later
+				// cell must not strand the cells it skipped.
+				st.opts.Logf("coord: worker %s reports at cell %d: %s; requeueing [%d, %d)", conn.RemoteAddr(), failCell, msg, next, s.hi)
+				st.requeue(next, s.hi, false, false)
 				// The worker is alive and spoke the protocol; pause briefly
 				// before it pulls again so another parked worker can take
 				// the requeued span first.
@@ -541,6 +621,21 @@ func (st *dynState) serve(conn net.Conn) {
 		}
 		conn.SetReadDeadline(time.Time{})
 	}
+}
+
+// sendOutcome tells an idle worker how the run ended: done, or the failure
+// relayed as an abort so `paibench -worker` processes exit non-zero instead
+// of reporting a clean completion. Best effort: a vanished worker cannot
+// read it anyway.
+func (st *dynState) sendOutcome(conn net.Conn) {
+	st.mu.Lock()
+	failure := st.failure
+	st.mu.Unlock()
+	if failure != nil {
+		writeFrame(conn, msgAbort, encodeAbort(failure.Error()))
+		return
+	}
+	writeFrame(conn, msgDone, nil)
 }
 
 // fold merges the per-cell sinks in cell order — the identical fold shape

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/analyze"
 	"repro/internal/backend"
+	"repro/internal/binenc"
 	"repro/internal/workload"
 )
 
@@ -98,7 +100,9 @@ func startDynWorkers(ctx context.Context, addr string, hint float64, run RangeRu
 
 // TestRunDynamicMatchesDirectFold: the work-stealing scheduler over loopback
 // TCP must fold to bytes identical to the in-process cell merge, whatever
-// span shapes the workers happened to pull.
+// span shapes the workers happened to pull. The pull barrier keeps all
+// three workers admitted until each holds a span, so every one of them
+// ends with a clean done.
 func TestRunDynamicMatchesDirectFold(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -108,7 +112,7 @@ func TestRunDynamicMatchesDirectFold(t *testing.T) {
 	const base = "dyntest run=1"
 
 	ln := listen(t)
-	wait := startDynWorkers(ctx, ln.Addr().String(), 0, testRangeRunner(t, b, jobs, base, nil), 3)
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, pullBarrier(3, testRangeRunner(t, b, jobs, base, nil)), 3)
 	sink, counts, stats, err := RunDynamic(ctx, ln, cells, []byte("payload"), DynamicOptions{Provenance: base})
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +132,8 @@ func TestRunDynamicMatchesDirectFold(t *testing.T) {
 	if stats.Workers != 3 {
 		t.Errorf("stats.Workers = %d, want 3", stats.Workers)
 	}
-	if stats.Assignments < 2 {
-		t.Errorf("stats.Assignments = %d; capacity halving should force multiple pulls", stats.Assignments)
+	if stats.Assignments < 3 {
+		t.Errorf("stats.Assignments = %d, want at least one span per worker", stats.Assignments)
 	}
 	raw, err := sink.MarshalBinary()
 	if err != nil {
@@ -229,33 +233,7 @@ func TestRunDynamicWorkerDeathRequeues(t *testing.T) {
 	ln := listen(t)
 	assigned := make(chan RangeAssignment, 1)
 	// Crash worker: handshakes, takes one range, dies silently.
-	go func() {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer conn.Close()
-		if err := writeFrame(conn, msgHello, encodeHello()); err != nil {
-			t.Error(err)
-			return
-		}
-		if _, _, err := readFrame(conn); err != nil {
-			t.Error(err)
-			return
-		}
-		typ, p, err := readFrame(conn)
-		if err != nil || typ != msgRange {
-			t.Errorf("crash worker got %q frame, err %v", typ, err)
-			return
-		}
-		a, err := decodeRange(p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		assigned <- a
-	}()
+	go crashAfterAssign(t, ln.Addr().String(), assigned)
 
 	type outcome struct {
 		sink analyze.Sink
@@ -286,31 +264,111 @@ func TestRunDynamicWorkerDeathRequeues(t *testing.T) {
 	}
 }
 
-// TestRunDynamicBudgetExhaustionFailsRun: a cell that keeps failing must
-// fail the run with the budget named, in bounded time, and idle workers must
-// see the abort.
+// TestRunDynamicBudgetExhaustionFailsRun: one cell that keeps failing in
+// the middle of a grid whose other cells fold fine must fail the run with
+// that cell's budget named, in bounded time, and the worker must see the
+// abort.
 func TestRunDynamicBudgetExhaustionFailsRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	broken := func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
-		return fmt.Errorf("always broken")
+	b := testBackend(t)
+	jobs := testJobs(t, 120)
+	const cells = 4
+	const base = "dyntest run=budget"
+
+	healthy := testRangeRunner(t, b, jobs, base, nil)
+	brokenAt2 := func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
+		if a.Lo <= 2 && 2 < a.Hi {
+			if err := healthy(ctx, RangeAssignment{Cells: a.Cells, Lo: a.Lo, Hi: 2}, emit); err != nil {
+				return err
+			}
+			return fmt.Errorf("cell 2 is always broken")
+		}
+		return healthy(ctx, a, emit)
 	}
 	ln := listen(t)
-	wait := startDynWorkers(ctx, ln.Addr().String(), 0, broken, 1)
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, brokenAt2, 1)
 	start := time.Now()
-	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{MaxAttempts: 2})
-	if err == nil || !strings.Contains(err.Error(), "budget spent") {
+	_, _, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{Provenance: base, MaxAttempts: 2})
+	if err == nil || !strings.Contains(err.Error(), "cell 2 failed 2 attempt(s), budget spent") {
 		t.Errorf("exhausted retries returned %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Errorf("budget exhaustion took %v", elapsed)
 	}
-	// The worker must not mistake the failed run for a clean done: it sees
-	// either the relayed abort or the torn-down connection, never nil.
 	for _, werr := range wait() {
-		if werr == nil {
-			t.Error("worker saw a failed run as clean")
+		if werr == nil || !strings.Contains(werr.Error(), "aborted") {
+			t.Errorf("worker saw a failed run as anything but an abort: %v", werr)
 		}
+	}
+}
+
+// TestRunDynamicFailureRequeuesSkippedCells: a failure report naming a
+// cell past the first un-received one must requeue from the first
+// un-received cell. Requeueing from the named cell would strand the cells
+// in between — neither folded nor queued — and with no CellTimeout the
+// run would never finish.
+func TestRunDynamicFailureRequeuesSkippedCells(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	b := testBackend(t)
+	jobs := testJobs(t, 160)
+	const cells = 4
+	const base = "dyntest run=skip"
+
+	ln := listen(t)
+	type outcome struct {
+		sink analyze.Sink
+		err  error
+	}
+	runDone := make(chan outcome, 1)
+	go func() {
+		sink, _, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{Provenance: base})
+		runDone <- outcome{sink, err}
+	}()
+
+	// The lone fake worker pulls [0, 2), half the backlog.
+	conn, a, err := dialRange(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if a.Lo != 0 || a.Hi != 2 {
+		t.Fatalf("lone worker pulled [%d, %d), want [0, 2)", a.Lo, a.Hi)
+	}
+	// A healthy worker folds the rest of the grid first.
+	lastDone := make(chan struct{})
+	healthy := testRangeRunner(t, b, jobs, base, nil)
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
+		err := healthy(ctx, a, emit)
+		if a.Hi == cells {
+			close(lastDone)
+		}
+		return err
+	}, 1)
+	<-lastDone
+	// Report a failure at cell 1 without ever sending cell 0.
+	if err := writeFrame(conn, msgFail, encodeFail(1, a.Attempt, "injected")); err != nil {
+		t.Fatal(err)
+	}
+	// Whatever the fake is handed next, it dies; the healthy worker must
+	// end up with cells 0 and 1.
+	go func() {
+		readFrame(conn)
+		conn.Close()
+	}()
+
+	out := <-runDone
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	wait()
+	raw, err := out.sink.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, directCellFoldBytes(t, b, jobs, cells)) {
+		t.Error("fold after a skipping failure report is not byte-identical to the direct cell merge")
 	}
 }
 
@@ -405,15 +463,26 @@ func TestDynamicTargetCapacityWeighting(t *testing.T) {
 // TestHelloHintRoundTrip: the hint rides the handshake without moving the
 // protocol version, and hint-less hellos still decode.
 func TestHelloHintRoundTrip(t *testing.T) {
-	hint, err := decodeHello(encodeHelloHint(1234.5))
+	hint, err := decodeHello(encodeHello(1234.5))
 	if err != nil || hint != 1234.5 {
 		t.Errorf("decodeHello(hinted) = %v, %v", hint, err)
 	}
-	hint, err = decodeHello(encodeHello())
+	hint, err = decodeHello(encodeHello(0))
 	if err != nil || hint != 0 {
 		t.Errorf("decodeHello(plain) = %v, %v", hint, err)
 	}
-	if len(encodeHelloHint(5e6)) > maxHelloFrame {
+	// A non-finite hint would turn every worker's capacity share into NaN;
+	// it decodes as absent.
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -5} {
+		w := binenc.NewWriter(24)
+		w.Str(protoMagic)
+		w.U8(protoVersion)
+		w.F64(bad)
+		if hint, err := decodeHello(w.Bytes()); err != nil || hint != 0 {
+			t.Errorf("decodeHello(hint %v) = %v, %v; want 0, nil", bad, hint, err)
+		}
+	}
+	if len(encodeHello(5e6)) > maxHelloFrame {
 		t.Error("hinted hello exceeds the handshake frame cap")
 	}
 }
@@ -428,6 +497,18 @@ func TestRangeAssignmentRoundTrip(t *testing.T) {
 	if got.Cells != a.Cells || got.Lo != a.Lo || got.Hi != a.Hi || got.Attempt != a.Attempt ||
 		got.Provenance != a.Provenance || !bytes.Equal(got.Payload, a.Payload) {
 		t.Errorf("round trip changed the assignment: %+v != %+v", got, a)
+	}
+	// Grid positions and attempts are scalars, not counts of the bytes that
+	// follow: an empty provenance and payload must not cap them.
+	bare := RangeAssignment{Cells: 1000, Lo: 500, Hi: 900, Attempt: 7}
+	if got, err := decodeRange(encodeRange(bare)); err != nil || got.Cells != 1000 || got.Lo != 500 || got.Hi != 900 || got.Attempt != 7 {
+		t.Errorf("bare range round trip = %+v, %v", got, err)
+	}
+	if cell, attempt, jobs, _, err := decodeResult(encodeResult(999, 4, 100000, nil)); err != nil || cell != 999 || attempt != 4 || jobs != 100000 {
+		t.Errorf("bare result round trip = %d, %d, %d, %v", cell, attempt, jobs, err)
+	}
+	if cell, attempt, _, err := decodeFail(encodeFail(999, 4, "")); err != nil || cell != 999 || attempt != 4 {
+		t.Errorf("bare failure round trip = %d, %d, %v", cell, attempt, err)
 	}
 	for _, bad := range []RangeAssignment{
 		{Cells: 0, Lo: 0, Hi: 1},

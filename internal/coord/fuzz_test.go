@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro/internal/analyze"
 )
 
 // fuzzSeedFrames builds a corpus of well-formed protocol traffic: hello,
-// an assignment, a result carrying a real checksummed snapshot, a failure
+// a range assignment, a result carrying a real checksummed snapshot, a failure
 // report, done, and truncations of each.
 func fuzzSeedFrames(f *testing.F) [][]byte {
 	f.Helper()
@@ -28,8 +30,8 @@ func fuzzSeedFrames(f *testing.F) [][]byte {
 		}
 		frames = append(frames, buf.Bytes())
 	}
-	add(msgHello, encodeHello())
-	add(msgAssign, encodeAssign(Assignment{Shards: 2, Index: 0, Attempt: 1, Provenance: "fuzz run", Payload: []byte("spec")}))
+	add(msgHello, encodeHello(0))
+	add(msgRange, encodeRange(RangeAssignment{Cells: 2, Lo: 0, Hi: 2, Attempt: 1, Provenance: "fuzz run", Payload: []byte("spec")}))
 	add(msgResult, encodeResult(0, 1, n, snap))
 	add(msgFail, encodeFail(0, 1, "boom"))
 	add(msgDone, nil)
@@ -67,10 +69,10 @@ func FuzzReadFrameStream(f *testing.F) {
 				switch typ {
 				case msgHello:
 					decodeHello(payload)
-				case msgAssign:
-					if a, err := decodeAssign(payload); err == nil {
-						if a.Shards < 1 || a.Index < 0 || a.Index >= a.Shards {
-							t.Fatalf("decodeAssign accepted invalid grid %d/%d", a.Index, a.Shards)
+				case msgRange:
+					if a, err := decodeRange(payload); err == nil {
+						if a.Cells < 1 || a.Lo < 0 || a.Lo >= a.Hi || a.Hi > a.Cells {
+							t.Fatalf("decodeRange accepted invalid span [%d, %d) of %d", a.Lo, a.Hi, a.Cells)
 						}
 					}
 				case msgResult:
@@ -93,37 +95,52 @@ func FuzzReadFrameStream(f *testing.F) {
 	})
 }
 
-// FuzzWorkerAssignStream drives the worker-side decode path with arbitrary
-// coordinator bytes: the worker must reject garbage with an error, never
-// run an invalid assignment.
-func FuzzWorkerAssignStream(f *testing.F) {
-	for _, frame := range fuzzSeedFrames(f) {
-		f.Add(frame)
-	}
+// FuzzWorkerRangeStream feeds arbitrary coordinator bytes to the real
+// worker loop, ServeRangeConn, over an in-memory pipe: the input is the
+// whole coordinator-to-worker stream, hello included. The worker must never
+// panic, must hand its runner only spans with 0 <= Lo < Hi <= Cells, and
+// must return once the stream ends.
+func FuzzWorkerRangeStream(f *testing.F) {
+	frames := fuzzSeedFrames(f)
+	hello, rng, result, fail, done := frames[0], frames[1], frames[2], frames[3], frames[4]
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	f.Add(cat(hello, rng, done))
+	f.Add(cat(hello, rng, rng, done))
+	f.Add(cat(hello, rng[:len(rng)-1]))
+	f.Add(cat(hello, result, fail))
+	f.Add(cat(hello))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := readFrame(bytes.NewReader(data))
-		if err != nil || typ != msgAssign {
-			return
-		}
-		a, err := decodeAssign(payload)
-		if err != nil {
-			return
-		}
-		ran := false
-		run := func(ctx context.Context, got Assignment) (analyze.Sink, string, int, error) {
-			ran = true
-			if got.Index != a.Index || got.Shards != a.Shards {
-				t.Fatalf("assignment mutated in transit: %+v vs %+v", got, a)
+		coordSide, workerSide := net.Pipe()
+		defer coordSide.Close()
+		go io.Copy(io.Discard, coordSide) // whatever the worker sends back
+		go func() {
+			coordSide.Write(data)
+			coordSide.Close() // end of stream
+		}()
+		run := func(ctx context.Context, a RangeAssignment, emit func(int, analyze.Sink, string, int) error) error {
+			if a.Lo < 0 || a.Lo >= a.Hi || a.Hi > a.Cells {
+				t.Errorf("runner handed invalid span [%d, %d) of %d", a.Lo, a.Hi, a.Cells)
+				return nil
 			}
-			return analyze.NewBreakdownAccumulator(), analyze.ShardMeta(got.Provenance, got.Index), 0, nil
+			// Emit at most two cells: a fuzzed span can name billions.
+			for cell := a.Lo; cell < a.Hi && cell < a.Lo+2; cell++ {
+				if err := emit(cell, analyze.NewBreakdownAccumulator(), analyze.ShardMeta(a.Provenance, cell), 0); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		sink, meta, _, err := run(context.Background(), a)
-		if err != nil || !ran {
-			t.Fatalf("runner did not run: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := analyze.WriteSnapshotMeta(&buf, sink, meta); err != nil {
-			t.Fatalf("valid assignment produced unencodable snapshot: %v", err)
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			ServeRangeConn(context.Background(), workerSide, 0, run)
+			workerSide.Close()
+		}()
+		select {
+		case <-served:
+		case <-time.After(10 * time.Second):
+			t.Fatal("worker did not return after the coordinator stream ended")
 		}
 	})
 }

@@ -1,25 +1,27 @@
-// Package coord runs one logical sharded evaluation across networked
-// workers: a coordinator listens on TCP, hands out shard assignments, reads
-// each worker's sink snapshot back over the connection, and folds the
-// shards with the exact analyze merge. Workers dial in (spawn-local or from
-// other machines), evaluate their partition, and stream the snapshot back —
-// no shared filesystem, no snapshot files.
+// Package coord runs one logical evaluation across networked workers over
+// a deterministic grid of cells: a coordinator listens on TCP, hands out
+// contiguous cell ranges sized by each worker's advertised throughput,
+// reads one sink snapshot per cell back over the connection, and folds the
+// cells in cell order with the exact analyze merge. Workers dial in
+// (spawn-local or from other machines), evaluate their cells, and stream
+// the snapshots back — no shared filesystem, no snapshot files. A static
+// sharded run is the grid with one cell per shard.
 //
-// The coordinator tolerates failure: a per-shard deadline and
-// connection-loss detection requeue the shard to another worker (bounded
-// attempts), and the fold is at-most-once per shard, guarded by the shard
-// provenance already carried inside every snapshot. Because per-shard folds
-// and the shard-index fold order are deterministic, a run that lost and
-// retried workers still merges byte-identically to the single-process
-// sharded run.
+// The coordinator tolerates failure: a per-cell progress deadline and
+// connection-loss detection requeue a range's un-received tail for other
+// workers to steal (bounded attempts per cell), and the fold is
+// at-most-once per cell, guarded by the provenance already carried inside
+// every snapshot. Because per-cell folds and the cell fold order are
+// deterministic, a run that lost, stole from, and retried workers still
+// merges byte-identically to the single-process run over the same grid.
 //
 // Wire protocol. Every message is one length-framed unit:
 //
 //	frame   := type(u8) length(u32le) payload
-//	hello   := 'H' ("PAICOORD", version)          both directions, first
-//	assign  := 'A' (shards, index, attempt, provenance, payload)
-//	result  := 'R' (index, attempt, jobs, snapshot)
-//	fail    := 'F' (index, attempt, message)
+//	hello   := 'H' ("PAICOORD", version, [hint])  both directions, first
+//	range   := 'G' (cells, lo, hi, attempt, provenance, payload)
+//	result  := 'R' (cell, attempt, jobs, snapshot)  one per cell, in order
+//	fail    := 'F' (cell, attempt, message)
 //	done    := 'D' ()
 //	abort   := 'X' (message)
 //
@@ -35,6 +37,7 @@ package coord
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/binenc"
 )
@@ -42,7 +45,6 @@ import (
 // Message types. The type byte leads every frame.
 const (
 	msgHello  byte = 'H'
-	msgAssign byte = 'A'
 	msgRange  byte = 'G'
 	msgResult byte = 'R'
 	msgFail   byte = 'F'
@@ -117,17 +119,12 @@ func readFrameCapped(r io.Reader, max uint32) (byte, []byte, error) {
 	return typ, payload, nil
 }
 
-// encodeHello builds the handshake payload.
-func encodeHello() []byte {
-	return encodeHelloHint(0)
-}
-
-// encodeHelloHint builds a handshake payload carrying the sender's
+// encodeHello builds a handshake payload carrying the sender's
 // throughput hint (jobs/sec a worker expects to sustain; zero means
 // unknown). The hint rides after the fixed fields, where pre-hint peers
 // never look — decodeHello has always tolerated trailing bytes — so the
 // protocol version did not move.
-func encodeHelloHint(hint float64) []byte {
+func encodeHello(hint float64) []byte {
 	w := binenc.NewWriter(24)
 	w.Str(protoMagic)
 	w.U8(protoVersion)
@@ -139,7 +136,8 @@ func encodeHelloHint(hint float64) []byte {
 
 // decodeHello verifies a handshake payload and returns the peer's
 // throughput hint (zero when absent or meaningless — a hello without the
-// trailing field is a valid pre-hint peer).
+// trailing field is a valid pre-hint peer; a negative or non-finite hint
+// would poison every worker's capacity share).
 func decodeHello(p []byte) (float64, error) {
 	r := binenc.NewReader(p)
 	magic := r.Str()
@@ -157,62 +155,21 @@ func decodeHello(p []byte) (float64, error) {
 	if r.Len() >= 8 {
 		hint = r.F64()
 	}
-	if r.Err() != nil || hint < 0 || hint != hint {
+	if r.Err() != nil || hint < 0 || math.IsInf(hint, 0) || math.IsNaN(hint) {
 		hint = 0
 	}
 	return hint, nil
 }
 
-// Assignment is one unit of work a coordinator hands a worker: evaluate
-// shard Index of a Shards-wide grid. Payload is the opaque run description
-// the worker's Runner interprets (paibench encodes its full benchmark
-// parameterization; library users close over their own). Provenance is the
-// run-identifying base string the worker must stamp into its snapshot (see
-// analyze.ShardMeta); Attempt counts assignments of this shard, 1-based.
-type Assignment struct {
-	Shards     int
-	Index      int
-	Attempt    int
-	Provenance string
-	Payload    []byte
-}
-
-// encodeAssign builds an assign payload.
-func encodeAssign(a Assignment) []byte {
-	w := binenc.NewWriter(32 + len(a.Provenance) + len(a.Payload))
-	w.Int(a.Shards)
-	w.Int(a.Index)
-	w.Int(a.Attempt)
-	w.Str(a.Provenance)
-	w.Raw(a.Payload)
-	return w.Bytes()
-}
-
-// decodeAssign parses an assign payload.
-func decodeAssign(p []byte) (Assignment, error) {
-	r := binenc.NewReader(p)
-	a := Assignment{
-		Shards:  r.Int(),
-		Index:   r.Int(),
-		Attempt: r.Int(),
-	}
-	a.Provenance = r.Str()
-	a.Payload = r.Raw()
-	if err := r.Err(); err != nil {
-		return Assignment{}, fmt.Errorf("coord: malformed assignment: %w", err)
-	}
-	if a.Shards < 1 || a.Index < 0 || a.Index >= a.Shards {
-		return Assignment{}, fmt.Errorf("coord: assignment names shard %d of %d", a.Index, a.Shards)
-	}
-	return a, nil
-}
-
-// RangeAssignment is one micro-shard of the work-stealing mode: evaluate
-// the contiguous cell span [Lo, Hi) of a Cells-wide partition grid and
-// stream one result frame per cell, in cell order. Payload and Provenance
-// mean what they do in Assignment; Attempt is the highest per-cell attempt
-// number the span carries (every cell's attempt was charged when the span
-// was assigned).
+// RangeAssignment is one unit of work a coordinator hands a worker:
+// evaluate the contiguous cell span [Lo, Hi) of a Cells-wide partition grid
+// and stream one result frame per cell, in cell order. Payload is the
+// opaque run description the worker's RangeRunner interprets (paibench
+// encodes its full benchmark parameterization; library users close over
+// their own). Provenance is the run-identifying base string the worker must
+// stamp into each cell snapshot (see analyze.ShardMeta). Attempt is the
+// highest per-cell attempt number the span carries (every cell's attempt
+// was charged when the span was assigned), 1-based.
 type RangeAssignment struct {
 	Cells      int
 	Lo, Hi     int
@@ -237,10 +194,10 @@ func encodeRange(a RangeAssignment) []byte {
 func decodeRange(p []byte) (RangeAssignment, error) {
 	r := binenc.NewReader(p)
 	a := RangeAssignment{
-		Cells:   r.Int(),
-		Lo:      r.Int(),
-		Hi:      r.Int(),
-		Attempt: r.Int(),
+		Cells:   r.Scalar(),
+		Lo:      r.Scalar(),
+		Hi:      r.Scalar(),
+		Attempt: r.Scalar(),
 	}
 	a.Provenance = r.Str()
 	a.Payload = r.Raw()
@@ -266,9 +223,9 @@ func encodeResult(index, attempt, jobs int, snapshot []byte) []byte {
 // decodeResult parses a result payload.
 func decodeResult(p []byte) (index, attempt, jobs int, snapshot []byte, err error) {
 	r := binenc.NewReader(p)
-	index = r.Int()
-	attempt = r.Int()
-	jobs = r.Int()
+	index = r.Scalar()
+	attempt = r.Scalar()
+	jobs = r.Scalar()
 	snapshot = r.Raw()
 	if err := r.Err(); err != nil {
 		return 0, 0, 0, nil, fmt.Errorf("coord: malformed result: %w", err)
@@ -307,8 +264,8 @@ func encodeFail(index, attempt int, msg string) []byte {
 // decodeFail parses a fail payload.
 func decodeFail(p []byte) (index, attempt int, msg string, err error) {
 	r := binenc.NewReader(p)
-	index = r.Int()
-	attempt = r.Int()
+	index = r.Scalar()
+	attempt = r.Scalar()
 	msg = r.Str()
 	if err := r.Err(); err != nil {
 		return 0, 0, "", fmt.Errorf("coord: malformed failure report: %w", err)

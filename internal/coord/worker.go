@@ -10,44 +10,10 @@ import (
 	"repro/internal/analyze"
 )
 
-// Runner evaluates one shard assignment on the worker side: it interprets
-// a.Payload, streams the shard's partition through an evaluation pipeline,
-// and returns the filled sink, its provenance string (analyze.ShardMeta of
-// the run base and a.Index, so the coordinator can verify and deduplicate),
-// and the number of jobs folded.
-type Runner func(ctx context.Context, a Assignment) (sink analyze.Sink, meta string, jobs int, err error)
-
-// Work dials a coordinator and serves shard assignments with run until the
-// coordinator sends done, the connection drops, or ctx is cancelled. A
-// clean done returns nil; everything else returns the underlying error, so
-// process-level workers can exit non-zero when the run ended without them.
-func Work(ctx context.Context, addr string, run Runner) error {
-	if run == nil {
-		return fmt.Errorf("coord: Work with nil runner")
-	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return fmt.Errorf("coord: dial coordinator: %w", err)
-	}
-	defer conn.Close()
-	// Cancellation unblocks any in-flight read/write by closing the
-	// connection out from under it.
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	if err := ServeConn(ctx, conn, run); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	return nil
-}
-
 // workerHandshake runs the worker side of the hello exchange, advertising
 // hint (zero when unknown).
 func workerHandshake(conn net.Conn, hint float64) error {
-	if err := writeFrame(conn, msgHello, encodeHelloHint(hint)); err != nil {
+	if err := writeFrame(conn, msgHello, encodeHello(hint)); err != nil {
 		return fmt.Errorf("coord: worker hello: %w", err)
 	}
 	typ, p, err := readFrameCapped(conn, maxHelloFrame)
@@ -63,56 +29,10 @@ func workerHandshake(conn net.Conn, hint float64) error {
 	return nil
 }
 
-// ServeConn speaks the worker side of the protocol over an established
-// connection: handshake, then evaluate every assignment until done. Split
-// from Work so tests can drive it over arbitrary transports.
-func ServeConn(ctx context.Context, conn net.Conn, run Runner) error {
-	if err := workerHandshake(conn, 0); err != nil {
-		return err
-	}
-	for {
-		typ, p, err := readFrame(conn)
-		if err != nil {
-			return fmt.Errorf("coord: worker read: %w", err)
-		}
-		switch typ {
-		case msgDone:
-			return nil
-		case msgAbort:
-			msg, derr := decodeAbort(p)
-			if derr != nil {
-				return derr
-			}
-			return fmt.Errorf("coord: run aborted by coordinator: %s", msg)
-		case msgAssign:
-			a, err := decodeAssign(p)
-			if err != nil {
-				return err
-			}
-			sink, meta, jobs, rerr := run(ctx, a)
-			if rerr != nil {
-				if err := writeFrame(conn, msgFail, encodeFail(a.Index, a.Attempt, rerr.Error())); err != nil {
-					return fmt.Errorf("coord: worker report failure: %w", err)
-				}
-				continue
-			}
-			var buf bytes.Buffer
-			if err := analyze.WriteSnapshotMeta(&buf, sink, meta); err != nil {
-				return fmt.Errorf("coord: worker snapshot shard %d: %w", a.Index, err)
-			}
-			if err := writeFrame(conn, msgResult, encodeResult(a.Index, a.Attempt, jobs, buf.Bytes())); err != nil {
-				return fmt.Errorf("coord: worker send shard %d: %w", a.Index, err)
-			}
-		default:
-			return fmt.Errorf("coord: worker got unexpected %q frame", typ)
-		}
-	}
-}
-
-// RangeRunner evaluates one micro-shard range on the worker side: it
-// interprets a.Payload, folds each cell of [a.Lo, a.Hi) into its own fresh
-// sink, and calls emit once per cell, in cell order, the moment that cell's
-// fold completes — streaming, not batched, so the coordinator's per-cell
+// RangeRunner evaluates one cell range on the worker side: it interprets
+// a.Payload, folds each cell of [a.Lo, a.Hi) into its own fresh sink, and
+// calls emit once per cell, in cell order, the moment that cell's fold
+// completes — streaming, not batched, so the coordinator's per-cell
 // deadline observes progress instead of silence. meta must be
 // analyze.ShardMeta(base, cell). An emit error means the connection is gone;
 // return it unwrapped and stop.
@@ -126,10 +46,13 @@ type netErr struct{ error }
 
 func (e netErr) Unwrap() error { return e.error }
 
-// WorkDynamic dials a coordinator's work-stealing run and serves micro-shard
-// range assignments with run until the coordinator finishes. hint is the
-// jobs/sec throughput this worker advertises for capacity-weighted range
-// sizing (zero for unknown). A clean done returns nil.
+// WorkDynamic dials a coordinator and serves cell-range assignments with
+// run until the coordinator finishes. hint is the jobs/sec throughput this
+// worker advertises for capacity-weighted range sizing (zero for unknown).
+// A clean done returns nil; everything else returns the underlying error,
+// so process-level workers can exit non-zero when the run ended without
+// them. Cancelling ctx unblocks any in-flight read or write by closing the
+// connection.
 func WorkDynamic(ctx context.Context, addr string, hint float64, run RangeRunner) error {
 	if run == nil {
 		return fmt.Errorf("coord: WorkDynamic with nil runner")
@@ -151,8 +74,7 @@ func WorkDynamic(ctx context.Context, addr string, hint float64, run RangeRunner
 	return nil
 }
 
-// ServeRangeConn speaks the work-stealing worker protocol over an
-// established connection: handshake (carrying the throughput hint), then one
+// ServeRangeConn speaks the worker protocol over an established connection: handshake (carrying the throughput hint), then one
 // result frame per cell of every range assignment until done. Split from
 // WorkDynamic so tests can drive it over arbitrary transports.
 func ServeRangeConn(ctx context.Context, conn net.Conn, hint float64, run RangeRunner) error {

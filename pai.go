@@ -211,17 +211,6 @@ type (
 	// entry footprint driving byte-budget sizing.
 	CacheStats = evalcache.Stats
 
-	// ShardAssignment is one unit of distributed work a coordinator hands a
-	// worker: shard Index of a Shards-wide grid, with the opaque run Payload
-	// and the run-identifying Provenance base.
-	ShardAssignment = coord.Assignment
-	// CoordinatorOptions tunes a distributed run: per-shard deadline,
-	// per-shard attempt budget, expected provenance base, fold-base factory.
-	CoordinatorOptions = coord.Options
-	// DistributedRunner evaluates one shard assignment on the worker side,
-	// returning the filled sink, its provenance string, and the job count.
-	DistributedRunner = coord.Runner
-
 	// MicroShardAssignment is one work-stealing range assignment: evaluate
 	// the contiguous cell span [Lo, Hi) of a Cells-wide partition grid and
 	// emit one snapshot per cell, in cell order.
@@ -539,42 +528,29 @@ func SnapshotShardIndex(meta string) (index int, ok bool) { return analyze.MetaS
 // run-identifying part every shard of one run must share.
 func SnapshotMetaBase(meta string) string { return analyze.MetaBase(meta) }
 
-// CoordinateShards runs the network coordinator standalone: it serves
-// shard assignments carrying payload to every worker that connects to ln,
-// retries shards lost to worker death or the per-shard deadline, folds the
-// returned snapshots in shard-index order, and returns the merged sink
-// plus per-shard job counts. Engine.EvaluateDistributed wraps it with
-// engine-built local workers; `paibench -coordinate` drives it directly.
-func CoordinateShards(ctx context.Context, ln net.Listener, shards int, payload []byte, opts CoordinatorOptions) (Sink, []int, error) {
-	return coord.Run(ctx, ln, shards, payload, opts)
-}
-
-// ServeShardWorker dials a coordinator and serves shard assignments with
-// run until the coordinator completes the run — the worker half of
-// CoordinateShards for callers that interpret assignment payloads
-// themselves (`paibench -worker` does; library users with a configured
-// Engine can use Engine.DistributedWorker instead).
-func ServeShardWorker(ctx context.Context, addr string, run DistributedRunner) error {
-	return coord.Work(ctx, addr, run)
-}
-
-// CoordinateMicroShards runs the work-stealing coordinator: workers that
-// connect to ln pull contiguous cell ranges of a cells-wide partition grid,
-// sized by their advertised throughput and halved against the pending
-// backlog; a worker that stalls past the per-cell deadline has its
-// in-flight tail re-split and requeued for other workers to steal. Per-cell
-// snapshots fold in cell order, so the merged sink is byte-identical to the
-// single-process Engine.EvaluateIndexedColumns run over the same grid no
-// matter how cells were distributed, stolen, or retried. It returns the
-// merged sink, per-cell job counts, and scheduler statistics.
+// CoordinateMicroShards runs the network coordinator standalone: workers
+// that connect to ln pull contiguous cell ranges of a cells-wide partition
+// grid carrying payload, sized by their advertised throughput and halved
+// against the pending backlog; a worker that dies or stalls past the
+// per-cell deadline has its in-flight tail re-split and requeued for other
+// workers to steal. Per-cell snapshots fold in cell order, so the merged
+// sink is byte-identical to the single-process run over the same grid
+// (Engine.EvaluateIndexedColumns for a trace's cells, EvaluateSourcesInto
+// for N shards as N cells) no matter how cells were distributed, stolen, or
+// retried. It returns the merged sink, per-cell job counts, and scheduler
+// statistics. Engine.EvaluateDistributed wraps it with engine-built local
+// workers; `paibench -coordinate` drives it directly.
 func CoordinateMicroShards(ctx context.Context, ln net.Listener, cells int, payload []byte, opts MicroShardOptions) (Sink, []int, MicroShardStats, error) {
 	return coord.RunDynamic(ctx, ln, cells, payload, opts)
 }
 
-// ServeMicroShardWorker dials a work-stealing coordinator and serves range
-// assignments with run until the run completes — the worker half of
-// CoordinateMicroShards. hint advertises this worker's expected jobs/sec
-// throughput for capacity-weighted range sizing (0 = unknown).
+// ServeMicroShardWorker dials a coordinator and serves range assignments
+// with run until the run completes — the worker half of
+// CoordinateMicroShards for callers that interpret assignment payloads
+// themselves (`paibench -worker` does; library users with a configured
+// Engine can use Engine.DistributedWorker instead). hint advertises this
+// worker's expected jobs/sec throughput for capacity-weighted range sizing
+// (0 = unknown).
 func ServeMicroShardWorker(ctx context.Context, addr string, hint float64, run MicroShardRunner) error {
 	return coord.WorkDynamic(ctx, addr, hint, run)
 }
