@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,6 +60,24 @@ func lineOf(t interface{ Errorf(string, ...any) }, err error) int {
 		t.Errorf("error %q carries no line tag", err)
 	}
 	return n
+}
+
+// sameRecord is reflect.DeepEqual with every float field compared by
+// math.Float64bits: DeepEqual compares floats with ==, which equates -0
+// and +0, so a decoder that lost the sign of a zero would pass it.
+func sameRecord(a, b workload.Features) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		fa, fb := va.Field(i), vb.Field(i)
+		if fa.Kind() == reflect.Float64 {
+			if math.Float64bits(fa.Float()) != math.Float64bits(fb.Float()) {
+				return false
+			}
+		} else if !reflect.DeepEqual(fa.Interface(), fb.Interface()) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzDecoderMatchesEncodingJSON asserts the two-tier Decoder (hand-rolled
@@ -137,6 +156,20 @@ func FuzzDecoderMatchesEncodingJSON(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 
+	// Float literals at the edges of each conversion step: 17-, 18- and
+	// 19-digit mantissas and 20+ digits (past what the scanner keeps),
+	// halfway cases, a subnormal, signed zeros, and exponents just inside
+	// and outside the Eisel–Lemire power-of-ten table.
+	for _, num := range []string{
+		"454219283049.40295", "123456789012345678", "1234567890123456789",
+		"12345678901234567890", "0.12345678901234567890123",
+		"9007199254740993", "2.2250738585072011e-308", "1e23",
+		"0.30000000000000004", "4.9e-324", "-0.0", "-0e5",
+		"1e-348", "1e347", "1e-349",
+	} {
+		f.Add([]byte(`{"name":"f","class":"1w1g","c_nodes":1,"batch_size":2,"flops":3,"mem_access_bytes":` + num + `}`))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return // keep iterations fast; long lines add nothing new
@@ -153,7 +186,7 @@ func FuzzDecoderMatchesEncodingJSON(f *testing.F) {
 			t.Fatalf("decoded %d records, reference %d\ninput: %q", len(got), len(want), data)
 		}
 		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
+			if !sameRecord(got[i], want[i]) {
 				t.Fatalf("record %d differs:\n fast: %+v\n ref:  %+v\ninput: %q", i, got[i], want[i], data)
 			}
 		}
@@ -192,7 +225,7 @@ func TestFastScannerHitsGeneratedRecords(t *testing.T) {
 		if !ok || err != nil {
 			t.Fatalf("record %d left the fast subset (ok=%v err=%v): %s", i, ok, err, line)
 		}
-		if !reflect.DeepEqual(f, tr.Jobs[i]) {
+		if !sameRecord(f, tr.Jobs[i]) {
 			t.Fatalf("record %d round-trip drift:\n got  %+v\n want %+v", i, f, tr.Jobs[i])
 		}
 	}

@@ -16,6 +16,12 @@ import (
 // encoding/json itself. The stdlib therefore remains the semantic oracle
 // for every unusual line, and FuzzDecoderMatchesEncodingJSON pins the two
 // paths together.
+//
+// Each field is read once. A float literal's digits go straight into an
+// exact 19-digit mantissa and a decimal exponent, which convert by the
+// Clinger fast path, then Eisel–Lemire (eisellemire.go), and only then
+// strconv.ParseFloat on the literal; the result is bit-identical to
+// ParseFloat's (see floatField).
 
 // fastDecodeRecord scans one trimmed, non-empty NDJSON record into f.
 // ok reports whether the line was within the fast subset; when ok is true
@@ -109,20 +115,17 @@ func (s *scanner) simpleString() ([]byte, bool) {
 	if !s.consume('"') {
 		return nil, false
 	}
-	start := s.i
-	for s.i < len(s.b) {
-		c := s.b[s.i]
+	rest := s.b[s.i:]
+	for i, c := range rest {
 		if c == '"' {
-			out := s.b[start:s.i]
-			s.i++
-			return out, true
+			s.i += i + 1
+			return rest[:i], true
 		}
 		// Escapes, control characters and non-ASCII bytes leave the proven
 		// subset (encoding/json replaces invalid UTF-8, unescapes, etc.).
 		if c == '\\' || c < 0x20 || c >= 0x80 {
 			return nil, false
 		}
-		s.i++
 	}
 	return nil, false
 }
@@ -237,11 +240,13 @@ func (s *scanner) intField(dst *int) bool {
 
 // digits consumes a run of ASCII digits and returns its length.
 func (s *scanner) digits() int {
-	start := s.i
-	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-		s.i++
+	rest := s.b[s.i:]
+	n := 0
+	for n < len(rest) && rest[n]-'0' <= 9 {
+		n++
 	}
-	return s.i - start
+	s.i += n
+	return n
 }
 
 // validLeadingZero enforces JSON's number grammar: a leading zero may only
@@ -263,98 +268,120 @@ var pow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// floatField scans a JSON number into a float64 with the classic Clinger
-// fast path: when the significand fits in 53 bits and the decimal exponent
-// is within ±22, mantissa × 10^exp is one exactly-representable operand
-// times one correctly-rounded multiply/divide — bit-identical to
-// strconv.ParseFloat. Everything else (17+ significant digits with a big
-// exponent, overflow, malformed syntax) falls back to strconv on just that
-// literal, or leaves the subset entirely.
+// floatField scans a JSON number into a float64 in one pass over its
+// bytes, building the first 19 significant digits into an exact uint64
+// mantissa and the decimal exponent as it goes, then converts in the order
+// strconv.ParseFloat itself tries:
+//
+//  1. Clinger: when the mantissa fits in 53 bits and the exponent is within
+//     ±22, mantissa × 10^exp is one exact operand times one
+//     correctly-rounded multiply or divide.
+//  2. Eisel–Lemire on (mantissa, exponent, sign): every 17-digit
+//     shortest-round-trip float the generator writes lands here.
+//  3. strconv.ParseFloat on the literal, only when a nonzero digit past the
+//     19th was dropped or Eisel–Lemire cannot decide (halfway cases,
+//     subnormals, overflow, exponents outside its table).
+//
+// ParseFloat runs the same two fast steps before its own slow path. Each
+// step returns the correctly-rounded result or gives up, so the value is
+// bit-identical to ParseFloat's — and encoding/json's, which calls it.
+// Malformed syntax and ParseFloat's range errors leave the subset.
 func (s *scanner) floatField(dst *float64) bool {
 	if s.null() {
 		return true
 	}
-	start := s.i
-	neg := s.consume('-')
-	intDigits := s.i
-	if n := s.digits(); n == 0 || !validLeadingZero(s.b[start:s.i], neg) {
-		return false
+	b := s.b[s.i:]
+	i := 0
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		i++
 	}
 	var mant uint64
-	sig := 0       // significant digits accumulated into mant
-	trunc := false // dropped digits beyond uint64 capacity
+	nd := 0        // significant digits held in mant (leading zeros skipped)
+	trunc := false // a nonzero digit past the 19th was dropped
 	exp10 := 0
-	for _, c := range s.b[intDigits:s.i] {
-		if sig < 19 {
-			mant = mant*10 + uint64(c-'0')
+
+	intStart := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if nd < 19 {
+			mant = mant*10 + uint64(b[i]-'0')
 			if mant > 0 {
-				sig++
+				nd++
 			}
 		} else {
-			trunc = true
 			exp10++
+			trunc = trunc || b[i] != '0'
 		}
 	}
-	if s.consume('.') {
-		fracStart := s.i
-		if s.digits() == 0 {
-			return false
-		}
-		for _, c := range s.b[fracStart:s.i] {
-			if sig < 19 {
-				mant = mant*10 + uint64(c-'0')
+	// JSON allows a leading zero only as the whole integer part.
+	if i == intStart || (b[intStart] == '0' && i-intStart > 1) {
+		return false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		fracStart := i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if nd < 19 {
+				mant = mant*10 + uint64(b[i]-'0')
 				if mant > 0 {
-					sig++
+					nd++
 				}
 				exp10--
 			} else {
-				trunc = true
+				trunc = trunc || b[i] != '0'
 			}
 		}
-	}
-	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
-		s.i++
-		expNeg := false
-		switch {
-		case s.consume('+'):
-		case s.consume('-'):
-			expNeg = true
-		}
-		expStart := s.i
-		if s.digits() == 0 {
+		if i == fracStart {
 			return false
 		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		expNeg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			expNeg = b[i] == '-'
+			i++
+		}
+		expStart := i
 		e := 0
-		for _, c := range s.b[expStart:s.i] {
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
 			if e < 10000 { // anything larger over/underflows regardless
-				e = e*10 + int(c-'0')
+				e = e*10 + int(b[i]-'0')
 			}
 		}
+		if i == expStart {
+			return false
+		}
 		if expNeg {
-			exp10 -= e
-		} else {
-			exp10 += e
+			e = -e
 		}
+		exp10 += e
 	}
-	lit := s.b[start:s.i]
+	lit := b[:i]
+	s.i += i
 
-	if !trunc && mant < 1<<53 && exp10 >= -22 && exp10 <= 22 {
-		v := float64(mant)
-		if exp10 > 0 {
-			v *= pow10[exp10]
-		} else if exp10 < 0 {
-			v /= pow10[-exp10]
+	if !trunc {
+		if mant < 1<<53 && exp10 >= -22 && exp10 <= 22 {
+			v := float64(mant)
+			if exp10 > 0 {
+				v *= pow10[exp10]
+			} else if exp10 < 0 {
+				v /= pow10[-exp10]
+			}
+			if neg {
+				v = -v
+			}
+			*dst = v
+			return true
 		}
-		if neg {
-			v = -v
+		if v, ok := eiselLemire(mant, exp10, neg); ok {
+			*dst = v
+			return true
 		}
-		*dst = v
-		return true
 	}
-	// Rare: 17+ significant digits or a large exponent. strconv performs the
-	// correctly-rounded conversion on just this literal (one small string
-	// allocation); out-of-range errors defer to the slow path, which agrees
-	// with encoding/json by construction.
+	// Rare: one small string allocation for strconv's exact slow path.
+	// Range errors defer to the slow path, which agrees with encoding/json
+	// by construction.
 	v, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
 		return false
