@@ -181,8 +181,8 @@ func BenchmarkEngineEvaluateStream(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			acc, err := eng.StreamBreakdowns(ctx, src)
-			if err != nil {
+			acc := pai.NewBreakdownAccumulator()
+			if _, err := eng.StreamInto(ctx, src, acc); err != nil {
 				b.Fatal(err)
 			}
 			if acc.N() != jobs {
@@ -205,7 +205,7 @@ func BenchmarkEngineEvaluateStream(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			n, err := eng.EvaluateStream(ctx, bytes.NewReader(raw), nil)
+			n, err := eng.EvaluateTrace(ctx, bytes.NewReader(raw), "ndjson", nil)
 			if err != nil {
 				b.Fatal(err)
 			}

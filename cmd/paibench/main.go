@@ -27,7 +27,7 @@
 //
 // With -shards N the trace is split into N generator partitions drained
 // concurrently by independent worker sets into per-shard accumulators and
-// folded with the exact merge (Engine.EvaluateSources). Multi-shard mode
+// folded with the exact merge (Engine.EvaluateSourcesInto). Multi-shard mode
 // models the production fast path, where traces are heavily repetitive —
 // the same feature records recur thousands of times (the motivation for
 // content-keyed result caching) — so it defaults to a repetitive trace

@@ -355,27 +355,17 @@ func (e *Engine) EvaluateBatch(ctx context.Context, jobs []Features) ([]Times, e
 	return backend.EvaluateBatch(ctx, ev, jobs, e.parallelism)
 }
 
-// EvaluateStream decodes NDJSON job records from r incrementally, evaluates
-// them across the engine's worker pool, and calls fn once per job in input
-// order from a single goroutine. Memory stays O(parallelism) regardless of
-// how many records the stream holds, so million-job traces run in the
-// footprint of a thousand-job trace. A nil fn discards results. It returns
-// the number of jobs delivered and the first error — a decode error (with
-// the offending line number), an evaluation error, an fn error, or the
-// context's cancellation.
-func (e *Engine) EvaluateStream(ctx context.Context, r io.Reader, fn func(StreamResult) error) (int, error) {
-	ev, err := e.evaluator()
-	if err != nil {
-		return 0, err
-	}
-	return stream.Evaluate(ctx, ev, tracegen.NewDecoder(r), e.parallelism, fn)
-}
-
-// EvaluateSource is EvaluateStream over any job source — a streaming
-// synthetic-trace generator (NewTraceSource), an NDJSON decoder, a columnar
-// reader (NewColumnReader), or an in-memory slice — instead of an NDJSON
-// reader. Sources that can hand over whole columnar blocks (BlockSource) are
-// automatically evaluated block-at-a-time.
+// EvaluateSource evaluates every job of src — a streaming synthetic-trace
+// generator (NewTraceSource), an NDJSON decoder, a columnar reader
+// (NewColumnReader), or an in-memory slice — across the engine's worker
+// pool, and calls fn once per job in input order from a single goroutine.
+// Record sources are cut into 256-record blocks; a columnar reader hands
+// over its own blocks. Memory stays O(parallelism) blocks regardless of how
+// many records the source holds, so million-job traces run in the footprint
+// of a thousand-job trace. A nil fn discards results. It returns the number
+// of jobs delivered and the first error — a decode error (with the
+// offending line number for NDJSON), an evaluation error, an fn error, or
+// the context's cancellation.
 func (e *Engine) EvaluateSource(ctx context.Context, src JobSource, fn func(StreamResult) error) (int, error) {
 	ev, err := e.evaluator()
 	if err != nil {
@@ -384,58 +374,15 @@ func (e *Engine) EvaluateSource(ctx context.Context, src JobSource, fn func(Stre
 	return stream.Evaluate(ctx, ev, src, e.parallelism, fn)
 }
 
-// EvaluateTrace is EvaluateStream for any registered trace codec: format
-// selects one by name ("ndjson", "colbin", "json"), and "auto" (or empty)
-// sniffs the stream's leading bytes. Columnar input rides the block-granular
-// fast path.
+// EvaluateTrace is EvaluateSource over an encoded trace stream: format
+// selects a registered codec by name ("ndjson", "colbin", "json"), and
+// "auto" (or empty) sniffs the stream's leading bytes.
 func (e *Engine) EvaluateTrace(ctx context.Context, r io.Reader, format string, fn func(StreamResult) error) (int, error) {
 	src, err := tracegen.OpenSource(r, format)
 	if err != nil {
 		return 0, err
 	}
 	return e.EvaluateSource(ctx, src, fn)
-}
-
-// EvaluateColumns evaluates whole structure-of-arrays blocks from src —
-// typically a colbin trace reader — through the engine's backend, one
-// backend call per block over []float64 columns, and calls fn once per
-// record in input order. This is the bulk calling convention: identical
-// delivery semantics (and byte-identical sink output) to EvaluateStream over
-// the same records, without per-job decode or dispatch overhead.
-func (e *Engine) EvaluateColumns(ctx context.Context, src BlockSource, fn func(StreamResult) error) (int, error) {
-	ev, err := e.evaluator()
-	if err != nil {
-		return 0, err
-	}
-	return stream.EvaluateBlocks(ctx, ev, src, e.parallelism, fn)
-}
-
-// StreamBreakdowns streams every job from src through the engine and folds
-// the full set of collective aggregates — constitution, per-class and
-// overall breakdowns, step-time summary — into one accumulator without
-// materializing the trace.
-func (e *Engine) StreamBreakdowns(ctx context.Context, src JobSource) (*BreakdownAccumulator, error) {
-	ev, err := e.evaluator()
-	if err != nil {
-		return nil, err
-	}
-	return analyze.Fold(ctx, ev, e.parallelism, src)
-}
-
-// EvaluateSources is the sharded StreamBreakdowns: N job sources — NDJSON
-// decoders over N trace files, N generator partitions, in-memory slices —
-// are drained concurrently, each by its own worker set into its own
-// per-shard accumulator, and the shard accumulators are folded with the
-// exact BreakdownAccumulator.Merge into one aggregate. The engine's
-// parallelism budget is split evenly across shards. It returns the merged
-// accumulator and the per-shard job counts; any shard error cancels every
-// shard.
-func (e *Engine) EvaluateSources(ctx context.Context, srcs ...JobSource) (*BreakdownAccumulator, []int, error) {
-	ev, err := e.evaluator()
-	if err != nil {
-		return nil, nil, err
-	}
-	return analyze.FoldSources(ctx, ev, e.parallelism, srcs)
 }
 
 // EvaluateIndexedColumns is the file-parallel StreamColumnsInto: `consumers`
@@ -564,15 +511,12 @@ func (e *Engine) ProjectAll(ctx context.Context, jobs []Features, target Project
 }
 
 // StreamInto streams every job from src through the engine and folds each
-// result into sink — the generic form of StreamBreakdowns: any Sink (or
-// MultiSink bundling several) rides the same single-pass pipeline. It
-// returns the number of jobs folded.
+// result into sink: any Sink (or MultiSink bundling several) rides the same
+// single-pass block pipeline. Record sources are cut into 256-record blocks,
+// and a columnar reader hands over its own. It returns the number of jobs
+// folded.
 func (e *Engine) StreamInto(ctx context.Context, src JobSource, sink Sink) (int, error) {
-	ev, err := e.evaluator()
-	if err != nil {
-		return 0, err
-	}
-	return analyze.FoldInto(ctx, ev, e.parallelism, src, sink)
+	return e.foldInto(ctx, stream.Blocks(src), sink)
 }
 
 // StreamColumnsInto is StreamInto over a block source: whole evaluated
@@ -582,26 +526,25 @@ func (e *Engine) StreamInto(ctx context.Context, src JobSource, sink Sink) (int,
 // produce byte-identical sink snapshots. It returns the number of records
 // folded.
 func (e *Engine) StreamColumnsInto(ctx context.Context, src BlockSource, sink Sink) (int, error) {
+	return e.foldInto(ctx, src, sink)
+}
+
+// foldInto is the one body behind StreamInto and StreamColumnsInto.
+func (e *Engine) foldInto(ctx context.Context, src BlockSource, sink Sink) (int, error) {
 	ev, err := e.evaluator()
 	if err != nil {
 		return 0, err
 	}
-	if sink == nil {
-		return 0, fmt.Errorf("pai: StreamColumnsInto with nil sink")
-	}
-	if cs, ok := sink.(analyze.ColumnSink); ok {
-		return stream.EvaluateBlocksInto(ctx, ev, src, e.parallelism, cs.AddColumns)
-	}
-	return stream.EvaluateBlocks(ctx, ev, src, e.parallelism, func(r StreamResult) error {
-		return sink.Add(r.Job, r.Times)
-	})
+	return analyze.FoldInto(ctx, ev, e.parallelism, src, sink)
 }
 
 // EvaluateSourcesInto is the sharded StreamInto: every source is drained by
-// its own worker set into its own sink built by factory, and the per-shard
-// sinks are merged in shard order — exactly the merge a coordinator applies
-// to per-process snapshot files, so the two produce byte-identical
-// snapshots. It returns the merged sink and per-shard job counts.
+// its own block pipeline into its own sink built by factory (the engine's
+// parallelism split evenly across sources), and the per-source sinks are
+// merged in source order — exactly the merge a coordinator applies to
+// per-process snapshot files, so the two produce byte-identical snapshots.
+// It returns the merged sink and per-source job counts; any source's error
+// names it and cancels every other source.
 func (e *Engine) EvaluateSourcesInto(ctx context.Context, factory func() (Sink, error), srcs ...JobSource) (Sink, []int, error) {
 	ev, err := e.evaluator()
 	if err != nil {
@@ -685,7 +628,7 @@ func (e *Engine) cellRunner(ev backend.Evaluator, sources ShardSources, factory 
 			if err != nil {
 				return err
 			}
-			n, err := analyze.FoldInto(ctx, ev, e.parallelism, src, sink)
+			n, err := analyze.FoldInto(ctx, ev, e.parallelism, stream.Blocks(src), sink)
 			if err != nil {
 				return err
 			}

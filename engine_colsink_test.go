@@ -118,10 +118,10 @@ func TestStreamColumnsIntoCachedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two passes through one cached engine: the second is served by the
-	// block cache (the trace repeats whole blocks), and both snapshots must
-	// match the uncached fold exactly.
-	for pass := 1; pass <= 2; pass++ {
+	// Three passes through one cached engine: the block cache memoizes a
+	// block on its second sighting, so the third pass is served from it,
+	// and every snapshot must match the uncached fold exactly.
+	for pass := 1; pass <= 3; pass++ {
 		got := pai.NewBreakdownAccumulator()
 		if _, err := cached.StreamColumnsInto(ctx, pai.NewColumnReader(bytes.NewReader(cb)), got); err != nil {
 			t.Fatal(err)

@@ -96,9 +96,9 @@ func TestEvaluateColumnsByteIdenticalToStream(t *testing.T) {
 	}
 }
 
-// TestEvaluateColumnsMatchesStreamResults checks the block path delivers the
-// same results in the same order as scalar streaming, via the explicit
-// EvaluateColumns entry point.
+// TestEvaluateColumnsMatchesStreamResults checks a colbin reader's blocks
+// deliver the same results in the same order as the NDJSON records cut into
+// blocks.
 func TestEvaluateColumnsMatchesStreamResults(t *testing.T) {
 	nd, cb := columnTestTrace(t, 2000)
 	eng, err := pai.New()
@@ -107,14 +107,14 @@ func TestEvaluateColumnsMatchesStreamResults(t *testing.T) {
 	}
 	ctx := context.Background()
 	var fromStream []pai.StreamResult
-	if _, err := eng.EvaluateStream(ctx, bytes.NewReader(nd), func(r pai.StreamResult) error {
+	if _, err := eng.EvaluateTrace(ctx, bytes.NewReader(nd), "ndjson", func(r pai.StreamResult) error {
 		fromStream = append(fromStream, r)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var fromCols []pai.StreamResult
-	if _, err := eng.EvaluateColumns(ctx, pai.NewColumnReader(bytes.NewReader(cb)), func(r pai.StreamResult) error {
+	if _, err := eng.EvaluateSource(ctx, pai.NewColumnReader(bytes.NewReader(cb)), func(r pai.StreamResult) error {
 		fromCols = append(fromCols, r)
 		return nil
 	}); err != nil {

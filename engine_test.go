@@ -396,7 +396,7 @@ func TestEngineEvaluateStreamMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []pai.Times
-	n, err := eng.EvaluateStream(ctx, &buf, func(r pai.StreamResult) error {
+	n, err := eng.EvaluateTrace(ctx, &buf, "ndjson", func(r pai.StreamResult) error {
 		if r.Index != len(got) {
 			t.Fatalf("result %d arrived at position %d", r.Index, len(got))
 		}
@@ -422,7 +422,7 @@ func TestEngineEvaluateStreamDecodeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := strings.NewReader(`{"name":"x","class":"1w1g","c_nodes":1,"batch_size":8,"flops":1e9}` + "\n" + "garbage\n")
-	n, err := eng.EvaluateStream(context.Background(), in, nil)
+	n, err := eng.EvaluateTrace(context.Background(), in, "ndjson", nil)
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("want line-numbered decode error, got %v (n=%d)", err, n)
 	}
@@ -439,7 +439,7 @@ func TestEngineStreamBreakdownsFromSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := eng.StreamBreakdowns(context.Background(), src)
+	acc, err := streamBreakdowns(context.Background(), eng, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,6 +531,27 @@ func TestEngineWithCache(t *testing.T) {
 	}
 }
 
+// streamBreakdowns folds src into a fresh breakdown accumulator.
+func streamBreakdowns(ctx context.Context, eng *pai.Engine, src pai.JobSource) (*pai.BreakdownAccumulator, error) {
+	acc := pai.NewBreakdownAccumulator()
+	if _, err := eng.StreamInto(ctx, src, acc); err != nil {
+		return nil, err
+	}
+	return acc, nil
+}
+
+// evaluateSources is the sharded breakdown fold: EvaluateSourcesInto with a
+// breakdown-accumulator factory.
+func evaluateSources(ctx context.Context, eng *pai.Engine, srcs ...pai.JobSource) (*pai.BreakdownAccumulator, []int, error) {
+	s, counts, err := eng.EvaluateSourcesInto(ctx, func() (pai.Sink, error) {
+		return pai.NewBreakdownAccumulator(), nil
+	}, srcs...)
+	if err != nil {
+		return nil, counts, err
+	}
+	return s.(*pai.BreakdownAccumulator), counts, nil
+}
+
 // TestEngineEvaluateSources: the sharded multi-source fold must agree with
 // the single-source streaming fold over the same jobs.
 func TestEngineEvaluateSources(t *testing.T) {
@@ -545,12 +566,12 @@ func TestEngineEvaluateSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	bulk, err := eng.StreamBreakdowns(ctx, pai.NewSliceJobSource(trace.Jobs))
+	bulk, err := streamBreakdowns(ctx, eng, pai.NewSliceJobSource(trace.Jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mid := len(trace.Jobs) / 2
-	merged, counts, err := eng.EvaluateSources(ctx,
+	merged, counts, err := evaluateSources(ctx, eng,
 		pai.NewSliceJobSource(trace.Jobs[:mid]),
 		pai.NewSliceJobSource(trace.Jobs[mid:]))
 	if err != nil {
@@ -580,7 +601,7 @@ func TestEngineEvaluateSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergedC, _, err := cached.EvaluateSources(ctx,
+	mergedC, _, err := evaluateSources(ctx, cached,
 		pai.NewSliceJobSource(trace.Jobs[:mid]),
 		pai.NewSliceJobSource(trace.Jobs[mid:]))
 	if err != nil {

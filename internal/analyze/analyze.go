@@ -189,7 +189,7 @@ type ComponentCDFs struct {
 // ComponentCDFSink directly.
 func BreakdownCDFs(ctx context.Context, ev backend.Evaluator, parallelism int, jobs []workload.Features, class workload.Class, lvl Level) (ComponentCDFs, error) {
 	sink := NewComponentCDFSink()
-	if _, err := FoldInto(ctx, ev, parallelism, stream.NewSliceSource(Filter(jobs, class)), sink); err != nil {
+	if _, err := FoldInto(ctx, ev, parallelism, stream.Blocks(stream.NewSliceSource(Filter(jobs, class))), sink); err != nil {
 		return ComponentCDFs{}, err
 	}
 	return sink.Panel(class, lvl)
@@ -209,7 +209,7 @@ func BreakdownHardwareCDFs(ctx context.Context, ev backend.Evaluator, parallelis
 		return HardwareCDFs{}, fmt.Errorf("analyze: empty trace")
 	}
 	sink := NewHardwareCDFSink()
-	if _, err := FoldInto(ctx, ev, parallelism, stream.NewSliceSource(jobs), sink); err != nil {
+	if _, err := FoldInto(ctx, ev, parallelism, stream.Blocks(stream.NewSliceSource(jobs)), sink); err != nil {
 		return HardwareCDFs{}, err
 	}
 	return sink.Panel(lvl)

@@ -10,10 +10,11 @@ import (
 	"repro/internal/workload"
 )
 
-// FoldRanges is the grid-cell FoldSinks: `cells` block sources — the
-// micro-shards of one deterministic partition grid (colbin
-// Index.Partition) — each fold into their own sink built by factory, and
-// the per-cell sinks merge in cell order into one aggregate. Because the
+// FoldRanges is the grid-cell fold every sharded analysis runs on: `cells`
+// block sources — N trace sources (FoldSinks) or the micro-shards of one
+// deterministic partition grid (colbin Index.Partition) — each fold into
+// their own sink built by factory, and the per-cell sinks merge in cell
+// order into one aggregate. Because the
 // grid is a pure function of the trace and the grain, every run over the
 // same file — one consumer, N consumers, or N processes — folds the same
 // records into the same cells and merges them in the same order, so the
@@ -21,7 +22,8 @@ import (
 // statistics (MeanVar) whose merge is associative only up to
 // floating-point rounding.
 //
-// open is called at most once per cell, from a consumer goroutine.
+// open is called at most once per cell, from a consumer goroutine, and one
+// goroutine owns each cell's sink at a time, so the sinks need no locking.
 // Column-capable sinks fold whole blocks (ColumnSink.AddColumns); others
 // get the row loop. It returns the merged sink and per-cell record counts.
 func FoldRanges(ctx context.Context, ev backend.Evaluator, parallelism, consumers, cells int, open func(cell int) (stream.BlockSource, error), factory func() (Sink, error)) (Sink, []int, error) {
@@ -39,7 +41,9 @@ func FoldRanges(ctx context.Context, ev backend.Evaluator, parallelism, consumer
 		}
 		sinks[i] = s
 	}
-	counts, err := stream.EvaluateBlocksMulti(ctx, ev, cells, consumers, parallelism, open, blockFolder(sinks))
+	counts, err := stream.EvaluateBlocksMulti(ctx, ev, cells, consumers, parallelism, open, func(cell int, cols *workload.Columns, times []core.Times) error {
+		return addBlock(sinks[cell], cols, times)
+	})
 	if err != nil {
 		return nil, counts, fmt.Errorf("analyze: %w", err)
 	}
@@ -72,31 +76,24 @@ func FoldRange(ctx context.Context, ev backend.Evaluator, parallelism int, src s
 	if sink == nil {
 		return nil, 0, fmt.Errorf("analyze: sink factory returned nil")
 	}
-	fold := blockFolder([]Sink{sink})
-	n, err := stream.EvaluateBlocksInto(ctx, ev, src, parallelism, func(cols *workload.Columns, times []core.Times) error {
-		return fold(0, cols, times)
-	})
+	n, err := FoldInto(ctx, ev, parallelism, src, sink)
 	if err != nil {
-		return nil, n, fmt.Errorf("analyze: %w", err)
+		return nil, n, err
 	}
 	return sink, n, nil
 }
 
-// blockFolder builds the per-block dispatch for a per-cell sink slice:
-// column-capable sinks take whole blocks, the rest take the row loop. One
-// goroutine owns each cell at a time (EvaluateBlocksMulti's contract), so
-// the sinks need no locking.
-func blockFolder(sinks []Sink) func(cell int, cols *workload.Columns, times []core.Times) error {
-	return func(cell int, cols *workload.Columns, times []core.Times) error {
-		if cs, ok := sinks[cell].(ColumnSink); ok {
-			return cs.AddColumns(cols, times)
-		}
-		s := sinks[cell]
-		for i := 0; i < cols.Len(); i++ {
-			if err := s.Add(cols.Row(i), times[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+// addBlock folds one evaluated block into s: a column-capable sink takes
+// the whole block, any other sink the row loop. This is the only place the
+// choice is made.
+func addBlock(s Sink, cols *workload.Columns, times []core.Times) error {
+	if cs, ok := s.(ColumnSink); ok {
+		return cs.AddColumns(cols, times)
 	}
+	for i := 0; i < cols.Len(); i++ {
+		if err := s.Add(cols.Row(i), times[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

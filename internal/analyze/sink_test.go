@@ -54,7 +54,7 @@ func fullSink(t *testing.T, b backend.Backend) *MultiSink {
 
 func foldSink(t *testing.T, b backend.Backend, jobs []workload.Features, sink Sink) {
 	t.Helper()
-	if _, err := FoldInto(context.Background(), b, 2, stream.NewSliceSource(jobs), sink); err != nil {
+	if _, err := FoldInto(context.Background(), b, 2, stream.Blocks(stream.NewSliceSource(jobs)), sink); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -368,29 +368,19 @@ func (a *BreakdownAccumulator) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// FoldInto streams every job from src through ev over the worker pool and
+// FoldInto streams every block of src through ev over the worker pool and
 // folds each result into sink — the generic core every analysis fold runs
-// through. It returns the number of jobs folded.
-//
-// When src yields whole blocks (stream.BlockSource) and sink folds them
-// (ColumnSink), blocks are delivered whole: no per-record Result is ever
-// materialized and the fold stays columnar end-to-end. Both paths produce
-// byte-identical sink snapshots — that is the ColumnSink contract.
-func FoldInto(ctx context.Context, ev backend.Evaluator, parallelism int, src stream.Source, sink Sink) (int, error) {
+// through. Record sources come in through stream.Blocks, which cuts them
+// into 256-record blocks. A ColumnSink folds whole blocks, so no per-record
+// Result is ever materialized; any other sink gets the row loop. Both
+// produce byte-identical sink snapshots — that is the ColumnSink contract.
+// It returns the number of jobs folded.
+func FoldInto(ctx context.Context, ev backend.Evaluator, parallelism int, src stream.BlockSource, sink Sink) (int, error) {
 	if sink == nil {
 		return 0, fmt.Errorf("analyze: FoldInto with nil sink")
 	}
-	if bs, ok := src.(stream.BlockSource); ok {
-		if cs, ok := sink.(ColumnSink); ok {
-			n, err := stream.EvaluateBlocksInto(ctx, ev, bs, parallelism, cs.AddColumns)
-			if err != nil {
-				return n, fmt.Errorf("analyze: %w", err)
-			}
-			return n, nil
-		}
-	}
-	n, err := stream.Evaluate(ctx, ev, src, parallelism, func(r stream.Result) error {
-		return sink.Add(r.Job, r.Times)
+	n, err := stream.EvaluateBlocksInto(ctx, ev, src, parallelism, func(cols *workload.Columns, times []core.Times) error {
+		return addBlock(sink, cols, times)
 	})
 	if err != nil {
 		return n, fmt.Errorf("analyze: %w", err)
@@ -398,43 +388,25 @@ func FoldInto(ctx context.Context, ev backend.Evaluator, parallelism int, src st
 	return n, nil
 }
 
-// FoldSinks is the sharded FoldInto: every source is drained by its own
-// worker set into its own sink built by factory (so the hot path never
-// shares state across shards), and the per-shard sinks are merged in shard
-// order into one aggregate — the same merge order a coordinator applies to
-// per-process snapshot files, which is what makes the two byte-identical.
-// It returns the merged sink and the per-shard job counts.
+// FoldSinks is the sharded FoldInto: FoldRanges over one cell per source,
+// with one consumer per cell. Every source is drained by its own block
+// pipeline (the parallelism budget split evenly, at least one worker each)
+// into its own sink built by factory, and the per-source sinks are merged
+// in source order into one aggregate — the same merge order a coordinator
+// applies to per-process snapshot files, which is what makes the two
+// byte-identical. It returns the merged sink and the per-source job counts;
+// an error names the failing source's cell and cancels every other source.
 func FoldSinks(ctx context.Context, ev backend.Evaluator, parallelism int, srcs []stream.Source, factory func() (Sink, error)) (Sink, []int, error) {
-	if factory == nil {
-		return nil, nil, fmt.Errorf("analyze: FoldSinks with nil sink factory")
+	if len(srcs) == 0 {
+		return nil, nil, fmt.Errorf("analyze: FoldSinks with no sources")
 	}
-	sinks := make([]Sink, len(srcs))
-	for i := range sinks {
-		s, err := factory()
-		if err != nil {
-			return nil, nil, fmt.Errorf("analyze: %w", err)
-		}
-		if s == nil {
-			return nil, nil, fmt.Errorf("analyze: sink factory returned nil")
-		}
-		sinks[i] = s
-	}
-	counts, err := stream.EvaluateMulti(ctx, ev, srcs, parallelism, func(shard int, r stream.Result) error {
-		return sinks[shard].Add(r.Job, r.Times)
-	})
-	if err != nil {
-		return nil, counts, fmt.Errorf("analyze: %w", err)
-	}
-	total, err := factory()
-	if err != nil {
-		return nil, counts, fmt.Errorf("analyze: %w", err)
-	}
-	for _, s := range sinks {
-		if err := total.Merge(s); err != nil {
-			return nil, counts, fmt.Errorf("analyze: %w", err)
+	for i, src := range srcs {
+		if src == nil {
+			return nil, nil, fmt.Errorf("analyze: FoldSinks with nil source %d", i)
 		}
 	}
-	return total, counts, nil
+	open := func(cell int) (stream.BlockSource, error) { return stream.Blocks(srcs[cell]), nil }
+	return FoldRanges(ctx, ev, parallelism, len(srcs), len(srcs), open, factory)
 }
 
 // Fold streams every job from src through ev over the worker pool and
@@ -442,29 +414,11 @@ func FoldSinks(ctx context.Context, ev backend.Evaluator, parallelism int, srcs 
 // Breakdowns + OverallBreakdown + Constitute.
 func Fold(ctx context.Context, ev backend.Evaluator, parallelism int, src stream.Source) (*BreakdownAccumulator, error) {
 	acc := NewBreakdownAccumulator()
-	if _, err := FoldInto(ctx, ev, parallelism, src, acc); err != nil {
+	if _, err := FoldInto(ctx, ev, parallelism, stream.Blocks(src), acc); err != nil {
 		return nil, err
 	}
 	if acc.N() == 0 {
 		return nil, fmt.Errorf("analyze: empty trace")
 	}
 	return acc, nil
-}
-
-// FoldSources is the sharded Fold: the breakdown-only instantiation of
-// FoldSinks. With a single source the result is identical to Fold; with N
-// sources the merge is the exact per-shard reduction Merge documents. It
-// returns the merged accumulator and the per-shard job counts.
-func FoldSources(ctx context.Context, ev backend.Evaluator, parallelism int, srcs []stream.Source) (*BreakdownAccumulator, []int, error) {
-	total, counts, err := FoldSinks(ctx, ev, parallelism, srcs, func() (Sink, error) {
-		return NewBreakdownAccumulator(), nil
-	})
-	if err != nil {
-		return nil, counts, err
-	}
-	acc := total.(*BreakdownAccumulator)
-	if acc.N() == 0 {
-		return nil, counts, fmt.Errorf("analyze: empty trace")
-	}
-	return acc, counts, nil
 }

@@ -1,9 +1,12 @@
 package analyze
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/backend"
@@ -232,6 +235,18 @@ func TestAccumulatorEmpty(t *testing.T) {
 	}
 }
 
+// foldBreakdowns is the sharded breakdown fold: FoldSinks with a
+// BreakdownAccumulator factory.
+func foldBreakdowns(ctx context.Context, ev backend.Evaluator, parallelism int, srcs []stream.Source) (*BreakdownAccumulator, []int, error) {
+	total, counts, err := FoldSinks(ctx, ev, parallelism, srcs, func() (Sink, error) {
+		return NewBreakdownAccumulator(), nil
+	})
+	if err != nil {
+		return nil, counts, err
+	}
+	return total.(*BreakdownAccumulator), counts, nil
+}
+
 // TestFoldSourcesMatchesFold: the sharded fold over N partitions of one
 // trace must reproduce the single-source fold — counts and constitution
 // exactly, shares within the same tolerance the Merge contract gives.
@@ -254,7 +269,7 @@ func TestFoldSourcesMatchesFold(t *testing.T) {
 			}
 			srcs = append(srcs, stream.NewSliceSource(jobs[s*per:hi]))
 		}
-		merged, counts, err := FoldSources(ctx, ev, 4, srcs)
+		merged, counts, err := foldBreakdowns(ctx, ev, 4, srcs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,7 +330,7 @@ func TestFoldSourcesSingleSourceBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, _, err := FoldSources(ctx, ev, 3, []stream.Source{stream.NewSliceSource(jobs)})
+	merged, _, err := foldBreakdowns(ctx, ev, 3, []stream.Source{stream.NewSliceSource(jobs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,13 +352,112 @@ func TestFoldSourcesSingleSourceBitExact(t *testing.T) {
 	}
 }
 
+// TestFoldSourcesEmpty: no sources is an error; an empty source folds to an
+// empty aggregate, which Fold (not the sharded fold) reports as an empty
+// trace.
 func TestFoldSourcesEmpty(t *testing.T) {
 	ev := accBackend(t)
-	if _, _, err := FoldSources(context.Background(), ev, 2, nil); err == nil {
+	ctx := context.Background()
+	if _, _, err := foldBreakdowns(ctx, ev, 2, nil); err == nil {
 		t.Error("expected error for no sources")
 	}
-	if _, _, err := FoldSources(context.Background(), ev, 2,
-		[]stream.Source{stream.NewSliceSource(nil)}); err == nil {
+	acc, counts, err := foldBreakdowns(ctx, ev, 2, []stream.Source{stream.NewSliceSource(nil)})
+	if err != nil || acc.N() != 0 || !reflect.DeepEqual(counts, []int{0}) {
+		t.Errorf("empty source: N %v, counts %v, err %v", acc, counts, err)
+	}
+	if _, err := Fold(ctx, ev, 2, stream.NewSliceSource(nil)); err == nil {
 		t.Error("expected error for an empty trace")
+	}
+}
+
+// TestFoldSinksMatchesSingle: draining N partitions of one trace through
+// FoldSinks folds every job exactly once into its own shard's sink, with
+// per-shard counts, and each shard's sink equals a single-source fold of
+// its partition byte for byte.
+func TestFoldSinksMatchesSingle(t *testing.T) {
+	jobs := accJobs(t, 1800)
+	ev := accBackend(t)
+	ctx := context.Background()
+	cuts := []int{0, 500, 1100, len(jobs)}
+	var srcs []stream.Source
+	for i := 0; i+1 < len(cuts); i++ {
+		srcs = append(srcs, stream.NewSliceSource(jobs[cuts[i]:cuts[i+1]]))
+	}
+	var shards []*BreakdownAccumulator
+	total, counts, err := FoldSinks(ctx, ev, 6, srcs, func() (Sink, error) {
+		acc := NewBreakdownAccumulator()
+		shards = append(shards, acc)
+		return acc, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total.(*BreakdownAccumulator).N() != len(jobs) {
+		t.Fatalf("merged N %d, want %d", total.(*BreakdownAccumulator).N(), len(jobs))
+	}
+	for shard, n := range counts {
+		if want := cuts[shard+1] - cuts[shard]; n != want {
+			t.Errorf("shard %d folded %d jobs, want %d", shard, n, want)
+		}
+		got, err := shards[shard].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fill(t, ev, jobs[cuts[shard]:cuts[shard+1]]).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("shard %d sink differs from a single-source fold of its partition", shard)
+		}
+	}
+}
+
+func TestFoldSinksValidation(t *testing.T) {
+	ev := accBackend(t)
+	factory := func() (Sink, error) { return NewBreakdownAccumulator(), nil }
+	if _, _, err := FoldSinks(context.Background(), ev, 2, nil, factory); err == nil {
+		t.Error("expected error for no sources")
+	}
+	if _, _, err := FoldSinks(context.Background(), ev, 2, []stream.Source{stream.NewSliceSource(nil), nil}, factory); err == nil {
+		t.Error("expected error for a nil source")
+	}
+	if _, _, err := FoldSinks(context.Background(), ev, 2, []stream.Source{stream.NewSliceSource(nil)}, nil); err == nil {
+		t.Error("expected error for a nil factory")
+	}
+}
+
+// failAfterSource yields a few jobs then fails.
+type failAfterSource struct {
+	jobs []workload.Features
+	i    int
+	err  error
+}
+
+func (s *failAfterSource) Next() (workload.Features, error) {
+	if s.i >= len(s.jobs) {
+		return workload.Features{}, s.err
+	}
+	f := s.jobs[s.i]
+	s.i++
+	return f, nil
+}
+
+// TestFoldSinksShardErrorCancelsAll: a failing source cancels its siblings
+// and surfaces an error naming its cell.
+func TestFoldSinksShardErrorCancelsAll(t *testing.T) {
+	jobs := accJobs(t, 600)
+	ev := accBackend(t)
+	bad := errors.New("shard source exploded")
+	srcs := []stream.Source{
+		stream.NewSliceSource(jobs),
+		&failAfterSource{jobs: jobs[:10], err: bad},
+	}
+	_, _, err := foldBreakdowns(context.Background(), ev, 4, srcs)
+	if !errors.Is(err, bad) {
+		t.Fatalf("err = %v, want wrapped %v", err, bad)
+	}
+	if !strings.Contains(err.Error(), "cell 1") {
+		t.Errorf("error %q does not name the failing cell", err)
 	}
 }

@@ -15,8 +15,18 @@ import (
 // hashes the block's column bytes once and memoizes the whole []core.Times;
 // a hit copies the memoized slice and never touches the per-record maps. A
 // miss falls back to the per-record Breakdown loop — keeping the record
-// cache warm, so partial overlap between blocks still pays — and then
-// memoizes the block result.
+// cache warm, so partial overlap between blocks still pays.
+//
+// A block is memoized on its second sighting, not its first. The first miss
+// stores a ghost — the hash with a nil entry, charged ghostBytes against the
+// same budget — and only a miss that finds the hash already resident
+// memoizes the block. Record sources cut into blocks (NDJSON uploads, say)
+// mostly produce blocks that never repeat; memoizing each of them would
+// fill the budget with dead weight.
+
+// ghostBytes is the budget charge of a ghost: one map slot, hash and
+// pointer.
+const ghostBytes = 16
 
 // blockEntry stores one memoized block: the keyed columns (everything the
 // model reads — Name and ArrivalSec excluded, matching the record key) for
@@ -141,23 +151,28 @@ func (c *Cache) BreakdownColumns(cols *workload.Columns, out []core.Times) error
 	h := c.blockHash(cols)
 
 	c.blockMu.Lock()
-	if e, ok := c.blockCur[h]; ok && e.matches(cols) {
-		c.blockMu.Unlock()
-		c.blockHits.Add(1)
-		copy(out, e.times)
-		return nil
-	}
-	if e, ok := c.blockPrev[h]; ok && e.matches(cols) {
+	cur, inCur := c.blockCur[h]
+	prev, inPrev := c.blockPrev[h]
+	var hit *blockEntry
+	switch {
+	case cur != nil && cur.matches(cols):
+		hit = cur
+	case prev != nil && prev.matches(cols):
 		// Promote into the young generation so the working set survives
 		// rotation; the old slot is dropped so residency counts it once.
-		delete(c.blockPrev, h)
-		c.blockInsert(h, e)
-		c.blockMu.Unlock()
-		c.blockHits.Add(1)
-		copy(out, e.times)
-		return nil
+		c.blockDropPrev(h)
+		c.blockInsert(h, prev)
+		hit = prev
+	case !inCur && !inPrev:
+		c.blockInsert(h, nil) // first sighting: remember the hash only
 	}
 	c.blockMu.Unlock()
+	if hit != nil {
+		c.blockHits.Add(1)
+		c.hits.Add(uint64(n))
+		copy(out, hit.times)
+		return nil
+	}
 
 	// Miss: per-record fallback through the record cache, so rows shared
 	// with other blocks still hit and the record generation stays warm.
@@ -170,32 +185,65 @@ func (c *Cache) BreakdownColumns(cols *workload.Columns, out []core.Times) error
 		}
 		out[i] = t
 	}
-	e := newBlockEntry(cols, out)
-	c.blockMu.Lock()
-	c.blockInsert(h, e)
-	c.blockMu.Unlock()
+	if inCur || inPrev {
+		// Second sighting: memoize.
+		e := newBlockEntry(cols, out)
+		c.blockMu.Lock()
+		c.blockDropPrev(h)
+		c.blockInsert(h, e)
+		c.blockMu.Unlock()
+	}
 	return nil
 }
 
-// blockInsert stores one entry in the young block generation, rotating when
-// its byte footprint would exceed the budget (same two-generation scheme as
-// the record shards, accounted in bytes because block entries vary by three
-// orders of magnitude with block size). Caller holds c.blockMu.
+// size is an entry's charge against the block budget; a nil entry is a
+// ghost.
+func (e *blockEntry) size() int64 {
+	if e == nil {
+		return ghostBytes
+	}
+	return e.bytes
+}
+
+// blockDropPrev removes h from the old block generation, if present. Caller
+// holds c.blockMu.
+func (c *Cache) blockDropPrev(h uint64) {
+	if old, ok := c.blockPrev[h]; ok {
+		delete(c.blockPrev, h)
+		if old != nil {
+			c.blockPrevMemo--
+		}
+	}
+}
+
+// blockInsert stores one entry (or ghost) in the young block generation,
+// rotating when its byte footprint would exceed the budget (same
+// two-generation scheme as the record shards, accounted in bytes because
+// block entries vary by three orders of magnitude with block size). An entry
+// already stored under h — the ghost a second sighting memoizes over, say —
+// is removed first, so a replacement passes the same budget check as a new
+// key. Caller holds c.blockMu.
 func (c *Cache) blockInsert(h uint64, e *blockEntry) {
 	if c.blockCur == nil {
 		c.blockCur = make(map[uint64]*blockEntry)
 	}
-	if prev, ok := c.blockCur[h]; ok {
-		c.blockCurBytes -= prev.bytes
-	} else if c.blockCurBytes+e.bytes > c.blockBudget && len(c.blockCur) > 0 {
-		if dropped := len(c.blockPrev); dropped > 0 {
-			c.evictions.Add(uint64(dropped))
+	if old, ok := c.blockCur[h]; ok {
+		delete(c.blockCur, h)
+		c.blockCurBytes -= old.size()
+		if old != nil {
+			c.blockCurMemo--
 		}
+	}
+	if c.blockCurBytes+e.size() > c.blockBudget && len(c.blockCur) > 0 {
+		c.evictions.Add(uint64(c.blockPrevMemo))
 		c.rotations.Add(1)
-		c.blockPrev = c.blockCur
+		c.blockPrev, c.blockPrevMemo = c.blockCur, c.blockCurMemo
 		c.blockCur = make(map[uint64]*blockEntry)
-		c.blockCurBytes = 0
+		c.blockCurBytes, c.blockCurMemo = 0, 0
 	}
 	c.blockCur[h] = e
-	c.blockCurBytes += e.bytes
+	c.blockCurBytes += e.size()
+	if e != nil {
+		c.blockCurMemo++
+	}
 }

@@ -20,7 +20,8 @@ func blockOf(n, distinct, offset int) *workload.Columns {
 
 // TestBlockHitIdenticalToMiss is the block cache's correctness pin: a block
 // served from memory must return exactly the times the evaluated miss
-// produced, element by element, link maps included.
+// produced, element by element, link maps included. A block is memoized on
+// its second sighting, so it is evaluated twice before it hits.
 func TestBlockHitIdenticalToMiss(t *testing.T) {
 	ev, spec := newCounting(t)
 	c, err := New(ev, spec, 1024)
@@ -29,8 +30,10 @@ func TestBlockHitIdenticalToMiss(t *testing.T) {
 	}
 	block := blockOf(200, 16, 0)
 	missTimes := make([]core.Times, block.Len())
-	if err := c.BreakdownColumns(block, missTimes); err != nil {
-		t.Fatal(err)
+	for pass := 0; pass < 2; pass++ {
+		if err := c.BreakdownColumns(block, missTimes); err != nil {
+			t.Fatal(err)
+		}
 	}
 	callsAfterMiss := ev.count()
 	hitTimes := make([]core.Times, block.Len())
@@ -44,9 +47,59 @@ func TestBlockHitIdenticalToMiss(t *testing.T) {
 		t.Fatal("block hit returned times differing from the evaluated miss")
 	}
 	st := c.Stats()
-	if st.BlockMisses != 1 || st.BlockHits != 1 || st.BlockEntries != 1 {
-		t.Fatalf("stats = misses %d hits %d entries %d, want 1/1/1",
+	if st.BlockMisses != 2 || st.BlockHits != 1 || st.BlockEntries != 1 {
+		t.Fatalf("stats = misses %d hits %d entries %d, want 2/1/1",
 			st.BlockMisses, st.BlockHits, st.BlockEntries)
+	}
+}
+
+// TestBlockSeenOnceIsNotMemoized is the admission rule: a block seen once
+// leaves only a ghost (no memoized entry), a second sighting memoizes it,
+// and from then on it hits — each hit adding its record count to Hits, so
+// Hits+Misses stays the number of records evaluated.
+func TestBlockSeenOnceIsNotMemoized(t *testing.T) {
+	ev, spec := newCounting(t)
+	c, err := New(ev, spec, 1<<14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks, size = 20, 32
+	pass := func() {
+		t.Helper()
+		for i := 0; i < blocks; i++ {
+			b := blockOf(size, size, i*1000)
+			if err := c.BreakdownColumns(b, make([]core.Times, size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	pass()
+	st := c.Stats()
+	if st.BlockEntries != 0 || st.BlockMisses != blocks || st.BlockHits != 0 {
+		t.Fatalf("seen once: entries %d misses %d hits %d, want 0/%d/0",
+			st.BlockEntries, st.BlockMisses, st.BlockHits, blocks)
+	}
+
+	pass()
+	st = c.Stats()
+	if st.BlockEntries != blocks || st.BlockMisses != 2*blocks || st.BlockHits != 0 {
+		t.Fatalf("seen twice: entries %d misses %d hits %d, want %d/%d/0",
+			st.BlockEntries, st.BlockMisses, st.BlockHits, blocks, 2*blocks)
+	}
+
+	calls, hits := ev.count(), st.Hits
+	pass()
+	st = c.Stats()
+	if st.BlockHits != blocks || ev.count() != calls {
+		t.Fatalf("third pass: %d block hits and %d backend calls, want %d and 0",
+			st.BlockHits, ev.count()-calls, blocks)
+	}
+	if got := st.Hits - hits; got != blocks*size {
+		t.Fatalf("block hits added %d to Hits, want %d records", got, blocks*size)
+	}
+	if st.Hits+st.Misses != 3*blocks*size {
+		t.Fatalf("hits %d + misses %d != %d records evaluated", st.Hits, st.Misses, 3*blocks*size)
 	}
 }
 
@@ -84,10 +137,15 @@ func TestBlockCacheDistinguishesBlocks(t *testing.T) {
 	neg.InputBytes[7] = negZero()
 	tz := make([]core.Times, z.Len())
 	tn := make([]core.Times, neg.Len())
-	if err := c.BreakdownColumns(z, tz); err != nil {
-		t.Fatal(err)
+	for pass := 0; pass < 3; pass++ { // memoized on the second, hit on the third
+		if err := c.BreakdownColumns(z, tz); err != nil {
+			t.Fatal(err)
+		}
 	}
 	hitsBefore := c.Stats().BlockHits
+	if hitsBefore != 1 {
+		t.Fatalf("0.0 block: %d hits after three sightings, want 1", hitsBefore)
+	}
 	if err := c.BreakdownColumns(neg, tn); err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +160,12 @@ func negZero() float64 {
 	return -z
 }
 
-// TestBlockCacheRotation: inserting past the byte budget rotates generations
-// instead of growing without bound.
+// TestBlockCacheRotation: memoizing past the byte budget rotates generations
+// instead of growing without bound. Each block is fed twice, so every one
+// is memoized.
 func TestBlockCacheRotation(t *testing.T) {
 	ev, spec := newCounting(t)
-	// A tiny byte budget: every block entry exceeds it, so each insert
+	// A tiny byte budget: every block entry exceeds it, so the next block
 	// rotates and residency stays at two generations' worth.
 	c, err := NewBytes(ev, spec, 4096)
 	if err != nil {
@@ -115,16 +174,78 @@ func TestBlockCacheRotation(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		b := blockOf(64, 64, i*1000)
 		out := make([]core.Times, b.Len())
-		if err := c.BreakdownColumns(b, out); err != nil {
-			t.Fatal(err)
+		for pass := 0; pass < 2; pass++ {
+			if err := c.BreakdownColumns(b, out); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	st := c.Stats()
-	if st.BlockEntries > 4 {
-		t.Fatalf("block residency %d entries under a one-entry budget", st.BlockEntries)
+	if st.BlockEntries < 1 || st.BlockEntries > 2 {
+		t.Fatalf("block residency %d memoized entries under a one-entry budget, want 1-2", st.BlockEntries)
 	}
-	if st.BlockMisses != 12 {
-		t.Fatalf("misses = %d, want 12", st.BlockMisses)
+	if st.Rotations < 11 {
+		t.Fatalf("rotations = %d, want at least 11", st.Rotations)
+	}
+	if st.BlockMisses != 24 {
+		t.Fatalf("misses = %d, want 24", st.BlockMisses)
+	}
+}
+
+// TestBlockCacheMemoizeRespectsBudget: memoizing over a ghost must pass the
+// budget check like a new key. K distinct blocks whose ghosts fit the budget
+// many times over but whose entries do not, fed in two full passes: the
+// second pass memoizes all of them, and residency must still stay within two
+// generations' worth of budget.
+func TestBlockCacheMemoizeRespectsBudget(t *testing.T) {
+	ev, spec := newCounting(t)
+	const blocks, size = 64, 32
+	sample := blockOf(size, size, 0)
+	ts := make([]core.Times, size)
+	for i := range ts {
+		var err error
+		if ts[i], err = ev.Breakdown(sample.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := newBlockEntry(sample, ts).bytes
+	budget := 8 * entry
+	if blocks*ghostBytes >= budget || blocks*entry <= budget {
+		t.Fatalf("budget %d B does not sit between %d ghosts and %d entries of %d B", budget, blocks, blocks, entry)
+	}
+	c, err := NewBytes(ev, spec, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < blocks; i++ {
+			b := blockOf(size, size, i*1000)
+			if err := c.BreakdownColumns(b, make([]core.Times, size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := c.Stats()
+	if st.Rotations == 0 {
+		t.Fatal("memoizing every block never rotated the block generations")
+	}
+	c.blockMu.Lock()
+	var resident int64
+	entries := 0
+	for _, gen := range []map[uint64]*blockEntry{c.blockCur, c.blockPrev} {
+		for _, e := range gen {
+			if e != nil {
+				resident += e.bytes
+				entries++
+			}
+		}
+	}
+	c.blockMu.Unlock()
+	if resident > 2*budget {
+		t.Fatalf("memoized blocks hold %d B, over twice the %d B budget", resident, budget)
+	}
+	if entries != st.BlockEntries {
+		t.Fatalf("Stats.BlockEntries = %d, generations hold %d memoized blocks", st.BlockEntries, entries)
 	}
 }
 

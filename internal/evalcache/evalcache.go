@@ -147,14 +147,20 @@ type Cache struct {
 	blockPrev     map[uint64]*blockEntry
 	blockCurBytes int64
 	blockBudget   int64
+	// Memoized (non-ghost) entries in blockCur and blockPrev, kept in step
+	// by blockInsert and blockDropPrev so Stats never walks a generation.
+	blockCurMemo, blockPrevMemo int
 
 	blockHits, blockMisses atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the cache's effectiveness counters.
 type Stats struct {
-	// Hits and Misses count Breakdown calls served from memory vs forwarded
-	// to the wrapped evaluator.
+	// Hits and Misses count records served from memory vs forwarded to the
+	// wrapped evaluator, on both the record and the block path: a block hit
+	// adds its record count to Hits, and a block miss counts each record
+	// through the record cache. Hits+Misses is the number of records
+	// evaluated through the cache.
 	Hits, Misses uint64
 	// Rotations counts generation turnovers (a young generation filling and
 	// displacing the old one); Evictions counts the entries dropped by those
@@ -174,7 +180,8 @@ type Stats struct {
 	// BlockHits and BlockMisses count whole-block lookups on the column path
 	// served from the block generation vs evaluated (a block miss still
 	// consults the per-record cache row by row). BlockEntries is the number
-	// of resident memoized blocks.
+	// of resident memoized blocks; the ghosts of blocks seen only once are
+	// not counted.
 	BlockHits, BlockMisses uint64
 	BlockEntries           int
 }
@@ -400,7 +407,7 @@ func (c *Cache) Stats() Stats {
 		BlockMisses: c.blockMisses.Load(),
 	}
 	c.blockMu.Lock()
-	st.BlockEntries = len(c.blockCur) + len(c.blockPrev)
+	st.BlockEntries = c.blockCurMemo + c.blockPrevMemo
 	c.blockMu.Unlock()
 	if n := c.footprintN.Load(); n > 0 {
 		st.AvgEntryBytes = float64(c.footprintSum.Load()) / float64(n)

@@ -6,7 +6,7 @@
 // counters) into analyze.Sink aggregates.
 //
 // The pipeline has two halves. Per-job evaluation rides stream.Evaluate —
-// chunked, parallel, cache-eligible — which delivers results to a single
+// block by block, parallel, cache-eligible — which delivers results to a single
 // goroutine in submission order. That goroutine runs the event loop: it
 // advances simulated time to each arrival, releases completed jobs'
 // GPUs, admits or rejects the arrival, queues it under the configured

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/backend"
-	"repro/internal/colbin"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -20,8 +19,8 @@ import (
 // last. Sources are consumed from a single goroutine.
 //
 // A source that implements both Source and BlockSource (colbin.Reader does)
-// is automatically upgraded by Evaluate to the block path, so every caller
-// of the streaming pipeline gets block-granular evaluation the moment its
+// is evaluated through its blocks by Evaluate (see Blocks), so every caller
+// of the streaming pipeline gets decoded-block evaluation the moment its
 // input is columnar — no call-site changes.
 type BlockSource interface {
 	NextBlock(c *workload.Columns) error
@@ -42,14 +41,12 @@ type PayloadSource interface {
 }
 
 // blockChunk is one in-flight block. In decoded form cols is set; in payload
-// form (PayloadSource upgrade) dec carries the pending decode and n the
-// record count, and the worker that picks the chunk up decodes it.
+// form (PayloadSource upgrade) dec carries the pending decode, and the
+// worker that picks the chunk up decodes it.
 type blockChunk struct {
 	seq  int
-	base int
 	cols *workload.Columns
 	dec  func(*workload.Columns) error
-	n    int
 }
 
 type evaluatedBlock struct {
@@ -57,16 +54,16 @@ type evaluatedBlock struct {
 	times []core.Times
 }
 
-// Block buffers recycle like the scalar path's chunk buffers; blocks are an
-// order of magnitude larger than scalar chunks (sized to the columnar
-// writer's default block), so recycling matters even more here.
+// Block buffers recycle through pools: at millions of jobs per second the
+// pipeline would otherwise retire a Columns block and a times slice per
+// block, and the garbage-collection pressure becomes visible next to
+// sub-microsecond evaluations.
 var (
 	colsPool = sync.Pool{New: func() any { return new(workload.Columns) }}
 
-	blockTimesPool = sync.Pool{New: func() any {
-		s := make([]core.Times, 0, colbin.DefaultBlockRecords)
-		return &s
-	}}
+	// Times buffers grow to the block they first serve, so a 256-record
+	// block cut from a record source does not pin a colbin-sized buffer.
+	blockTimesPool = sync.Pool{New: func() any { return new([]core.Times) }}
 
 	// colsBalance and timesBalance count pool gets minus puts. Both sit at
 	// zero whenever no block pipeline is running, which is exactly what the
@@ -117,30 +114,42 @@ func releaseChunk(c blockChunk) {
 	putCols(c.cols)
 }
 
-// EvaluateBlocks is Evaluate over a block source: each block is one work
+// EvaluateBlocks is the pipeline Evaluate runs: each block is one work
 // unit — decoded in bulk upstream, evaluated in one backend call
 // (backend.EvaluateColumns, which uses the backend's column fast path when
 // it has one), and delivered to fn record by record in input order. Peak
-// memory is O(parallelism) blocks. The semantics mirror Evaluate exactly:
-// delivered count, first error, cancellation, nil fn discarding results.
+// memory is O(parallelism) blocks. It returns the delivered count and the
+// first error; any error or cancellation stops the pipeline, and a nil fn
+// discards results.
 func EvaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, parallelism int, fn func(Result) error) (int, error) {
-	return evaluateBlocks(ctx, ev, src, parallelism, fn, nil)
+	// Blocks arrive in input order, so the running count is each record's
+	// stream index; it also counts the records before a failing fn call.
+	delivered := 0
+	_, err := EvaluateBlocksInto(ctx, ev, src, parallelism, func(cols *workload.Columns, times []core.Times) error {
+		if fn == nil {
+			delivered += cols.Len()
+			return nil
+		}
+		for i := 0; i < cols.Len(); i++ {
+			if err := fn(Result{Index: delivered, Job: cols.Row(i), Times: times[i]}); err != nil {
+				return err
+			}
+			delivered++
+		}
+		return nil
+	})
+	return delivered, err
 }
 
-// EvaluateBlocksInto is EvaluateBlocks with block-granular delivery: blockFn
-// receives each whole evaluated block (columns plus times, parallel by
-// index) in input order instead of per-record Results, so a column-capable
-// sink folds one call per block and no Result is ever materialized. Both
-// buffers are owned by the pipeline and recycled after blockFn returns — do
-// not retain them. A nil blockFn discards results. The count returned is
-// records (not blocks), matching EvaluateBlocks.
+// EvaluateBlocksInto is the one worker pipeline — reader, workers and the
+// in-order collector — and EvaluateBlocks with block-granular delivery:
+// blockFn receives each whole evaluated block (columns plus times, parallel
+// by index) in input order instead of per-record Results, so a
+// column-capable sink folds one call per block and no Result is ever
+// materialized. Both buffers are owned by the pipeline and recycled after
+// blockFn returns — do not retain them. A nil blockFn discards results. The
+// count returned is records (not blocks), matching EvaluateBlocks.
 func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSource, parallelism int, blockFn func(*workload.Columns, []core.Times) error) (int, error) {
-	return evaluateBlocks(ctx, ev, src, parallelism, nil, blockFn)
-}
-
-// evaluateBlocks is the shared core of both block delivery modes; exactly
-// one of fn/blockFn is non-nil (both nil discards).
-func evaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, parallelism int, fn func(Result) error, blockFn func(*workload.Columns, []core.Times) error) (int, error) {
 	if ev == nil {
 		return 0, fmt.Errorf("stream: EvaluateBlocks with nil evaluator")
 	}
@@ -178,7 +187,7 @@ func evaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, 
 	ps, pipelined := src.(PayloadSource)
 	go func() {
 		defer close(work)
-		seq, base := 0, 0
+		seq := 0
 		for {
 			var c blockChunk
 			if pipelined {
@@ -194,7 +203,7 @@ func evaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, 
 					_ = dec(nil)
 					continue // tolerate empty blocks
 				}
-				c = blockChunk{seq: seq, base: base, dec: dec, n: n}
+				c = blockChunk{seq: seq, dec: dec}
 			} else {
 				cols := getCols()
 				err := src.NextBlock(cols)
@@ -211,7 +220,7 @@ func evaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, 
 					putCols(cols)
 					continue // tolerate empty blocks
 				}
-				c = blockChunk{seq: seq, base: base, cols: cols, n: cols.Len()}
+				c = blockChunk{seq: seq, cols: cols}
 			}
 			select {
 			case tokens <- struct{}{}:
@@ -227,7 +236,6 @@ func evaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, 
 				fail(context.Cause(ctx))
 				return
 			}
-			base += c.n
 			seq++
 		}
 	}()
@@ -312,20 +320,10 @@ func evaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, 
 				if err := blockFn(c.cols, c.times); err != nil {
 					fail(fmt.Errorf("stream: sink: %w", err))
 					failed = true
-				} else {
-					delivered += c.cols.Len()
 				}
-			} else {
-				for i := 0; i < c.cols.Len(); i++ {
-					if fn != nil {
-						if err := fn(Result{Index: c.base + i, Job: c.cols.Row(i), Times: c.times[i]}); err != nil {
-							fail(fmt.Errorf("stream: sink: %w", err))
-							failed = true
-							break
-						}
-					}
-					delivered++
-				}
+			}
+			if !failed {
+				delivered += c.cols.Len()
 			}
 			putCols(c.cols)
 			putTimes(c.times)

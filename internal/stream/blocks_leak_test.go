@@ -54,9 +54,9 @@ func (s *payloadSliceSource) NextPayload() (func(*workload.Columns) error, int, 
 }
 
 // TestEvaluateBlocksBufferBalance is the pooled-buffer leak audit: across
-// success, every error path, and cancellation — in both decoded-block and
-// pipelined-payload modes — the pool get/put balances must return to their
-// starting values. A Columns or times buffer dropped on an error path shows
+// success, every error path, and cancellation — in decoded-block,
+// pipelined-payload and cut-record (Blocks adapter) modes — the pool get/put
+// balances must return to their starting values. A Columns or times buffer dropped on an error path shows
 // up as a positive residue.
 func TestEvaluateBlocksBufferBalance(t *testing.T) {
 	jobs := testJobs(t, 2000)
@@ -135,6 +135,27 @@ func TestEvaluateBlocksBufferBalance(t *testing.T) {
 		_, err := EvaluateBlocks(ctx, ev, &blockSliceSource{jobs: jobs, blockSize: 16}, 4, func(Result) error {
 			n++
 			if n == 200 {
+				cancel()
+			}
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v", err)
+		}
+	})
+	balanced("adapter/source-error", func() {
+		sentinel := errors.New("line 700: bad record")
+		src := &errSource{jobs: jobs, k: 700, err: sentinel}
+		if _, err := Evaluate(context.Background(), ev, src, 4, nil); !errors.Is(err, sentinel) {
+			t.Fatalf("err = %v", err)
+		}
+	})
+	balanced("adapter/cancellation", func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		n := 0
+		_, err := Evaluate(ctx, ev, NewSliceSource(testJobs(t, 6000)), 4, func(Result) error {
+			n++
+			if n == 600 {
 				cancel()
 			}
 			return nil

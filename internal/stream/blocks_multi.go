@@ -24,8 +24,8 @@ import (
 // one cell arrive in that cell's input order, but calls for different cells
 // interleave from different goroutines — per-cell state needs no locking,
 // shared state does. The returned slice holds per-cell record counts. The
-// first error (open, decode, evaluation, blockFn, or cancellation) cancels
-// every in-flight pipeline.
+// first error (open, decode, evaluation, blockFn, or cancellation), tagged
+// with its cell, cancels every in-flight pipeline.
 func EvaluateBlocksMulti(ctx context.Context, ev backend.Evaluator, cells, consumers, parallelism int, open func(cell int) (BlockSource, error), blockFn func(cell int, cols *workload.Columns, times []core.Times) error) ([]int, error) {
 	if ev == nil {
 		return nil, fmt.Errorf("stream: EvaluateBlocksMulti with nil evaluator")
@@ -94,7 +94,7 @@ func EvaluateBlocksMulti(ctx context.Context, ev backend.Evaluator, cells, consu
 				n, err := EvaluateBlocksInto(ctx, ev, src, per, cellFn)
 				counts[cell] = n
 				if err != nil {
-					fail(err)
+					fail(fmt.Errorf("stream: cell %d: %w", cell, err))
 					return
 				}
 			}

@@ -1,14 +1,15 @@
-// Package stream is the bounded-memory evaluation pipeline behind
-// pai.Engine.EvaluateStream: it pulls job records one at a time from a
-// Source (an NDJSON decoder, a synthetic-trace generator, or an in-memory
-// slice), shards them in fixed-size chunks across a bounded worker pool, and
-// delivers per-job results to a single-goroutine sink in input order.
+// Package stream is the bounded-memory evaluation pipeline behind every
+// pai.Engine evaluation: it pulls structure-of-arrays blocks from a
+// BlockSource (a colbin reader, or any record Source — an NDJSON decoder, a
+// synthetic-trace generator, an in-memory slice — cut into 256-record blocks
+// by Blocks), evaluates each block on a bounded worker pool, and delivers
+// the results to a single-goroutine sink in input order.
 //
-// Peak memory is O(parallelism): at most maxOutstanding chunks of chunkSize
-// jobs exist at any moment — in the work queue, inside workers, in the done
-// queue, or parked in the collector's reorder buffer — regardless of how
-// many jobs the source yields. That is what lets million-job traces run in
-// the footprint of a thousand-job trace.
+// Peak memory is O(parallelism): at most 2×parallelism blocks exist at any
+// moment — in the work queue, inside workers, in the done queue, or parked
+// in the collector's reorder buffer — regardless of how many jobs the source
+// yields. That is what lets million-job traces run in the footprint of a
+// thousand-job trace.
 package stream
 
 import (
@@ -16,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -61,37 +61,54 @@ type Result struct {
 	Times core.Times
 }
 
-// chunkSize is the shard granularity: big enough to amortize channel
-// handoffs over sub-microsecond evaluations, small enough that the reorder
-// buffer stays tiny.
+// chunkSize is the block size Blocks cuts a record source into: big enough
+// to amortize channel handoffs over sub-microsecond evaluations, small
+// enough that the reorder buffer stays tiny.
 const chunkSize = 256
 
-type chunk struct {
-	seq  int
-	base int
-	jobs []workload.Features
+// Blocks returns src as a BlockSource: src itself when it already is one
+// (so a colbin reader keeps its pipelined PayloadSource upgrade), otherwise
+// an adapter that cuts the record stream into chunkSize-record blocks. A
+// nil src yields nil, which the pipelines refuse.
+func Blocks(src Source) BlockSource {
+	if src == nil {
+		return nil
+	}
+	if bs, ok := src.(BlockSource); ok {
+		return bs
+	}
+	return &recordBlocks{src: src}
 }
 
-type evaluated struct {
-	chunk
-	times []core.Times
+// recordBlocks is the record-to-block adapter behind Blocks. EOF is sticky:
+// once Next reports io.EOF it is never called again.
+type recordBlocks struct {
+	src Source
+	eof bool
 }
 
-// Chunk buffers recycle through pools: at millions of jobs per second the
-// pipeline would otherwise retire two ~25KB slices per 256 jobs, and the
-// garbage-collection pressure becomes visible next to sub-microsecond
-// evaluations. The collector returns both slices after delivery; buffers
-// dropped on error paths are simply collected.
-var (
-	jobsPool = sync.Pool{New: func() any {
-		s := make([]workload.Features, 0, chunkSize)
-		return &s
-	}}
-	timesPool = sync.Pool{New: func() any {
-		s := make([]core.Times, 0, chunkSize)
-		return &s
-	}}
-)
+// NextBlock implements BlockSource.
+func (b *recordBlocks) NextBlock(c *workload.Columns) error {
+	c.Reset()
+	if b.eof {
+		return io.EOF
+	}
+	for c.Len() < chunkSize {
+		f, err := b.src.Next()
+		if errors.Is(err, io.EOF) {
+			b.eof = true
+			break
+		}
+		if err != nil {
+			return err
+		}
+		c.Append(f)
+	}
+	if c.Len() == 0 {
+		return io.EOF
+	}
+	return nil
+}
 
 // Evaluate pulls jobs from src until io.EOF, evaluates each through ev over
 // a pool of parallelism workers, and calls fn once per job in input order
@@ -99,6 +116,10 @@ var (
 // throughput measurement). It returns the number of jobs delivered and the
 // first error: a source/decode error, an evaluation error, an fn error, or
 // the context's cancellation cause; any error cancels the whole pipeline.
+//
+// It is EvaluateBlocks over Blocks(src): a record source is cut into
+// 256-record blocks, and a source that already yields blocks (a colbin
+// reader) is evaluated block by block as it is.
 func Evaluate(ctx context.Context, ev backend.Evaluator, src Source, parallelism int, fn func(Result) error) (int, error) {
 	if ev == nil {
 		return 0, fmt.Errorf("stream: Evaluate with nil evaluator")
@@ -106,229 +127,5 @@ func Evaluate(ctx context.Context, ev backend.Evaluator, src Source, parallelism
 	if src == nil {
 		return 0, fmt.Errorf("stream: Evaluate with nil source")
 	}
-	// A source that can hand over whole columnar blocks skips per-record
-	// chunking entirely: same contract, same delivery order, block-granular
-	// work units. This is what routes colbin traces onto the fast path in
-	// every pipeline built on Evaluate (folds, shards, the daemon) without
-	// call-site changes.
-	if bs, ok := src.(BlockSource); ok {
-		return EvaluateBlocks(ctx, ev, bs, parallelism, fn)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// maxOutstanding bounds chunks alive anywhere in the pipeline; the
-	// reader blocks on a token before materializing the next chunk and the
-	// collector releases it after delivery, so a straggler shard cannot let
-	// the reorder buffer grow toward O(jobs).
-	maxOutstanding := 2 * parallelism
-	tokens := make(chan struct{}, maxOutstanding)
-	work := make(chan chunk, parallelism)
-	done := make(chan evaluated, parallelism)
-
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	// Reader: chunk the source.
-	go func() {
-		defer close(work)
-		seq, base := 0, 0
-		for {
-			jobs := (*jobsPool.Get().(*[]workload.Features))[:0]
-			for len(jobs) < chunkSize {
-				f, err := src.Next()
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
-				jobs = append(jobs, f)
-			}
-			if len(jobs) == 0 {
-				return
-			}
-			select {
-			case tokens <- struct{}{}:
-			case <-ctx.Done():
-				fail(context.Cause(ctx))
-				return
-			}
-			select {
-			case work <- chunk{seq: seq, base: base, jobs: jobs}:
-			case <-ctx.Done():
-				fail(context.Cause(ctx))
-				return
-			}
-			base += len(jobs)
-			seq++
-			if len(jobs) < chunkSize {
-				return // short chunk: source exhausted
-			}
-		}
-	}()
-
-	// Workers: evaluate chunks.
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				if ctx.Err() != nil {
-					fail(context.Cause(ctx))
-					return
-				}
-				times := (*timesPool.Get().(*[]core.Times))[:len(c.jobs)]
-				for i, j := range c.jobs {
-					t, err := ev.Breakdown(j)
-					if err != nil {
-						fail(fmt.Errorf("stream: job %q: %w", j.Name, err))
-						return
-					}
-					times[i] = t
-				}
-				select {
-				case done <- evaluated{chunk: c, times: times}:
-				case <-ctx.Done():
-					fail(context.Cause(ctx))
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	// Collector (caller's goroutine): reorder and deliver.
-	var (
-		delivered int
-		next      int
-		pending   = make(map[int]evaluated, maxOutstanding)
-		failed    bool
-	)
-	for e := range done {
-		// Stop delivering as soon as the pipeline is failed or cancelled;
-		// keep draining so no goroutine blocks on a full channel.
-		if !failed && ctx.Err() != nil {
-			fail(context.Cause(ctx))
-			failed = true
-		}
-		if failed {
-			<-tokens
-			continue
-		}
-		pending[e.seq] = e
-		for {
-			c, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			for i := range c.jobs {
-				if fn != nil {
-					if err := fn(Result{Index: c.base + i, Job: c.jobs[i], Times: c.times[i]}); err != nil {
-						fail(fmt.Errorf("stream: sink: %w", err))
-						failed = true
-						break
-					}
-				}
-				delivered++
-			}
-			// Results were handed to fn by value; the chunk buffers can
-			// recycle.
-			js, ts := c.jobs, c.times
-			jobsPool.Put(&js)
-			timesPool.Put(&ts)
-			<-tokens
-			next++
-			if failed {
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		return delivered, firstErr
-	}
-	return delivered, nil
-}
-
-// EvaluateMulti drains N sources concurrently — the multi-trace sharding
-// step: each source gets its own independent Evaluate pipeline (reader,
-// worker set, collector), so N NDJSON files or N generator partitions flow
-// in parallel with no cross-shard synchronization on the hot path. The
-// overall parallelism budget is split evenly across shards (at least one
-// worker each).
-//
-// fn is called as fn(shard, r): sequentially and in input order within one
-// shard, but concurrently across shards — give each shard its own sink (for
-// example a per-shard accumulator, merged afterward) and fn needs no
-// locking. It returns per-shard delivered counts and the first error; any
-// error cancels every shard's pipeline.
-func EvaluateMulti(ctx context.Context, ev backend.Evaluator, srcs []Source, parallelism int, fn func(shard int, r Result) error) ([]int, error) {
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("stream: EvaluateMulti with no sources")
-	}
-	for i, src := range srcs {
-		if src == nil {
-			return nil, fmt.Errorf("stream: EvaluateMulti with nil source %d", i)
-		}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	perShard := parallelism / len(srcs)
-	if perShard < 1 {
-		perShard = 1
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	counts := make([]int, len(srcs))
-	for i, src := range srcs {
-		wg.Add(1)
-		go func(shard int, src Source) {
-			defer wg.Done()
-			var sink func(Result) error
-			if fn != nil {
-				sink = func(r Result) error { return fn(shard, r) }
-			}
-			n, err := Evaluate(ctx, ev, src, perShard, sink)
-			counts[shard] = n
-			if err != nil {
-				errOnce.Do(func() {
-					firstErr = fmt.Errorf("stream: shard %d: %w", shard, err)
-					cancel()
-				})
-			}
-		}(i, src)
-	}
-	wg.Wait()
-	return counts, firstErr
+	return EvaluateBlocks(ctx, ev, Blocks(src), parallelism, fn)
 }

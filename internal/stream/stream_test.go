@@ -5,14 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/colbin"
 	"repro/internal/core"
 	"repro/internal/tracegen"
 	"repro/internal/workload"
@@ -299,103 +300,88 @@ func BenchmarkStreamEvaluate(b *testing.B) {
 	b.ReportMetric(float64(len(jobs)), "jobs/op")
 }
 
-// TestEvaluateMultiMatchesSingle: draining N partitions of one trace through
-// EvaluateMulti must deliver every job exactly once, in input order within
-// each shard, with breakdowns identical to the single-source pipeline.
-func TestEvaluateMultiMatchesSingle(t *testing.T) {
-	jobs := testJobs(t, 1800)
-	ev := testBackend(t)
-	want, err := backend.EvaluateBatch(context.Background(), ev, jobs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := []int{0, 500, 1100, len(jobs)}
-	srcs := make([]Source, 0, 3)
-	for i := 0; i+1 < len(cuts); i++ {
-		srcs = append(srcs, NewSliceSource(jobs[cuts[i]:cuts[i+1]]))
-	}
-	type shardResult struct {
-		mu  sync.Mutex
-		got []Result
-	}
-	perShard := make([]shardResult, len(srcs))
-	counts, err := EvaluateMulti(context.Background(), ev, srcs, 6, func(shard int, r Result) error {
-		s := &perShard[shard]
-		s.mu.Lock()
-		s.got = append(s.got, r)
-		s.mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for shard, n := range counts {
-		if want := cuts[shard+1] - cuts[shard]; n != want {
-			t.Errorf("shard %d delivered %d jobs, want %d", shard, n, want)
-		}
-		total += n
-	}
-	if total != len(jobs) {
-		t.Fatalf("delivered %d of %d jobs", total, len(jobs))
-	}
-	for shard := range perShard {
-		for i, r := range perShard[shard].got {
-			if r.Index != i {
-				t.Fatalf("shard %d result %d carries index %d (out of order)", shard, i, r.Index)
-			}
-			global := cuts[shard] + i
-			if !reflect.DeepEqual(r.Job, jobs[global]) {
-				t.Fatalf("shard %d result %d job mismatch", shard, i)
-			}
-			if !reflect.DeepEqual(r.Times, want[global]) {
-				t.Fatalf("shard %d result %d breakdown differs from EvaluateBatch", shard, i)
-			}
-		}
-	}
-}
-
-func TestEvaluateMultiValidation(t *testing.T) {
-	ev := testBackend(t)
-	if _, err := EvaluateMulti(context.Background(), ev, nil, 2, nil); err == nil {
-		t.Error("expected error for no sources")
-	}
-	if _, err := EvaluateMulti(context.Background(), ev, []Source{NewSliceSource(nil), nil}, 2, nil); err == nil {
-		t.Error("expected error for a nil source")
-	}
-}
-
-// TestEvaluateMultiShardErrorCancelsAll: a failing shard must cancel its
-// siblings and surface the shard-tagged error.
-func TestEvaluateMultiShardErrorCancelsAll(t *testing.T) {
-	jobs := testJobs(t, 600)
-	ev := testBackend(t)
-	bad := errors.New("shard source exploded")
-	srcs := []Source{
-		NewSliceSource(jobs),
-		&errorSource{jobs: jobs[:10], err: bad},
-	}
-	_, err := EvaluateMulti(context.Background(), ev, srcs, 4, func(int, Result) error { return nil })
-	if !errors.Is(err, bad) {
-		t.Fatalf("err = %v, want wrapped %v", err, bad)
-	}
-	if !strings.Contains(err.Error(), "shard 1") {
-		t.Errorf("error %q does not name the failing shard", err)
-	}
-}
-
-// errorSource yields a few jobs then fails.
-type errorSource struct {
+// strictSource serves n jobs and fails the test if Next is called again
+// after it has reported io.EOF.
+type strictSource struct {
+	t    *testing.T
 	jobs []workload.Features
 	i    int
-	err  error
+	eof  bool
 }
 
-func (s *errorSource) Next() (workload.Features, error) {
+func (s *strictSource) Next() (workload.Features, error) {
+	if s.eof {
+		s.t.Error("Next called after io.EOF")
+	}
 	if s.i >= len(s.jobs) {
-		return workload.Features{}, s.err
+		s.eof = true
+		return workload.Features{}, io.EOF
 	}
 	f := s.jobs[s.i]
 	s.i++
 	return f, nil
+}
+
+// TestBlocksCutsRecordSources: the adapter cuts a record source into
+// chunkSize-record blocks, never calls Next past io.EOF, keeps reporting
+// io.EOF, and the pipeline over it numbers records continuously across
+// blocks.
+func TestBlocksCutsRecordSources(t *testing.T) {
+	jobs := testJobs(t, 512)
+	ev := testBackend(t)
+	for _, n := range []int{0, 255, 256, 257, 512} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			bs := Blocks(&strictSource{t: t, jobs: jobs[:n]})
+			var c workload.Columns
+			var sizes []int
+			for {
+				err := bs.NextBlock(&c)
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sizes = append(sizes, c.Len())
+			}
+			if err := bs.NextBlock(&c); !errors.Is(err, io.EOF) || c.Len() != 0 {
+				t.Fatalf("NextBlock after EOF: len %d, err %v", c.Len(), err)
+			}
+			var want []int
+			for left := n; left > 0; left -= chunkSize {
+				want = append(want, min(left, chunkSize))
+			}
+			if !reflect.DeepEqual(sizes, want) {
+				t.Fatalf("block sizes %v, want %v", sizes, want)
+			}
+
+			next := 0
+			got, err := Evaluate(context.Background(), ev, &strictSource{t: t, jobs: jobs[:n]}, 3, func(r Result) error {
+				if r.Index != next || r.Job.Name != jobs[next].Name {
+					t.Fatalf("result %d carries index %d, job %q", next, r.Index, r.Job.Name)
+				}
+				next++
+				return nil
+			})
+			if err != nil || got != n || next != n {
+				t.Fatalf("delivered %d (%d in order), err %v; want %d", got, next, err, n)
+			}
+		})
+	}
+}
+
+// TestBlocksKeepsBlockSources: a source that already yields blocks passes
+// through unwrapped, so a colbin reader keeps its PayloadSource pipelining.
+func TestBlocksKeepsBlockSources(t *testing.T) {
+	r := colbin.NewReader(bytes.NewReader(nil))
+	bs := Blocks(r)
+	if bs != BlockSource(r) {
+		t.Fatalf("Blocks wrapped a colbin reader in %T", bs)
+	}
+	if _, ok := bs.(PayloadSource); !ok {
+		t.Fatal("Blocks lost the PayloadSource upgrade")
+	}
+	if Blocks(nil) != nil {
+		t.Fatal("Blocks(nil) is not nil")
+	}
 }

@@ -26,8 +26,9 @@
 //
 // Traces are read and written through registered codecs (TraceFormats):
 // streaming NDJSON, the legacy whole-trace JSON document, and the columnar
-// binary block format ("colbin") that decodes in bulk and rides the
-// block-granular evaluation path (Engine.EvaluateColumns). OpenTraceSource
+// binary block format ("colbin") that decodes in bulk and hands its blocks
+// straight to the evaluation pipeline (Engine.EvaluateSource,
+// StreamColumnsInto). OpenTraceSource
 // selects a codec by name or by sniffing the input's first bytes.
 //
 // The free functions that predated the Engine (NewModel, Breakdowns,
@@ -143,7 +144,7 @@ type (
 	// the columnar codec decodes and the block evaluation path consumes.
 	Columns = workload.Columns
 	// BlockSource yields whole columnar blocks (io.EOF terminates); the
-	// block-granular input surface of Engine.EvaluateColumns.
+	// input surface of Engine.StreamColumnsInto.
 	BlockSource = stream.BlockSource
 	// ColumnReader decodes a colbin trace block by block; it also satisfies
 	// JobSource, so it drops in wherever an NDJSON decoder does.
@@ -207,8 +208,10 @@ type (
 	Distribution = stats.Distribution
 
 	// CacheStats snapshots the WithCache / WithCacheBytes result cache:
-	// hit/miss/eviction counters, residency, capacity, and the measured
-	// entry footprint driving byte-budget sizing.
+	// hit/miss/eviction counters (Hits+Misses counts every record evaluated
+	// through the cache, a block hit adding its records to Hits),
+	// residency, capacity, and the measured entry footprint driving
+	// byte-budget sizing.
 	CacheStats = evalcache.Stats
 
 	// MicroShardAssignment is one work-stealing range assignment: evaluate
@@ -356,14 +359,14 @@ func NewTraceSource(p TraceParams) (*TraceSource, error) { return tracegen.NewSo
 
 // NewSliceJobSource adapts an in-memory job slice to the JobSource
 // interface, for feeding Engine.EvaluateSource or one shard of
-// Engine.EvaluateSources.
+// Engine.EvaluateSourcesInto.
 func NewSliceJobSource(jobs []Features) JobSource { return stream.NewSliceSource(jobs) }
 
 // ReadTrace loads a whole-document JSON trace into memory.
 func ReadTrace(r io.Reader) (*Trace, error) { return tracegen.ReadJSON(r) }
 
 // ReadTraceNDJSON slurps an NDJSON trace into memory. To stream instead,
-// use Engine.EvaluateStream or NewTraceDecoder.
+// use Engine.EvaluateTrace or NewTraceDecoder.
 func ReadTraceNDJSON(r io.Reader) (*Trace, error) { return tracegen.ReadNDJSON(r) }
 
 // NewTraceDecoder returns an incremental NDJSON trace decoder; decode
@@ -397,8 +400,8 @@ func SniffTraceFormat(r io.Reader) (format string, replay io.Reader, err error) 
 
 // OpenTraceSource opens a job source over r using the named trace codec;
 // "auto" (or empty) sniffs the stream's leading bytes. The returned source
-// feeds Engine.EvaluateSource directly, and columnar input automatically
-// rides the block-granular fast path there.
+// feeds Engine.EvaluateSource directly, and columnar input hands its own
+// blocks to the pipeline there.
 func OpenTraceSource(r io.Reader, format string) (JobSource, error) {
 	src, err := tracegen.OpenSource(r, format)
 	if err != nil {
@@ -422,8 +425,8 @@ func NewTraceWriterBlockRecords(w io.Writer, format string, blockRecords int) (T
 }
 
 // NewColumnReader returns a columnar (colbin) trace reader over r. It
-// serves both calling conventions: NextBlock for Engine.EvaluateColumns and
-// record-at-a-time Next for any JobSource consumer.
+// serves both calling conventions: NextBlock, which every Engine
+// evaluation takes its blocks through, and record-at-a-time Next.
 func NewColumnReader(r io.Reader) *ColumnReader { return colbin.NewReader(r) }
 
 // NewColumnWriter returns a columnar (colbin) trace writer over w; call

@@ -21,7 +21,7 @@ func sinkTestTrace(t *testing.T, n int) []pai.Features {
 }
 
 // TestEngineStreamIntoMatchesStreamBreakdowns: the generic sink fold over a
-// breakdown accumulator must equal the dedicated breakdown path.
+// breakdown accumulator must equal the record-at-a-time breakdown fold.
 func TestEngineStreamIntoMatchesStreamBreakdowns(t *testing.T) {
 	eng, err := pai.New()
 	if err != nil {
@@ -38,9 +38,15 @@ func TestEngineStreamIntoMatchesStreamBreakdowns(t *testing.T) {
 	if n != len(jobs) {
 		t.Fatalf("folded %d of %d jobs", n, len(jobs))
 	}
-	want, err := eng.StreamBreakdowns(ctx, pai.NewSliceJobSource(jobs))
-	if err != nil {
-		t.Fatal(err)
+	want := pai.NewBreakdownAccumulator()
+	for _, j := range jobs {
+		tm, err := eng.Evaluate(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Add(j, tm); err != nil {
+			t.Fatal(err)
+		}
 	}
 	gotSnap, err := acc.MarshalBinary()
 	if err != nil {
@@ -51,7 +57,7 @@ func TestEngineStreamIntoMatchesStreamBreakdowns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotSnap, wantSnap) {
-		t.Error("StreamInto breakdown state differs from StreamBreakdowns")
+		t.Error("StreamInto breakdown state differs from the record-at-a-time fold")
 	}
 }
 
