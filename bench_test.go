@@ -205,7 +205,11 @@ func BenchmarkEngineEvaluateStream(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			n, err := eng.EvaluateTrace(ctx, bytes.NewReader(raw), "ndjson", nil)
+			src, err := pai.OpenTraceSource(bytes.NewReader(raw), "ndjson")
+			if err != nil {
+				b.Fatal(err)
+			}
+			n, err := eng.EvaluateSource(ctx, src, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

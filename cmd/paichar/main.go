@@ -7,16 +7,17 @@
 //
 //	paichar [-trace FILE]... [-format auto|json|ndjson|colbin] [-jobs N] [-class PS/Worker]
 //
-// Without -trace a calibrated synthetic trace of -jobs jobs is generated.
-// A trace file's codec is sniffed from its leading bytes (or forced with
-// -format): record-stream codecs (ndjson, colbin) are streamed through the
-// bounded pipeline instead of being materialized, so they can hold millions
-// of jobs. Streaming mode covers every report section: the whole
-// characterization — breakdown aggregates, CDF sketches, the projection
-// summary, and the hardware sweep for -class — folds through one MultiSink
-// in a single pass at fixed memory (CDFs are quantile sketches: exact at
-// the q=0/1 boundaries, interior error under one bin, < 0.2% absolute for
-// fractions).
+// Without -trace a calibrated synthetic trace of -jobs jobs is streamed
+// from the generator. A trace file's codec is sniffed from its leading
+// bytes (or forced with -format): record-stream codecs (ndjson, colbin) are
+// streamed through the bounded pipeline, so they can hold millions of jobs,
+// and a whole-document JSON trace is read into memory first. Every input
+// takes the same path: the whole characterization — breakdown aggregates,
+// CDF sketches, the projection summary, and the hardware sweep for -class —
+// folds through one MultiSink in a single pass (CDFs are quantile sketches:
+// exact at the q=0/1 boundaries, interior error under one bin, < 0.2%
+// absolute for fractions), so one trace renders the same report whatever
+// its encoding.
 //
 // -trace may repeat: multiple record-stream traces are drained concurrently
 // as shards, each by its own worker set into its own sink, and folded with
@@ -89,106 +90,48 @@ func run(args []string, stdout io.Writer) error {
 	}
 	engOpts := engineOptions(*backendName, *par, *cacheEntries, *cacheBytes)
 
-	var trace *pai.Trace
-	if len(traces) > 0 {
-		// Resolve each trace file's codec — by sniffing its leading bytes
-		// unless -format forces one. Record-stream codecs feed the streaming
-		// pipeline; a whole-document JSON trace takes the in-memory path
-		// (and cannot shard, since it is not a record stream).
-		srcs := make([]pai.JobSource, len(traces))
-		for i, path := range traces {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			name, r := *format, io.Reader(f)
-			if name == pai.TraceFormatAuto || name == "" {
-				if name, r, err = pai.SniffTraceFormat(f); err != nil {
-					return fmt.Errorf("%s: %w", path, err)
-				}
-			}
-			if name == "json" {
-				if len(traces) > 1 {
-					return fmt.Errorf("multi-trace mode streams record codecs only; %s is whole-document JSON (convert it with tracegen -convert)", path)
-				}
-				if trace, err = pai.ReadTrace(r); err != nil {
-					return err
-				}
-				break
-			}
-			if srcs[i], err = pai.OpenTraceSource(r, name); err != nil {
+	// Resolve each trace file's codec — by sniffing its leading bytes
+	// unless -format forces one. Record-stream codecs are streamed; a
+	// whole-document JSON trace is read into memory and cannot shard, since
+	// it is not a record stream.
+	srcs := make([]pai.JobSource, len(traces))
+	for i, path := range traces {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		name, r := *format, io.Reader(f)
+		if name == pai.TraceFormatAuto || name == "" {
+			if name, r, err = pai.SniffTraceFormat(f); err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}
 		}
-		if trace == nil {
-			return runStreaming(srcs, traces, engOpts, target, stdout)
+		if name == "json" {
+			if len(traces) > 1 {
+				return fmt.Errorf("multi-trace mode streams record codecs only; %s is whole-document JSON (convert it with tracegen -convert)", path)
+			}
+			trace, err := pai.ReadTrace(r)
+			if err != nil {
+				return err
+			}
+			srcs[i] = pai.NewSliceJobSource(trace.Jobs)
+			continue
+		}
+		if srcs[i], err = pai.OpenTraceSource(r, name); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	if trace == nil {
+	if len(traces) == 0 {
 		p := pai.DefaultTraceParams()
 		p.NumJobs = *jobs
-		var err error
-		trace, err = pai.GenerateTrace(p)
+		src, err := pai.NewTraceSource(p)
 		if err != nil {
 			return err
 		}
+		srcs = []pai.JobSource{src}
 	}
-
-	eng, err := pai.New(engOpts...)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-
-	// Constitution (Fig. 5).
-	c, err := pai.Constitute(trace.Jobs)
-	if err != nil {
-		return err
-	}
-	if err := renderConstitution(stdout, "Workload constitution", c); err != nil {
-		return err
-	}
-
-	// Breakdowns (Fig. 7).
-	rows, err := eng.Breakdowns(ctx, trace.Jobs)
-	if err != nil {
-		return err
-	}
-	overall, err := eng.OverallBreakdown(ctx, trace.Jobs, pai.CNodeLevel)
-	if err != nil {
-		return err
-	}
-	if err := renderBreakdowns(stdout, rows, overall); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout)
-
-	// Projection (Fig. 9).
-	ps := pai.FilterClass(trace.Jobs, pai.PSWorker)
-	if len(ps) > 0 {
-		results, err := eng.ProjectAll(ctx, ps, pai.ToAllReduceLocal)
-		if err != nil {
-			return err
-		}
-		sum, err := pai.SummarizeProjection(results)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "PS -> AllReduce-Local: %d jobs, %s gain throughput, mean node speedup %.2fx\n\n",
-			sum.N, report.Pct(1-sum.FracThroughputNotSped), sum.MeanNodeSpeedup)
-	}
-
-	// Hardware sweep for the chosen class (Fig. 11 panel).
-	subset := pai.FilterClass(trace.Jobs, target)
-	if len(subset) == 0 {
-		return fmt.Errorf("trace has no %s jobs", target)
-	}
-	panel, err := eng.HardwareSweep(ctx, subset, target.String())
-	if err != nil {
-		return err
-	}
-	return renderSweep(stdout, target, panel)
+	return characterize(srcs, traces, engOpts, target, stdout)
 }
 
 // resolveClass maps a class flag value to the workload class.
@@ -201,7 +144,7 @@ func resolveClass(name string) (pai.Class, error) {
 	return 0, fmt.Errorf("unknown class %q", name)
 }
 
-// engineOptions assembles the shared engine configuration of both paths.
+// engineOptions assembles the engine configuration from the flags.
 func engineOptions(backendName string, par, cacheEntries int, cacheBytes int64) []pai.Option {
 	opts := []pai.Option{
 		pai.WithConfig(pai.BaselineConfig()),
@@ -219,8 +162,7 @@ func engineOptions(backendName string, par, cacheEntries int, cacheBytes int64) 
 	return opts
 }
 
-// renderSweep prints the Fig. 11 panel; shared by the in-memory and
-// streaming paths so their output stays identical.
+// renderSweep prints the Fig. 11 panel.
 func renderSweep(stdout io.Writer, target pai.Class, panel pai.SweepPanel) error {
 	fmt.Fprintf(stdout, "Hardware sweep for %s:\n", target)
 	for _, s := range panel.Series {
@@ -238,8 +180,7 @@ func renderSweep(stdout io.Writer, target pai.Class, panel pai.SweepPanel) error
 	return err
 }
 
-// renderConstitution prints the Fig. 5 composition table; shared by the
-// in-memory and streaming paths so their output stays identical.
+// renderConstitution prints the Fig. 5 composition table.
 func renderConstitution(stdout io.Writer, title string, c pai.Constitution) error {
 	t := &report.Table{Title: title,
 		Headers: []string{"class", "jobs", "job share", "cNode share"}}
@@ -272,15 +213,14 @@ func renderBreakdowns(stdout io.Writer, rows []pai.BreakdownRow, overall map[pai
 	return err
 }
 
-// runStreaming characterizes one or more record-stream traces (NDJSON or
-// colbin sources, already opened) through the streaming pipeline: traces
-// are never materialized, so they can be arbitrarily large, and multiple
-// traces drain concurrently as shards folded with the exact merge (columnar
-// sources ride the block-granular path automatically). Every report section
-// folds through one MultiSink in a single pass — breakdown aggregates, CDF
-// sketches, the projection summary, and the hardware sweep for the chosen
-// class.
-func runStreaming(srcs []pai.JobSource, paths []string, engOpts []pai.Option, target pai.Class, stdout io.Writer) error {
+// characterize folds every source through the streaming pipeline and
+// renders the report. Record-stream sources are never materialized, so
+// they can be arbitrarily large, and multiple traces drain concurrently as
+// shards folded with the exact merge (columnar sources ride the
+// block-granular path automatically). Every report section folds through
+// one MultiSink in a single pass — breakdown aggregates, CDF sketches, the
+// projection summary, and the hardware sweep for the chosen class.
+func characterize(srcs []pai.JobSource, paths []string, engOpts []pai.Option, target pai.Class, stdout io.Writer) error {
 	eng, err := pai.New(engOpts...)
 	if err != nil {
 		return err
@@ -327,6 +267,11 @@ func runStreaming(srcs []pai.JobSource, paths []string, engOpts []pai.Option, ta
 	c, err := acc.Constitution()
 	if err != nil {
 		return err
+	}
+	// A trace without the sweep class is an error, returned before any
+	// section renders.
+	if sweep.N() == 0 {
+		return fmt.Errorf("trace has no %s jobs", target)
 	}
 	title := fmt.Sprintf("Workload constitution (%d jobs, streamed)", acc.N())
 	if len(paths) > 1 {
@@ -378,16 +323,12 @@ func runStreaming(srcs []pai.JobSource, paths []string, engOpts []pai.Option, ta
 	}
 
 	// Hardware sweep (Fig. 11 panel), streamed.
-	if sweep.N() > 0 {
-		panel, err := sweep.Panel(target.String())
-		if err != nil {
-			return err
-		}
-		if err := renderSweep(stdout, target, panel); err != nil {
-			return err
-		}
-	} else {
-		fmt.Fprintf(stdout, "(no %s jobs; hardware sweep skipped)\n", target)
+	panel, err := sweep.Panel(target.String())
+	if err != nil {
+		return err
+	}
+	if err := renderSweep(stdout, target, panel); err != nil {
+		return err
 	}
 
 	p50, err := acc.StepTimeQuantile(0.5)

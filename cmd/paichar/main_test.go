@@ -2,11 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -34,15 +33,7 @@ func TestRunFromTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "t.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := writeTrace(t, t.TempDir(), "t.json", tr, "json")
 	var buf bytes.Buffer
 	if err := run([]string{"-trace", path, "-class", "1w1g"}, &buf); err != nil {
 		t.Fatal(err)
@@ -62,6 +53,18 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-jobs", "200", "-class", "AllReduce-Local"}, &buf); err == nil {
 		t.Error("expected error for class with no jobs in trace")
+	}
+	// A streamed trace without the sweep class fails the same way.
+	p := pai.DefaultTraceParams()
+	p.NumJobs = 200
+	tr, err := pai.GenerateTrace(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndPath := writeTrace(t, t.TempDir(), "t.ndjson", tr, "ndjson")
+	err = run([]string{"-trace", ndPath, "-class", "AllReduce-Local"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "no AllReduce-Local jobs") {
+		t.Errorf("NDJSON trace without the sweep class: want a no-jobs error, got %v", err)
 	}
 	if err := run([]string{"-badflag"}, &buf); err == nil {
 		t.Error("expected error for unknown flag")
@@ -84,17 +87,8 @@ func TestRunMultiTraceShards(t *testing.T) {
 	paths := []string{}
 	third := len(tr.Jobs) / 3
 	for i := 0; i < 3; i++ {
-		path := filepath.Join(dir, fmt.Sprintf("shard%d.ndjson", i))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		part := &pai.Trace{Jobs: tr.Jobs[i*third : (i+1)*third]}
-		if err := part.WriteNDJSON(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		paths = append(paths, path)
+		paths = append(paths, writeTrace(t, dir, fmt.Sprintf("shard%d.ndjson", i), part, "ndjson"))
 	}
 	var buf bytes.Buffer
 	args := []string{"-cache", "1024"}
@@ -127,10 +121,44 @@ func TestRunMultiTraceShards(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesInMemorySections: on the same trace, the streamed
-// projection and sweep sections must render identically to the in-memory
-// path.
-func TestStreamingMatchesInMemorySections(t *testing.T) {
+// paicharGoldenSHA256 is the SHA-256 of the report for the default
+// 800-job trace read from NDJSON with -par 2.
+const paicharGoldenSHA256 = "a392c3ccd3a58cb96f95d3862817af0c727becd17baee50d1d427d49a7372b60"
+
+// writeTrace writes tr into dir/name in the named trace codec ("json" for
+// the whole-document form) and returns the path.
+func writeTrace(t *testing.T, dir, name string, tr *pai.Trace, format string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if format == "json" {
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		w, err := pai.NewTraceWriter(&buf, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range tr.Jobs {
+			if err := w.Write(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRunInputsMatchGolden: the NDJSON report matches its golden hash, and
+// the same trace generated in process, read from whole-document JSON, or
+// read from colbin renders the same bytes.
+func TestRunInputsMatchGolden(t *testing.T) {
 	p := pai.DefaultTraceParams()
 	p.NumJobs = 800
 	tr, err := pai.GenerateTrace(p)
@@ -138,49 +166,26 @@ func TestStreamingMatchesInMemorySections(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "trace.json")
-	jf, err := os.Create(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteJSON(jf); err != nil {
-		t.Fatal(err)
-	}
-	jf.Close()
-	ndPath := filepath.Join(dir, "trace.ndjson")
-	nf, err := os.Create(ndPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteNDJSON(nf); err != nil {
-		t.Fatal(err)
-	}
-	nf.Close()
-
-	var memOut, streamOut bytes.Buffer
-	if err := run([]string{"-trace", jsonPath}, &memOut); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-trace", ndPath}, &streamOut); err != nil {
-		t.Fatal(err)
-	}
-	sectionLines := func(out string) []string {
-		var keep []string
-		for _, line := range strings.Split(out, "\n") {
-			if strings.Contains(line, "PS -> AllReduce-Local") ||
-				strings.Contains(line, "most sensitive resource") ||
-				strings.Contains(line, "Ethernet  :") {
-				keep = append(keep, line)
-			}
+	render := func(args ...string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := run(append(args, "-par", "2"), &buf); err != nil {
+			t.Fatal(err)
 		}
-		return keep
+		return buf.String()
 	}
-	mem, stream := sectionLines(memOut.String()), sectionLines(streamOut.String())
-	if len(mem) == 0 {
-		t.Fatalf("no comparable sections in in-memory output:\n%s", memOut.String())
+	want := render("-trace", writeTrace(t, dir, "t.ndjson", tr, "ndjson"))
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(want))); got != paicharGoldenSHA256 {
+		t.Errorf("NDJSON report sha256 %s, want %s:\n%s", got, paicharGoldenSHA256, want)
 	}
-	if !reflect.DeepEqual(mem, stream) {
-		t.Errorf("streamed sections differ from in-memory:\nmem: %q\nstream: %q", mem, stream)
+	for name, args := range map[string][]string{
+		"generated": {"-jobs", "800"},
+		"json":      {"-trace", writeTrace(t, dir, "t.json", tr, "json")},
+		"colbin":    {"-trace", writeTrace(t, dir, "t.bin", tr, "colbin")},
+	} {
+		if got := render(args...); got != want {
+			t.Errorf("%s input renders differently from NDJSON:\n%s\nwant:\n%s", name, got, want)
+		}
 	}
 }
 
@@ -195,23 +200,8 @@ func TestRunMultiTraceRejectsWholeDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	write := func(name string, emit func(w io.Writer) error) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := emit(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	nd := write("a.trace", tr.WriteNDJSON)
-	doc := write("b.trace", tr.WriteJSON)
+	nd := writeTrace(t, dir, "a.trace", tr, "ndjson")
+	doc := writeTrace(t, dir, "b.trace", tr, "json")
 	var buf bytes.Buffer
 	err = run([]string{"-trace", nd, "-trace", doc}, &buf)
 	if err == nil || !strings.Contains(err.Error(), "whole-document JSON") {
@@ -228,24 +218,7 @@ func TestRunColbinTraceStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "t.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := pai.NewTraceWriter(f, "colbin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range tr.Jobs {
-		if err := w.Write(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := writeTrace(t, t.TempDir(), "t.bin", tr, "colbin")
 	var buf bytes.Buffer
 	if err := run([]string{"-trace", path}, &buf); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -40,5 +42,23 @@ func TestRunBadFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-nope"}, &buf); err == nil {
 		t.Error("expected error for unknown flag")
+	}
+}
+
+// reproGoldenSHA256 is the SHA-256 of `repro -jobs 3000 -ext`: every table,
+// figure and extension over the default 3000-job trace.
+const reproGoldenSHA256 = "f729209190eb11f27043e3ae82d496ae90dd36554d414961610b3e9c7c4895ca"
+
+// TestRunGolden pins the full output, which must not depend on the
+// evaluation worker count.
+func TestRunGolden(t *testing.T) {
+	for _, par := range []string{"1", "4"} {
+		var buf bytes.Buffer
+		if err := run([]string{"-jobs", "3000", "-ext", "-par", par}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != reproGoldenSHA256 {
+			t.Errorf("-par %s: output sha256 %s, want %s", par, got, reproGoldenSHA256)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package pai
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/evalcache"
 	"repro/internal/project"
 	"repro/internal/stream"
-	"repro/internal/tracegen"
 )
 
 // Engine is a configured, reusable, concurrency-safe evaluation object: one
@@ -374,17 +372,6 @@ func (e *Engine) EvaluateSource(ctx context.Context, src JobSource, fn func(Stre
 	return stream.Evaluate(ctx, ev, src, e.parallelism, fn)
 }
 
-// EvaluateTrace is EvaluateSource over an encoded trace stream: format
-// selects a registered codec by name ("ndjson", "colbin", "json"), and
-// "auto" (or empty) sniffs the stream's leading bytes.
-func (e *Engine) EvaluateTrace(ctx context.Context, r io.Reader, format string, fn func(StreamResult) error) (int, error) {
-	src, err := tracegen.OpenSource(r, format)
-	if err != nil {
-		return 0, err
-	}
-	return e.EvaluateSource(ctx, src, fn)
-}
-
 // EvaluateIndexedColumns is the file-parallel StreamColumnsInto: `consumers`
 // concurrent block pipelines pull disjoint segments of one index-bearing
 // colbin file from ir and fold each into its own sink built by factory, and
@@ -450,35 +437,6 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.cache.Stats()
 }
 
-// Breakdowns computes the Fig. 7 average breakdown rows over a trace.
-func (e *Engine) Breakdowns(ctx context.Context, jobs []Features) ([]BreakdownRow, error) {
-	ev, err := e.evaluator()
-	if err != nil {
-		return nil, err
-	}
-	return analyze.Breakdowns(ctx, ev, e.parallelism, jobs)
-}
-
-// OverallBreakdown aggregates component shares over all jobs at one level
-// (the Sec. III-D headline numbers).
-func (e *Engine) OverallBreakdown(ctx context.Context, jobs []Features, lvl Level) (map[Component]float64, error) {
-	ev, err := e.evaluator()
-	if err != nil {
-		return nil, err
-	}
-	return analyze.OverallBreakdown(ctx, ev, e.parallelism, jobs, lvl)
-}
-
-// HardwareSweep evaluates the Table III grid over a job set (one Fig. 11
-// panel). The backend must be sweepable.
-func (e *Engine) HardwareSweep(ctx context.Context, jobs []Features, label string) (SweepPanel, error) {
-	b, err := e.ensure()
-	if err != nil {
-		return SweepPanel{}, err
-	}
-	return analyze.HardwareSweep(ctx, b, e.parallelism, jobs, label)
-}
-
 // Projector returns a projector over the engine's backend (requires NVLink
 // in the configuration and a projectable backend).
 func (e *Engine) Projector() (*Projector, error) {
@@ -497,17 +455,6 @@ func (e *Engine) Project(f Features, target ProjectionTarget) (ProjectionResult,
 		return ProjectionResult{}, err
 	}
 	return pr.Project(f, target)
-}
-
-// ProjectAll projects every PS/Worker workload in the list concurrently
-// over the engine's worker pool; non-PS jobs are skipped. Results preserve
-// the input order of the projected jobs.
-func (e *Engine) ProjectAll(ctx context.Context, jobs []Features, target ProjectionTarget) ([]ProjectionResult, error) {
-	pr, err := e.Projector()
-	if err != nil {
-		return nil, err
-	}
-	return pr.ProjectBatch(ctx, jobs, target, e.parallelism)
 }
 
 // StreamInto streams every job from src through the engine and folds each

@@ -106,8 +106,12 @@ func TestEvaluateColumnsMatchesStreamResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	ndSrc, err := pai.OpenTraceSource(bytes.NewReader(nd), "ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var fromStream []pai.StreamResult
-	if _, err := eng.EvaluateTrace(ctx, bytes.NewReader(nd), "ndjson", func(r pai.StreamResult) error {
+	if _, err := eng.EvaluateSource(ctx, ndSrc, func(r pai.StreamResult) error {
 		fromStream = append(fromStream, r)
 		return nil
 	}); err != nil {
@@ -130,8 +134,8 @@ func TestEvaluateColumnsMatchesStreamResults(t *testing.T) {
 	}
 }
 
-// TestEvaluateTraceSniffsBothFormats: EvaluateTrace with format "auto" must
-// handle either encoding of the same trace identically.
+// TestEvaluateTraceSniffsBothFormats: OpenTraceSource with format "auto"
+// must hand EvaluateSource either encoding of the same trace identically.
 func TestEvaluateTraceSniffsBothFormats(t *testing.T) {
 	nd, cb := columnTestTrace(t, 1000)
 	eng, err := pai.New()
@@ -140,7 +144,11 @@ func TestEvaluateTraceSniffsBothFormats(t *testing.T) {
 	}
 	ctx := context.Background()
 	for name, data := range map[string][]byte{"ndjson": nd, "colbin": cb} {
-		n, err := eng.EvaluateTrace(ctx, bytes.NewReader(data), "auto", nil)
+		src, err := pai.OpenTraceSource(bytes.NewReader(data), "auto")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n, err := eng.EvaluateSource(ctx, src, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -148,7 +156,7 @@ func TestEvaluateTraceSniffsBothFormats(t *testing.T) {
 			t.Fatalf("%s: evaluated %d jobs, want 1000", name, n)
 		}
 	}
-	if _, err := eng.EvaluateTrace(ctx, bytes.NewReader(nd), "no-such-format", nil); err == nil {
+	if _, err := pai.OpenTraceSource(bytes.NewReader(nd), "no-such-format"); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 }

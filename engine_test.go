@@ -258,6 +258,29 @@ func TestEngineEvaluateBatchCancellation(t *testing.T) {
 	<-done
 }
 
+// foldReport streams jobs once through eng into a breakdown accumulator, a
+// PS -> AllReduce-Local projection sink and a PS/Worker sweep sink.
+func foldReport(t *testing.T, eng *pai.Engine, jobs []pai.Features) (*pai.BreakdownAccumulator, *pai.ProjectionSink, *pai.SweepSink) {
+	t.Helper()
+	acc := pai.NewBreakdownAccumulator()
+	proj, err := eng.NewProjectionSink(pai.ToAllReduceLocal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := eng.NewSweepSink(pai.PSWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := eng.StreamInto(context.Background(), pai.NewSliceJobSource(jobs), pai.NewMultiSink(acc, proj, sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(jobs) {
+		t.Fatalf("folded %d of %d jobs", n, len(jobs))
+	}
+	return acc, proj, sweep
+}
+
 func TestEngineAnalysisPipelines(t *testing.T) {
 	p := pai.DefaultTraceParams()
 	p.NumJobs = 400
@@ -269,16 +292,12 @@ func TestEngineAnalysisPipelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	acc, proj, sweep := foldReport(t, e, trace.Jobs)
 
-	rows, err := e.Breakdowns(ctx, trace.Jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
+	if len(acc.Rows()) == 0 {
 		t.Fatal("no breakdown rows")
 	}
-	overall, err := e.OverallBreakdown(ctx, trace.Jobs, pai.CNodeLevel)
+	overall, err := acc.Overall(pai.CNodeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +306,10 @@ func TestEngineAnalysisPipelines(t *testing.T) {
 	}
 
 	ps := pai.FilterClass(trace.Jobs, pai.PSWorker)
-	results, err := e.ProjectAll(ctx, ps, pai.ToAllReduceLocal)
-	if err != nil {
-		t.Fatal(err)
+	if proj.N() != len(ps) {
+		t.Errorf("projected %d jobs, want %d", proj.N(), len(ps))
 	}
-	if len(results) != len(ps) {
-		t.Errorf("projected %d jobs, want %d", len(results), len(ps))
-	}
-	sum, err := pai.SummarizeProjection(results)
+	sum, err := proj.Summary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +317,7 @@ func TestEngineAnalysisPipelines(t *testing.T) {
 		t.Errorf("summary covers %d, want %d", sum.N, len(ps))
 	}
 
-	panel, err := e.HardwareSweep(ctx, ps, "PS/Worker")
+	panel, err := sweep.Panel("PS/Worker")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +410,12 @@ func TestEngineEvaluateStreamMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	src, err := pai.OpenTraceSource(&buf, "ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []pai.Times
-	n, err := eng.EvaluateTrace(ctx, &buf, "ndjson", func(r pai.StreamResult) error {
+	n, err := eng.EvaluateSource(ctx, src, func(r pai.StreamResult) error {
 		if r.Index != len(got) {
 			t.Fatalf("result %d arrived at position %d", r.Index, len(got))
 		}
@@ -422,12 +441,19 @@ func TestEngineEvaluateStreamDecodeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := strings.NewReader(`{"name":"x","class":"1w1g","c_nodes":1,"batch_size":8,"flops":1e9}` + "\n" + "garbage\n")
-	n, err := eng.EvaluateTrace(context.Background(), in, "ndjson", nil)
+	src, err := pai.OpenTraceSource(in, "ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := eng.EvaluateSource(context.Background(), src, nil)
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("want line-numbered decode error, got %v (n=%d)", err, n)
 	}
 }
 
+// TestEngineStreamBreakdownsFromSource: folding the streaming generator
+// must reproduce the cNode-level shares computed directly from the
+// materialized trace's batch breakdowns.
 func TestEngineStreamBreakdownsFromSource(t *testing.T) {
 	p := pai.DefaultTraceParams()
 	p.NumJobs = 1500
@@ -446,21 +472,35 @@ func TestEngineStreamBreakdownsFromSource(t *testing.T) {
 	if acc.N() != p.NumJobs {
 		t.Fatalf("folded %d of %d jobs", acc.N(), p.NumJobs)
 	}
-	trace, err := pai.GenerateTrace(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	overallStream, err := acc.Overall(pai.CNodeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	overallBatch, err := eng.OverallBreakdown(context.Background(), trace.Jobs, pai.CNodeLevel)
+	trace, err := pai.GenerateTrace(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for comp, want := range overallBatch {
-		if got := overallStream[comp]; got != want {
-			t.Errorf("%v: stream %v vs batch %v", comp, got, want)
+	times, err := eng.EvaluateBatch(context.Background(), trace.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := []pai.Component{pai.CompDataIO, pai.CompWeights, pai.CompComputeFLOPs, pai.CompComputeMem}
+	sums := make([]float64, len(comps))
+	var weight float64
+	for i, tm := range times {
+		w := float64(trace.Jobs[i].CNodes)
+		for k, c := range comps {
+			fr, err := tm.Fraction(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums[k] += fr * w
+		}
+		weight += w
+	}
+	for k, c := range comps {
+		if got, want := overallStream[c], sums[k]/weight; got != want {
+			t.Errorf("%v: stream %v vs batch %v", c, got, want)
 		}
 	}
 }

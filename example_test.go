@@ -71,13 +71,13 @@ func ExampleEngine_Project() {
 	// weight-time ratio 21.0x, cNodes 64 -> 8
 }
 
-// ExampleEngine_OverallBreakdown characterizes a small synthetic trace at
-// the cNode level, recovering the paper's headline: weight/gradient
+// ExampleEngine_StreamInto characterizes a small synthetic trace at the
+// cNode level, recovering the paper's headline: weight/gradient
 // communication dominates.
-func ExampleEngine_OverallBreakdown() {
+func ExampleEngine_StreamInto() {
 	p := pai.DefaultTraceParams()
 	p.NumJobs = 2000
-	trace, err := pai.GenerateTrace(p)
+	src, err := pai.NewTraceSource(p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,7 +85,11 @@ func ExampleEngine_OverallBreakdown() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	overall, err := eng.OverallBreakdown(context.Background(), trace.Jobs, pai.CNodeLevel)
+	acc := pai.NewBreakdownAccumulator()
+	if _, err := eng.StreamInto(context.Background(), src, acc); err != nil {
+		log.Fatal(err)
+	}
+	overall, err := acc.Overall(pai.CNodeLevel)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Clustersweep: cluster-level characterization of a synthetic PAI trace —
-// the Sec. III pipeline end to end. Generates a calibrated trace, reports
-// the constitution and breakdown headlines, projects the PS/Worker jobs to
-// AllReduce, and sweeps the Table III hardware grid.
+// the Sec. III pipeline end to end. Streams a calibrated trace once through
+// the report sinks plus a PS/Worker sweep sink, then reports the
+// constitution and breakdown headlines, the PS -> AllReduce projection, and
+// the Table III hardware sweep.
 package main
 
 import (
@@ -15,7 +16,7 @@ import (
 func main() {
 	p := pai.DefaultTraceParams()
 	p.NumJobs = 8000
-	trace, err := pai.GenerateTrace(p)
+	src, err := pai.NewTraceSource(p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -23,9 +24,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx := context.Background()
+	report, err := eng.NewReportSink(pai.ToAllReduceLocal)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sweep, err := eng.NewSweepSink(pai.PSWorker)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := eng.StreamInto(context.Background(), src, pai.NewMultiSink(report, sweep)); err != nil {
+		log.Fatal(err)
+	}
+	var (
+		acc  *pai.BreakdownAccumulator
+		proj *pai.ProjectionSink
+	)
+	for _, s := range report.Sinks() {
+		switch s := s.(type) {
+		case *pai.BreakdownAccumulator:
+			acc = s
+		case *pai.ProjectionSink:
+			proj = s
+		}
+	}
 
-	c, err := pai.Constitute(trace.Jobs)
+	c, err := acc.Constitution()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +59,7 @@ func main() {
 	}
 
 	for _, lvl := range []pai.Level{pai.JobLevel, pai.CNodeLevel} {
-		overall, err := eng.OverallBreakdown(ctx, trace.Jobs, lvl)
+		overall, err := acc.Overall(lvl)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -48,12 +71,7 @@ func main() {
 	}
 
 	// Projection study.
-	ps := pai.FilterClass(trace.Jobs, pai.PSWorker)
-	local, err := eng.ProjectAll(ctx, ps, pai.ToAllReduceLocal)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sum, err := pai.SummarizeProjection(local)
+	sum, err := proj.Summary()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +79,7 @@ func main() {
 		100*(1-sum.FracThroughputNotSped), sum.N)
 
 	// Hardware sweep: what does upgrading each resource buy PS jobs?
-	panel, err := eng.HardwareSweep(ctx, ps, "PS/Worker")
+	panel, err := sweep.Panel("PS/Worker")
 	if err != nil {
 		log.Fatal(err)
 	}

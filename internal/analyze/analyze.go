@@ -4,22 +4,21 @@
 // post-projection breakdowns (Fig. 10), hardware-evolution sweeps (Fig. 11),
 // the efficiency-sensitivity study (Fig. 15) and the overlap study (Fig. 16).
 //
-// Every pipeline consumes a slice of workload.Features (a trace) and an
-// evaluation backend, and produces plain series/rows that the report package
-// renders and the benchmarks regenerate. Per-job evaluations run through
-// backend.EvaluateBatch, so million-job traces are characterized with a
-// bounded worker pool rather than a serial loop; every pipeline accepts a
+// The trace aggregates (Figs. 7, 8, 10 and 11) are sinks: FoldInto streams
+// a block source through an evaluation backend over a bounded worker pool
+// and folds every result into a Sink (BreakdownAccumulator,
+// ComponentCDFSink, HardwareCDFSink, ProjectionSink, SweepSink, or a
+// MultiSink bundling several), so one pass fills every figure it carries.
+// The figures that print exact CDFs (Figs. 6, 15 and 16) and Fig. 5's job
+// count take a job slice instead. Every evaluating pipeline accepts a
 // context for cancellation and a parallelism cap.
 package analyze
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -144,34 +143,6 @@ type BreakdownRow struct {
 	N int
 }
 
-// Breakdowns computes Fig. 7 (average component shares per class, at both
-// levels) over a trace. Evaluations stream through the bounded pipeline and
-// fold into a BreakdownAccumulator, so memory stays O(parallelism).
-func Breakdowns(ctx context.Context, ev backend.Evaluator, parallelism int, jobs []workload.Features) ([]BreakdownRow, error) {
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("analyze: empty trace")
-	}
-	acc, err := Fold(ctx, ev, parallelism, stream.NewSliceSource(jobs))
-	if err != nil {
-		return nil, err
-	}
-	return acc.Rows(), nil
-}
-
-// OverallBreakdown aggregates the component shares over all jobs at one
-// level (the "all workloads" summary of Sec. III-D: communication 62%,
-// computation 35% at cNode level).
-func OverallBreakdown(ctx context.Context, ev backend.Evaluator, parallelism int, jobs []workload.Features, lvl Level) (map[core.Component]float64, error) {
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("analyze: empty trace")
-	}
-	acc, err := Fold(ctx, ev, parallelism, stream.NewSliceSource(jobs))
-	if err != nil {
-		return nil, err
-	}
-	return acc.Overall(lvl)
-}
-
 // ComponentCDFs is one panel of Fig. 8(b-d): per-component CDF sketches of
 // the time fraction across jobs of one class, at one level.
 type ComponentCDFs struct {
@@ -183,34 +154,9 @@ type ComponentCDFs struct {
 	CDF map[core.Component]*stats.Sketch
 }
 
-// BreakdownCDFs computes the Fig. 8(b-d) panel for one class and level. It
-// streams the trace through a ComponentCDFSink, so memory is fixed in the
-// trace size; callers wanting every panel from one pass should fold a
-// ComponentCDFSink directly.
-func BreakdownCDFs(ctx context.Context, ev backend.Evaluator, parallelism int, jobs []workload.Features, class workload.Class, lvl Level) (ComponentCDFs, error) {
-	sink := NewComponentCDFSink()
-	if _, err := FoldInto(ctx, ev, parallelism, stream.Blocks(stream.NewSliceSource(Filter(jobs, class))), sink); err != nil {
-		return ComponentCDFs{}, err
-	}
-	return sink.Panel(class, lvl)
-}
-
 // HardwareCDFs is the Fig. 8(a) panel: CDF sketches of the time fraction
 // attributed to each hardware component, over all jobs, at one level.
 type HardwareCDFs struct {
 	Level Level
 	CDF   map[core.HardwareComponent]*stats.Sketch
-}
-
-// BreakdownHardwareCDFs computes Fig. 8(a) by streaming the trace through a
-// HardwareCDFSink.
-func BreakdownHardwareCDFs(ctx context.Context, ev backend.Evaluator, parallelism int, jobs []workload.Features, lvl Level) (HardwareCDFs, error) {
-	if len(jobs) == 0 {
-		return HardwareCDFs{}, fmt.Errorf("analyze: empty trace")
-	}
-	sink := NewHardwareCDFSink()
-	if _, err := FoldInto(ctx, ev, parallelism, stream.Blocks(stream.NewSliceSource(jobs)), sink); err != nil {
-		return HardwareCDFs{}, err
-	}
-	return sink.Panel(lvl)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/stream"
 	"repro/internal/tracegen"
 	"repro/internal/workload"
 )
@@ -111,13 +112,20 @@ func TestScales(t *testing.T) {
 	}
 }
 
+// foldJobs streams jobs through ev into every given sink in one pass.
+func foldJobs(ev backend.Evaluator, jobs []workload.Features, sinks ...Sink) error {
+	_, err := FoldInto(context.Background(), ev, 4, stream.Blocks(stream.NewSliceSource(jobs)), NewMultiSink(sinks...))
+	return err
+}
+
 func TestBreakdowns(t *testing.T) {
 	jobs := testTrace(t)
 	m := testModel(t)
-	rows, err := Breakdowns(context.Background(), m, 4, jobs)
-	if err != nil {
+	acc := NewBreakdownAccumulator()
+	if err := foldJobs(m, jobs, acc); err != nil {
 		t.Fatal(err)
 	}
+	rows := acc.Rows()
 	// Three classes x two levels.
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows, want 6", len(rows))
@@ -138,11 +146,15 @@ func TestBreakdowns(t *testing.T) {
 			t.Error("1w1g should have zero weight share")
 		}
 	}
-	if _, err := Breakdowns(context.Background(), m, 4, nil); err == nil {
-		t.Error("expected error for empty trace")
+	empty := NewBreakdownAccumulator()
+	if err := foldJobs(m, nil, empty); err != nil {
+		t.Fatal(err)
+	}
+	if rows := empty.Rows(); len(rows) != 0 {
+		t.Errorf("empty trace gave %d rows", len(rows))
 	}
 	bad := []workload.Features{{Name: "x"}}
-	if _, err := Breakdowns(context.Background(), m, 4, bad); err == nil {
+	if err := foldJobs(m, bad, NewBreakdownAccumulator()); err == nil {
 		t.Error("expected error for invalid job")
 	}
 }
@@ -150,7 +162,11 @@ func TestBreakdowns(t *testing.T) {
 func TestOverallBreakdownHeadlines(t *testing.T) {
 	jobs := testTrace(t)
 	m := testModel(t)
-	cn, err := OverallBreakdown(context.Background(), m, 4, jobs, CNodeLevel)
+	acc := NewBreakdownAccumulator()
+	if err := foldJobs(m, jobs, acc); err != nil {
+		t.Fatal(err)
+	}
+	cn, err := acc.Overall(CNodeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +178,15 @@ func TestOverallBreakdownHeadlines(t *testing.T) {
 	if comp < 0.25 || comp > 0.45 {
 		t.Errorf("cNode-level compute share = %v, want ~0.35", comp)
 	}
+	// Communication outweighs computation at cNode level.
+	if cn[core.CompWeights] <= comp {
+		t.Errorf("cNode-level comm %v should exceed compute %v", cn[core.CompWeights], comp)
+	}
 	// Memory-bound exceeds compute-bound.
 	if cn[core.CompComputeMem] <= cn[core.CompComputeFLOPs] {
 		t.Error("memory-bound share should exceed compute-bound share")
 	}
-	jb, err := OverallBreakdown(context.Background(), m, 4, jobs, JobLevel)
+	jb, err := acc.Overall(JobLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +194,11 @@ func TestOverallBreakdownHeadlines(t *testing.T) {
 	if v := jb[core.CompWeights]; v < 0.15 || v > 0.30 {
 		t.Errorf("job-level comm share = %v, want ~0.22", v)
 	}
-	if _, err := OverallBreakdown(context.Background(), m, 4, nil, JobLevel); err == nil {
+	empty := NewBreakdownAccumulator()
+	if err := foldJobs(m, nil, empty); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := empty.Overall(JobLevel); err == nil {
 		t.Error("expected error for empty trace")
 	}
 }
@@ -182,7 +206,11 @@ func TestOverallBreakdownHeadlines(t *testing.T) {
 func TestBreakdownCDFs(t *testing.T) {
 	jobs := testTrace(t)
 	m := testModel(t)
-	ps, err := BreakdownCDFs(context.Background(), m, 4, jobs, workload.PSWorker, JobLevel)
+	sink := NewComponentCDFSink()
+	if err := foldJobs(m, jobs, sink); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := sink.Panel(workload.PSWorker, JobLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +220,14 @@ func TestBreakdownCDFs(t *testing.T) {
 		t.Errorf("PS jobs >80%% comm = %v, want > 0.40", frac)
 	}
 	// cNode level shifts comm right (bigger jobs more comm-bound).
-	psCN, err := BreakdownCDFs(context.Background(), m, 4, jobs, workload.PSWorker, CNodeLevel)
+	psCN, err := sink.Panel(workload.PSWorker, CNodeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if psCN.CDF[core.CompWeights].Mean() <= w.Mean() {
 		t.Error("cNode-level comm share should exceed job-level for PS jobs")
 	}
-	if _, err := BreakdownCDFs(context.Background(), m, 4, jobs, workload.AllReduceLocal, JobLevel); err == nil {
+	if _, err := sink.Panel(workload.AllReduceLocal, JobLevel); err == nil {
 		t.Error("expected error for class with no jobs")
 	}
 }
@@ -207,7 +235,11 @@ func TestBreakdownCDFs(t *testing.T) {
 func TestBreakdownHardwareCDFs(t *testing.T) {
 	jobs := testTrace(t)
 	m := testModel(t)
-	h, err := BreakdownHardwareCDFs(context.Background(), m, 4, jobs, CNodeLevel)
+	sink := NewHardwareCDFSink()
+	if err := foldJobs(m, jobs, sink); err != nil {
+		t.Fatal(err)
+	}
+	h, err := sink.Panel(CNodeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +256,18 @@ func TestBreakdownHardwareCDFs(t *testing.T) {
 	if h.CDF[core.HWEthernet].Mean() < h.CDF[core.HWGPUFLOPs].Mean() {
 		t.Error("Ethernet mean share should exceed GPU FLOPs at cNode level")
 	}
-	if _, err := BreakdownHardwareCDFs(context.Background(), m, 4, nil, JobLevel); err == nil {
-		t.Error("expected error for empty trace")
+	// An empty trace folds to weightless sketches.
+	empty := NewHardwareCDFSink()
+	if err := foldJobs(m, nil, empty); err != nil {
+		t.Fatal(err)
+	}
+	eh, err := empty.Panel(JobLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hc, sk := range eh.CDF {
+		if sk.Weight() != 0 {
+			t.Errorf("empty trace: %v sketch weight %v, want 0", hc, sk.Weight())
+		}
 	}
 }

@@ -119,20 +119,24 @@ func (s *ProjectionSink) AddColumns(c *workload.Columns, ts []core.Times) error 
 
 // AddColumns implements ColumnSink for the hardware-evolution sweep: the
 // class column pre-filters the block, so only swept rows materialize
-// Features and pay the grid re-evaluation.
+// Features, and the block's swept rows re-evaluate as one batch, so the
+// grid fan-out starts once per block rather than once per job.
 func (s *SweepSink) AddColumns(c *workload.Columns, ts []core.Times) error {
 	if err := checkBlockShape(c, ts); err != nil {
 		return err
 	}
+	var jobs []workload.Features
+	var base []float64
 	for i := range ts {
-		if c.Class[i] != s.class {
-			continue
-		}
-		if err := s.Add(c.Row(i), ts[i]); err != nil {
-			return err
+		if c.Class[i] == s.class {
+			jobs = append(jobs, c.Row(i))
+			base = append(base, ts[i].Total())
 		}
 	}
-	return nil
+	if len(jobs) == 0 {
+		return nil
+	}
+	return s.addJobs(jobs, base)
 }
 
 // AddColumns implements ColumnSink: the block fans out to every bundled

@@ -198,8 +198,8 @@ func (a *BreakdownAccumulator) Merge(other Sink) error {
 // N reports the number of jobs folded in.
 func (a *BreakdownAccumulator) N() int { return a.totalJobs }
 
-// Rows returns the Fig. 7 average breakdown rows, in the same class/level
-// order Breakdowns produces.
+// Rows returns the Fig. 7 average breakdown rows: classes in
+// workload.AllClasses order, job level before cNode level.
 func (a *BreakdownAccumulator) Rows() []BreakdownRow {
 	var rows []BreakdownRow
 	for _, class := range workload.AllClasses() {
@@ -407,18 +407,4 @@ func FoldSinks(ctx context.Context, ev backend.Evaluator, parallelism int, srcs 
 	}
 	open := func(cell int) (stream.BlockSource, error) { return stream.Blocks(srcs[cell]), nil }
 	return FoldRanges(ctx, ev, parallelism, len(srcs), len(srcs), open, factory)
-}
-
-// Fold streams every job from src through ev over the worker pool and
-// returns the filled accumulator — the one-call streaming counterpart of
-// Breakdowns + OverallBreakdown + Constitute.
-func Fold(ctx context.Context, ev backend.Evaluator, parallelism int, src stream.Source) (*BreakdownAccumulator, error) {
-	acc := NewBreakdownAccumulator()
-	if _, err := FoldInto(ctx, ev, parallelism, stream.Blocks(src), acc); err != nil {
-		return nil, err
-	}
-	if acc.N() == 0 {
-		return nil, fmt.Errorf("analyze: empty trace")
-	}
-	return acc, nil
 }

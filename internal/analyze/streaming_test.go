@@ -69,39 +69,6 @@ func TestAccumulatorMatchesConstitute(t *testing.T) {
 	}
 }
 
-// TestFoldMatchesBatchPipelines: the one-call streaming fold must agree
-// with Breakdowns/OverallBreakdown (which themselves now run on the
-// streaming path, sequenced in input order, so equality is exact).
-func TestFoldMatchesBatchPipelines(t *testing.T) {
-	jobs := accJobs(t, 2000)
-	ev := accBackend(t)
-	ctx := context.Background()
-	acc, err := Fold(ctx, ev, 4, stream.NewSliceSource(jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Breakdowns(ctx, ev, 4, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(acc.Rows(), rows) {
-		t.Error("Rows() differs from Breakdowns")
-	}
-	for _, lvl := range []Level{JobLevel, CNodeLevel} {
-		got, err := acc.Overall(lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := OverallBreakdown(ctx, ev, 4, jobs, lvl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v overall mismatch", lvl)
-		}
-	}
-}
-
 // TestAccumulatorMergeEqualsBulk: merging shard accumulators must reproduce
 // the bulk accumulator — shares exactly (same addition order within cells is
 // not guaranteed, so compare within tight tolerance), counts exactly.
@@ -235,6 +202,16 @@ func TestAccumulatorEmpty(t *testing.T) {
 	}
 }
 
+// foldAcc folds one source into a fresh BreakdownAccumulator through
+// FoldInto.
+func foldAcc(ctx context.Context, ev backend.Evaluator, parallelism int, src stream.Source) (*BreakdownAccumulator, error) {
+	acc := NewBreakdownAccumulator()
+	if _, err := FoldInto(ctx, ev, parallelism, stream.Blocks(src), acc); err != nil {
+		return nil, err
+	}
+	return acc, nil
+}
+
 // foldBreakdowns is the sharded breakdown fold: FoldSinks with a
 // BreakdownAccumulator factory.
 func foldBreakdowns(ctx context.Context, ev backend.Evaluator, parallelism int, srcs []stream.Source) (*BreakdownAccumulator, []int, error) {
@@ -254,7 +231,7 @@ func TestFoldSourcesMatchesFold(t *testing.T) {
 	jobs := accJobs(t, 3000)
 	ev := accBackend(t)
 	ctx := context.Background()
-	bulk, err := Fold(ctx, ev, 4, stream.NewSliceSource(jobs))
+	bulk, err := foldAcc(ctx, ev, 4, stream.NewSliceSource(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +303,7 @@ func TestFoldSourcesSingleSourceBitExact(t *testing.T) {
 	jobs := accJobs(t, 1200)
 	ev := accBackend(t)
 	ctx := context.Background()
-	bulk, err := Fold(ctx, ev, 3, stream.NewSliceSource(jobs))
+	bulk, err := foldAcc(ctx, ev, 3, stream.NewSliceSource(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +330,7 @@ func TestFoldSourcesSingleSourceBitExact(t *testing.T) {
 }
 
 // TestFoldSourcesEmpty: no sources is an error; an empty source folds to an
-// empty aggregate, which Fold (not the sharded fold) reports as an empty
+// empty aggregate, sharded or not, whose overall shares report the empty
 // trace.
 func TestFoldSourcesEmpty(t *testing.T) {
 	ev := accBackend(t)
@@ -365,7 +342,11 @@ func TestFoldSourcesEmpty(t *testing.T) {
 	if err != nil || acc.N() != 0 || !reflect.DeepEqual(counts, []int{0}) {
 		t.Errorf("empty source: N %v, counts %v, err %v", acc, counts, err)
 	}
-	if _, err := Fold(ctx, ev, 2, stream.NewSliceSource(nil)); err == nil {
+	single, err := foldAcc(ctx, ev, 2, stream.NewSliceSource(nil))
+	if err != nil || single.N() != 0 {
+		t.Fatalf("empty single-source fold: %v, %v", single, err)
+	}
+	if _, err := single.Overall(JobLevel); err == nil {
 		t.Error("expected error for an empty trace")
 	}
 }

@@ -3,7 +3,6 @@ package analyze
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -34,67 +33,6 @@ type SweepSeries struct {
 type SweepPanel struct {
 	Label  string
 	Series []SweepSeries
-}
-
-// HardwareSweep evaluates the Table III grid for the given jobs: for each
-// resource and candidate value, the mean speedup of per-job step time
-// relative to the baseline backend. Jobs must all be analyzable under the
-// backend (the caller filters by class). The backend must be Sweepable; each
-// grid point re-instantiates it via Reconfigure and batch-evaluates the jobs
-// over the worker pool.
-func HardwareSweep(ctx context.Context, base backend.Backend, parallelism int, jobs []workload.Features, label string) (SweepPanel, error) {
-	if len(jobs) == 0 {
-		return SweepPanel{}, fmt.Errorf("analyze: empty job set for sweep %q", label)
-	}
-	if !base.Capabilities().Sweepable {
-		return SweepPanel{}, fmt.Errorf("analyze: backend %q does not support hardware sweeps", base.Name())
-	}
-	baseBreakdowns, err := backend.EvaluateBatch(ctx, base, jobs, parallelism)
-	if err != nil {
-		return SweepPanel{}, fmt.Errorf("analyze: sweep %q baseline: %w", label, err)
-	}
-	baseTimes := make([]float64, len(jobs))
-	for i, bd := range baseBreakdowns {
-		t := bd.Total()
-		if t <= 0 {
-			return SweepPanel{}, fmt.Errorf("analyze: sweep %q: job %q has zero step time", label, jobs[i].Name)
-		}
-		baseTimes[i] = t
-	}
-	panel := SweepPanel{Label: label}
-	grid := hw.TableIII()
-	for _, res := range hw.AllResources() {
-		vars := grid[res]
-		series := SweepSeries{Resource: res}
-		for _, v := range vars {
-			cfg, err := base.Spec().Config.Apply(v)
-			if err != nil {
-				return SweepPanel{}, err
-			}
-			b, err := base.Reconfigure(base.Spec().WithConfig(cfg))
-			if err != nil {
-				return SweepPanel{}, fmt.Errorf("analyze: sweep %q %v: %w", label, v, err)
-			}
-			breakdowns, err := backend.EvaluateBatch(ctx, b, jobs, parallelism)
-			if err != nil {
-				return SweepPanel{}, fmt.Errorf("analyze: sweep %q %v: %w", label, v, err)
-			}
-			var sum float64
-			for i, bd := range breakdowns {
-				sum += baseTimes[i] / bd.Total()
-			}
-			series.Points = append(series.Points, SweepPoint{
-				Resource:    res,
-				Normalized:  v.Normalized,
-				MeanSpeedup: sum / float64(len(jobs)),
-			})
-		}
-		sort.Slice(series.Points, func(a, b int) bool {
-			return series.Points[a].Normalized < series.Points[b].Normalized
-		})
-		panel.Series = append(panel.Series, series)
-	}
-	return panel, nil
 }
 
 // MostSensitiveResource returns the resource whose largest grid point yields

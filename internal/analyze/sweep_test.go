@@ -5,21 +5,46 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/workload"
 )
 
+// sweepPanels folds one SweepSink per class over jobs in a single pass and
+// returns their panels in class order.
+func sweepPanels(t *testing.T, bk backend.Backend, jobs []workload.Features, classes ...workload.Class) []SweepPanel {
+	t.Helper()
+	sinks := make([]*SweepSink, len(classes))
+	bundle := make([]Sink, len(classes))
+	for i, class := range classes {
+		s, err := NewSweepSink(bk, class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinks[i], bundle[i] = s, s
+	}
+	if err := foldJobs(bk, jobs, bundle...); err != nil {
+		t.Fatal(err)
+	}
+	panels := make([]SweepPanel, len(classes))
+	for i, s := range sinks {
+		p, err := s.Panel(classes[i].String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		panels[i] = p
+	}
+	return panels
+}
+
 func TestHardwareSweepShapes(t *testing.T) {
 	jobs := testTrace(t)
 	bk := testBackend(t)
+	panels := sweepPanels(t, bk, jobs, workload.OneWorkerOneGPU, workload.OneWorkerNGPU, workload.PSWorker)
+	panelA, panelB, panel := panels[0], panels[1], panels[2]
 
 	// Panel (c): PS/Worker jobs are most sensitive to Ethernet.
-	ps := Filter(jobs, workload.PSWorker)
-	panel, err := HardwareSweep(context.Background(), bk, 4, ps, "PS/Worker")
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(panel.Series) != 4 {
 		t.Fatalf("got %d series, want 4", len(panel.Series))
 	}
@@ -51,11 +76,6 @@ func TestHardwareSweepShapes(t *testing.T) {
 	}
 
 	// Panel (a): 1w1g most sensitive to GPU memory bandwidth.
-	w1 := Filter(jobs, workload.OneWorkerOneGPU)
-	panelA, err := HardwareSweep(context.Background(), bk, 4, w1, "1w1g")
-	if err != nil {
-		t.Fatal(err)
-	}
 	resA, _, err := panelA.MostSensitiveResource()
 	if err != nil {
 		t.Fatal(err)
@@ -73,11 +93,6 @@ func TestHardwareSweepShapes(t *testing.T) {
 	}
 
 	// Panel (b): 1wng varies most with PCIe.
-	nw := Filter(jobs, workload.OneWorkerNGPU)
-	panelB, err := HardwareSweep(context.Background(), bk, 4, nw, "1wng")
-	if err != nil {
-		t.Fatal(err)
-	}
 	resB, _, err := panelB.MostSensitiveResource()
 	if err != nil {
 		t.Fatal(err)
@@ -92,10 +107,7 @@ func TestHardwareSweepShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	panelD, err := HardwareSweep(context.Background(), bk, 4, projected, "AllReduce-Local")
-	if err != nil {
-		t.Fatal(err)
-	}
+	panelD := sweepPanels(t, bk, projected, workload.AllReduceLocal)[0]
 	resD, _, err := panelD.MostSensitiveResource()
 	if err != nil {
 		t.Fatal(err)
@@ -107,18 +119,31 @@ func TestHardwareSweepShapes(t *testing.T) {
 
 func TestHardwareSweepErrors(t *testing.T) {
 	bk := testBackend(t)
-	if _, err := HardwareSweep(context.Background(), bk, 4, nil, "empty"); err == nil {
+	empty, err := NewSweepSink(bk, workload.PSWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := foldJobs(bk, nil, empty); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := empty.Panel("empty"); err == nil {
 		t.Error("expected error for empty job set")
 	}
-	bad := []workload.Features{{Name: "bad"}}
-	if _, err := HardwareSweep(context.Background(), bk, 4, bad, "bad"); err == nil {
+	bad, err := NewSweepSink(bk, workload.PSWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := foldJobs(bk, []workload.Features{{Name: "bad", Class: workload.PSWorker}}, bad); err == nil {
 		t.Error("expected error for invalid job")
 	}
-	var empty SweepPanel
-	if _, _, err := empty.MostSensitiveResource(); err == nil {
+	if _, err := NewSweepSink(nil, workload.PSWorker); err == nil {
+		t.Error("expected error for nil backend")
+	}
+	var emptyPanel SweepPanel
+	if _, _, err := emptyPanel.MostSensitiveResource(); err == nil {
 		t.Error("expected error for empty panel")
 	}
-	if _, err := empty.SpeedupAt(hw.ResPCIe, 1); err == nil {
+	if _, err := emptyPanel.SpeedupAt(hw.ResPCIe, 1); err == nil {
 		t.Error("expected error for missing point")
 	}
 }

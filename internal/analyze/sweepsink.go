@@ -26,10 +26,8 @@ type sweepCell struct {
 // SweepSink folds the Fig. 11 hardware-evolution sweep for one class during
 // the streamed pass: each job of the class is re-evaluated under every
 // Table III variation (via backends reconfigured once at construction) and
-// the per-point speedup means accumulate in O(grid) memory. This is what
-// lets the streaming path cover the sweep section without materializing the
-// trace — the classic HardwareSweep needs the whole job slice per grid
-// point, the sink needs none of it.
+// the per-point speedup means accumulate in O(grid) memory, so the sweep
+// section never materializes the trace.
 //
 // A sink restored from a snapshot has no backends attached: it merges and
 // reports, but Add returns an error.
@@ -38,11 +36,8 @@ type SweepSink struct {
 	cells []sweepCell
 	evs   []backend.Evaluator // one per cell; nil after snapshot restore
 
-	// scratch holds one job's per-cell speedups: the grid evaluations run
-	// in parallel (Add is called from the pipeline's single collector
-	// goroutine, and the grid — not the base evaluation — dominates the
-	// sweep's cost), then fold into the MeanVars serially in cell order so
-	// the aggregate state stays deterministic.
+	// scratch holds the per-cell speedups of the jobs addJobs is folding,
+	// cell major.
 	scratch []float64
 }
 
@@ -86,22 +81,43 @@ func (s *SweepSink) Class() workload.Class { return s.class }
 
 // Add re-evaluates one job of the sink's class under every grid point. The
 // baseline step time comes from the streamed breakdown, so the base
-// configuration is never re-evaluated. The grid points evaluate
-// concurrently (bounded by GOMAXPROCS); the per-cell aggregates fold
-// serially in cell order afterward, keeping Add deterministic.
+// configuration is never re-evaluated.
 func (s *SweepSink) Add(f workload.Features, t core.Times) error {
 	if f.Class != s.class {
 		return nil
 	}
+	return s.addJobs([]workload.Features{f}, []float64{t.Total()})
+}
+
+// addJobs evaluates jobs under every grid point, the grid points
+// concurrently (bounded by GOMAXPROCS): the sink is fed from the pipeline's
+// single collector goroutine, and the grid, not the base evaluation,
+// dominates the sweep's cost. It then adds each cell's speedups to the
+// cell's mean serially, in job order. Cells are independent, so the state is
+// the same whether the jobs arrive one by one or a block at a time.
+func (s *SweepSink) addJobs(jobs []workload.Features, base []float64) error {
 	if s.evs == nil {
 		return fmt.Errorf("analyze: sweep sink restored from a snapshot is merge/report-only")
 	}
-	base := t.Total()
-	if base <= 0 {
-		return fmt.Errorf("analyze: sweep: job %q has zero step time", f.Name)
+	for j, b := range base {
+		if b <= 0 {
+			return fmt.Errorf("analyze: sweep: job %q has zero step time", jobs[j].Name)
+		}
 	}
-	if s.scratch == nil {
-		s.scratch = make([]float64, len(s.cells))
+	n := len(jobs)
+	if need := len(s.cells) * n; cap(s.scratch) < need {
+		s.scratch = make([]float64, need)
+	}
+	speedups := s.scratch[:len(s.cells)*n]
+	evalCell := func(i int) error {
+		for j, f := range jobs {
+			bd, err := s.evs[i].Breakdown(f)
+			if err != nil {
+				return fmt.Errorf("analyze: sweep job %q: %w", f.Name, err)
+			}
+			speedups[i*n+j] = base[j] / bd.Total()
+		}
+		return nil
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(s.cells) {
@@ -110,11 +126,9 @@ func (s *SweepSink) Add(f workload.Features, t core.Times) error {
 	var firstErr error
 	if workers <= 1 {
 		for i := range s.cells {
-			bd, err := s.evs[i].Breakdown(f)
-			if err != nil {
-				return fmt.Errorf("analyze: sweep job %q: %w", f.Name, err)
+			if err := evalCell(i); err != nil {
+				return err
 			}
-			s.scratch[i] = base / bd.Total()
 		}
 	} else {
 		var (
@@ -131,14 +145,10 @@ func (s *SweepSink) Add(f workload.Features, t core.Times) error {
 					if i >= len(s.cells) {
 						return
 					}
-					bd, err := s.evs[i].Breakdown(f)
-					if err != nil {
-						errOnce.Do(func() {
-							firstErr = fmt.Errorf("analyze: sweep job %q: %w", f.Name, err)
-						})
+					if err := evalCell(i); err != nil {
+						errOnce.Do(func() { firstErr = err })
 						return
 					}
-					s.scratch[i] = base / bd.Total()
 				}
 			}()
 		}
@@ -148,7 +158,9 @@ func (s *SweepSink) Add(f workload.Features, t core.Times) error {
 		return firstErr
 	}
 	for i := range s.cells {
-		s.cells[i].mv.Add(s.scratch[i])
+		for _, sp := range speedups[i*n : (i+1)*n] {
+			s.cells[i].mv.Add(sp)
+		}
 	}
 	return nil
 }

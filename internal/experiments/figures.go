@@ -11,6 +11,7 @@ import (
 	"repro/internal/project"
 	"repro/internal/report"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -71,13 +72,13 @@ func (s *Suite) Fig6() (Artifact, error) {
 
 // Fig7 regenerates the average execution-time breakdown per class and level.
 func (s *Suite) Fig7() (Artifact, error) {
-	rows, err := analyze.Breakdowns(context.Background(), s.Backend, s.Parallelism, s.Trace.Jobs)
-	if err != nil {
+	acc := analyze.NewBreakdownAccumulator()
+	if err := s.fold(s.Trace.Jobs, acc); err != nil {
 		return Artifact{}, err
 	}
 	t := &report.Table{Title: "Average execution-time breakdown",
 		Headers: []string{"class", "level", "data I/O", "weights", "compute-bound", "memory-bound"}}
-	for _, r := range rows {
+	for _, r := range acc.Rows() {
 		t.AddRow(r.Class.String(), r.Level.String(),
 			report.Pct(r.Share[core.CompDataIO]),
 			report.Pct(r.Share[core.CompWeights]),
@@ -89,7 +90,7 @@ func (s *Suite) Fig7() (Artifact, error) {
 		return Artifact{}, err
 	}
 	for _, lvl := range []analyze.Level{analyze.JobLevel, analyze.CNodeLevel} {
-		overall, err := analyze.OverallBreakdown(context.Background(), s.Backend, s.Parallelism, s.Trace.Jobs, lvl)
+		overall, err := acc.Overall(lvl)
 		if err != nil {
 			return Artifact{}, err
 		}
@@ -105,10 +106,14 @@ func (s *Suite) Fig7() (Artifact, error) {
 
 // Fig8 regenerates the breakdown CDFs (hardware view plus per-class views).
 func (s *Suite) Fig8() (Artifact, error) {
+	hwSink, compSink := analyze.NewHardwareCDFSink(), analyze.NewComponentCDFSink()
+	if err := s.fold(s.Trace.Jobs, hwSink, compSink); err != nil {
+		return Artifact{}, err
+	}
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, "## CDFs of execution-time component shares")
 	for _, lvl := range []analyze.Level{analyze.JobLevel, analyze.CNodeLevel} {
-		hcdf, err := analyze.BreakdownHardwareCDFs(context.Background(), s.Backend, s.Parallelism, s.Trace.Jobs, lvl)
+		hcdf, err := hwSink.Panel(lvl)
 		if err != nil {
 			return Artifact{}, err
 		}
@@ -120,7 +125,7 @@ func (s *Suite) Fig8() (Artifact, error) {
 		}
 	}
 	for _, class := range classOrder() {
-		cdfs, err := analyze.BreakdownCDFs(context.Background(), s.Backend, s.Parallelism, s.Trace.Jobs, class, analyze.JobLevel)
+		cdfs, err := compSink.Panel(class, analyze.JobLevel)
 		if err != nil {
 			return Artifact{}, err
 		}
@@ -132,11 +137,11 @@ func (s *Suite) Fig8() (Artifact, error) {
 		}
 	}
 	// Headline: fraction of PS jobs spending > 80% in communication.
-	ps, err := analyze.BreakdownCDFs(context.Background(), s.Backend, s.Parallelism, s.Trace.Jobs, workload.PSWorker, analyze.JobLevel)
+	psComm, err := compSink.CDF(workload.PSWorker, analyze.JobLevel, core.CompWeights)
 	if err != nil {
 		return Artifact{}, err
 	}
-	frac := 1 - ps.CDF[core.CompWeights].P(0.8)
+	frac := 1 - psComm.P(0.8)
 	fmt.Fprintf(&buf, "PS/Worker jobs > 80%% comm: %s (paper: > 40%%)\n", report.Pct(frac))
 	return Artifact{ID: "Fig. 8", Title: "CDF of execution-time components", Text: buf.String()}, nil
 }
@@ -231,22 +236,30 @@ func (s *Suite) Fig10() (Artifact, error) {
 	if err != nil {
 		return Artifact{}, err
 	}
+	before := analyze.NewBreakdownAccumulator()
+	if err := s.fold(analyze.Filter(s.Trace.Jobs, workload.PSWorker), before); err != nil {
+		return Artifact{}, err
+	}
+	after, cdfs := analyze.NewBreakdownAccumulator(), analyze.NewComponentCDFSink()
+	if err := s.fold(projected, after, cdfs); err != nil {
+		return Artifact{}, err
+	}
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, "## PS/Worker workloads after mapping to AllReduce-Local")
-	cdfs, err := analyze.BreakdownCDFs(context.Background(), s.Backend, s.Parallelism, projected, workload.AllReduceLocal, analyze.JobLevel)
+	panel, err := cdfs.Panel(workload.AllReduceLocal, analyze.JobLevel)
 	if err != nil {
 		return Artifact{}, err
 	}
 	for _, c := range core.Components() {
-		if err := report.CDFSeries(&buf, "  "+c.String(), cdfs.CDF[c], nil); err != nil {
+		if err := report.CDFSeries(&buf, "  "+c.String(), panel.CDF[c], nil); err != nil {
 			return Artifact{}, err
 		}
 	}
-	avgBefore, err := analyze.OverallBreakdown(context.Background(), s.Backend, s.Parallelism, analyze.Filter(s.Trace.Jobs, workload.PSWorker), analyze.JobLevel)
+	avgBefore, err := before.Overall(analyze.JobLevel)
 	if err != nil {
 		return Artifact{}, err
 	}
-	avgAfter, err := analyze.OverallBreakdown(context.Background(), s.Backend, s.Parallelism, projected, analyze.JobLevel)
+	avgAfter, err := after.Overall(analyze.JobLevel)
 	if err != nil {
 		return Artifact{}, err
 	}
@@ -262,33 +275,40 @@ func (s *Suite) Fig10() (Artifact, error) {
 		Text: buf.String()}, nil
 }
 
-// Fig11 regenerates the hardware-evolution sweeps (four panels).
+// Fig11 regenerates the hardware-evolution sweeps (four panels): the three
+// class panels fold in one pass over the trace, the projected panel in a
+// second pass over the PS jobs mapped to AllReduce-Local.
 func (s *Suite) Fig11() (Artifact, error) {
-	panels := []struct {
-		label string
-		jobs  []workload.Features
-	}{
-		{"1w1g", analyze.Filter(s.Trace.Jobs, workload.OneWorkerOneGPU)},
-		{"1wng", analyze.Filter(s.Trace.Jobs, workload.OneWorkerNGPU)},
-		{"PS/Worker", analyze.Filter(s.Trace.Jobs, workload.PSWorker)},
+	labels := []string{"1w1g", "1wng", "PS/Worker", "AllReduce-Local (projected)"}
+	classes := []workload.Class{workload.OneWorkerOneGPU, workload.OneWorkerNGPU,
+		workload.PSWorker, workload.AllReduceLocal}
+	sinks := make([]*analyze.SweepSink, len(classes))
+	for i, class := range classes {
+		sink, err := analyze.NewSweepSink(s.Backend, class)
+		if err != nil {
+			return Artifact{}, err
+		}
+		sinks[i] = sink
+	}
+	if err := s.fold(s.Trace.Jobs, sinks[0], sinks[1], sinks[2]); err != nil {
+		return Artifact{}, err
 	}
 	projected, err := analyze.ProjectedFeatures(s.Trace.Jobs, s.Config.GPUsPerServer)
 	if err != nil {
 		return Artifact{}, err
 	}
-	panels = append(panels, struct {
-		label string
-		jobs  []workload.Features
-	}{"AllReduce-Local (projected)", projected})
+	if err := s.fold(projected, sinks[3]); err != nil {
+		return Artifact{}, err
+	}
 
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, "## Speedup with different hardware configurations")
-	for _, p := range panels {
-		panel, err := analyze.HardwareSweep(context.Background(), s.Backend, s.Parallelism, p.jobs, p.label)
+	for i, sink := range sinks {
+		panel, err := sink.Panel(labels[i])
 		if err != nil {
 			return Artifact{}, err
 		}
-		fmt.Fprintf(&buf, "(%s)\n", p.label)
+		fmt.Fprintf(&buf, "(%s)\n", labels[i])
 		for _, series := range panel.Series {
 			fmt.Fprintf(&buf, "  %-10s:", series.Resource)
 			for _, pt := range series.Points {
@@ -304,4 +324,12 @@ func (s *Suite) Fig11() (Artifact, error) {
 	}
 	return Artifact{ID: "Fig. 11", Title: "Speedup with different hardware configurations",
 		Text: buf.String()}, nil
+}
+
+// fold streams jobs through the suite's backend into every given sink in
+// one pass.
+func (s *Suite) fold(jobs []workload.Features, sinks ...analyze.Sink) error {
+	src := stream.Blocks(stream.NewSliceSource(jobs))
+	_, err := analyze.FoldInto(context.Background(), s.Backend, s.Parallelism, src, analyze.NewMultiSink(sinks...))
+	return err
 }

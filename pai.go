@@ -31,9 +31,12 @@
 // StreamColumnsInto). OpenTraceSource
 // selects a codec by name or by sniffing the input's first bytes.
 //
-// The free functions that predated the Engine (NewModel, Breakdowns,
-// OverallBreakdown, HardwareSweep, NewProjector) have been removed; see the
-// README migration table for the Engine equivalents.
+// The trace figures are sink folds: Engine.StreamInto folds one source into
+// a BreakdownAccumulator, the CDF sinks, NewProjectionSink or NewSweepSink
+// (or a MultiSink of several, as NewReportSink builds) in one pass. The free
+// functions that predated the Engine and the slice-pass Engine analyses
+// (Breakdowns, OverallBreakdown, HardwareSweep, ProjectAll) have been
+// removed; see the README migration table for their replacements.
 package pai
 
 import (
@@ -366,7 +369,8 @@ func NewSliceJobSource(jobs []Features) JobSource { return stream.NewSliceSource
 func ReadTrace(r io.Reader) (*Trace, error) { return tracegen.ReadJSON(r) }
 
 // ReadTraceNDJSON slurps an NDJSON trace into memory. To stream instead,
-// use Engine.EvaluateTrace or NewTraceDecoder.
+// hand OpenTraceSource(r, "ndjson") to Engine.EvaluateSource, or use
+// NewTraceDecoder.
 func ReadTraceNDJSON(r io.Reader) (*Trace, error) { return tracegen.ReadNDJSON(r) }
 
 // NewTraceDecoder returns an incremental NDJSON trace decoder; decode

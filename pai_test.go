@@ -2,14 +2,12 @@ package pai_test
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	pai "repro"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
-	ctx := context.Background()
 	eng, err := pai.New(pai.WithConfig(pai.BaselineConfig()))
 	if err != nil {
 		t.Fatal(err)
@@ -28,14 +26,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if c.TotalJobs != 400 {
 		t.Errorf("TotalJobs = %d, want 400", c.TotalJobs)
 	}
-	rows, err := eng.Breakdowns(ctx, trace.Jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
+	acc, proj, sweep := foldReport(t, eng, trace.Jobs)
+	if len(acc.Rows()) == 0 {
 		t.Fatal("no breakdown rows")
 	}
-	overall, err := eng.OverallBreakdown(ctx, trace.Jobs, pai.CNodeLevel)
+	overall, err := acc.Overall(pai.CNodeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +39,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	// Project.
 	ps := pai.FilterClass(trace.Jobs, pai.PSWorker)
-	results, err := eng.ProjectAll(ctx, ps, pai.ToAllReduceLocal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := pai.SummarizeProjection(results)
+	sum, err := proj.Summary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +47,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("projection covered %d jobs, want %d", sum.N, len(ps))
 	}
 	// Sweep.
-	panel, err := eng.HardwareSweep(ctx, ps, "PS/Worker")
+	panel, err := sweep.Panel("PS/Worker")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,12 @@ package pai_test
 import (
 	"bytes"
 	"context"
+	"sort"
 	"testing"
 
 	pai "repro"
+	"repro/internal/backend"
+	"repro/internal/hw"
 )
 
 // sinkTestTrace returns a small calibrated trace slice.
@@ -190,7 +193,9 @@ func TestEngineWithCacheBytes(t *testing.T) {
 }
 
 // TestEngineSweepSinkMatchesHardwareSweep: the streamed sweep sink must
-// reproduce the batch HardwareSweep panel.
+// reproduce the Fig. 11 hardware sweep computed independently — for every
+// Table III grid point, the plain mean over the PS jobs of the baseline
+// step time divided by the step time under a Reconfigure'd backend.
 func TestEngineSweepSinkMatchesHardwareSweep(t *testing.T) {
 	eng, err := pai.New()
 	if err != nil {
@@ -201,40 +206,66 @@ func TestEngineSweepSinkMatchesHardwareSweep(t *testing.T) {
 	if len(ps) == 0 {
 		t.Skip("no PS jobs in trace slice")
 	}
-	ctx := context.Background()
-
 	sweep, err := eng.NewSweepSink(pai.PSWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.StreamInto(ctx, pai.NewSliceJobSource(jobs), sweep); err != nil {
+	if _, err := eng.StreamInto(context.Background(), pai.NewSliceJobSource(jobs), sweep); err != nil {
 		t.Fatal(err)
 	}
 	got, err := sweep.Panel("PS/Worker")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.HardwareSweep(ctx, ps, "PS/Worker")
+
+	base, err := backend.New(backend.AnalyticalName, backend.DefaultSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Series) != len(want.Series) {
-		t.Fatalf("series count %d vs %d", len(got.Series), len(want.Series))
+	baseTimes := make([]float64, len(ps))
+	for i, j := range ps {
+		bd, err := base.Breakdown(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseTimes[i] = bd.Total()
+	}
+	resources := hw.AllResources()
+	if len(got.Series) != len(resources) {
+		t.Fatalf("series count %d vs %d", len(got.Series), len(resources))
 	}
 	const tol = 1e-9
-	for i, ws := range want.Series {
+	for i, res := range resources {
+		vars := append([]hw.Variation(nil), hw.TableIII()[res]...)
+		sort.Slice(vars, func(a, b int) bool { return vars[a].Normalized < vars[b].Normalized })
 		gs := got.Series[i]
-		if gs.Resource != ws.Resource || len(gs.Points) != len(ws.Points) {
+		if gs.Resource != res || len(gs.Points) != len(vars) {
 			t.Fatalf("series %d shape mismatch", i)
 		}
-		for j, wp := range ws.Points {
-			gp := gs.Points[j]
-			if gp.Normalized != wp.Normalized {
-				t.Fatalf("series %d point %d grid mismatch", i, j)
+		for k, v := range vars {
+			cfg, err := base.Spec().Config.Apply(v)
+			if err != nil {
+				t.Fatal(err)
 			}
-			d := gp.MeanSpeedup - wp.MeanSpeedup
-			if d < -tol || d > tol {
-				t.Errorf("%v x%.1f: streamed %.12f vs batch %.12f", ws.Resource, wp.Normalized, gp.MeanSpeedup, wp.MeanSpeedup)
+			b, err := base.Reconfigure(base.Spec().WithConfig(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum float64
+			for j, job := range ps {
+				bd, err := b.Breakdown(job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += baseTimes[j] / bd.Total()
+			}
+			want := sum / float64(len(ps))
+			gp := gs.Points[k]
+			if gp.Normalized != v.Normalized {
+				t.Fatalf("series %d point %d grid mismatch", i, k)
+			}
+			if d := gp.MeanSpeedup - want; d < -tol || d > tol {
+				t.Errorf("%v x%.1f: streamed %.12f vs reconfigured %.12f", res, v.Normalized, gp.MeanSpeedup, want)
 			}
 		}
 	}
