@@ -221,6 +221,83 @@ func BenchmarkEngineEvaluateStream(b *testing.B) {
 	})
 }
 
+// inPlace forwards a sink but carries no fold-memo key, so every block
+// folds into it record by record.
+type inPlace struct{ pai.Sink }
+
+func (s inPlace) AddColumns(c *pai.Columns, ts []pai.Times) error {
+	return s.Sink.(pai.ColumnSink).AddColumns(c, ts)
+}
+
+func (s inPlace) Merge(o pai.Sink) error { return s.Sink.Merge(o.(inPlace).Sink) }
+
+// BenchmarkFoldMemo measures the fold memo on the report workload's shape:
+// a trace of 3,072 distinct jobs resubmitted in 4,096-record colbin blocks
+// (so three distinct blocks, each seen four times per pass) folded through
+// a warm cached engine into NewReportSink. "hit" merges each block's
+// memoized partials; "miss" wraps the report sink's members so the memo
+// does not apply and every block folds record by record, as without it.
+func BenchmarkFoldMemo(b *testing.B) {
+	const records = 12 * 4096
+	p := pai.DefaultTraceParams()
+	p.NumJobs = records
+	p.DistinctJobs = 3072
+	tr, err := pai.GenerateTrace(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cb bytes.Buffer
+	w := pai.NewColumnWriterBlockRecords(&cb, 4096)
+	for _, f := range tr.Jobs {
+		if err := w.Write(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := pai.New(pai.WithParallelism(1), pai.WithCache(1<<16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		wrap bool
+	}{{"miss", true}, {"hit", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			pass := func() {
+				ms, err := eng.NewReportSink(pai.ToAllReduceLocal)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var s pai.Sink = ms
+				if c.wrap {
+					members := ms.Sinks()
+					wrapped := make([]pai.Sink, len(members))
+					for i, m := range members {
+						wrapped[i] = inPlace{m}
+					}
+					s = pai.NewMultiSink(wrapped...)
+				}
+				n, err := eng.StreamColumnsInto(ctx, pai.NewColumnReader(bytes.NewReader(cb.Bytes())), s)
+				if err != nil || n != records {
+					b.Fatalf("folded %d of %d records: %v", n, records, err)
+				}
+			}
+			// Warm the cache: blocks memoize on their second sighting and
+			// build their partials on the first hit.
+			pass()
+			pass()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+		})
+	}
+}
+
 // BenchmarkAnalyticalBreakdown measures a single model evaluation — the
 // primitive every cluster-scale analysis runs per job.
 func BenchmarkAnalyticalBreakdown(b *testing.B) {

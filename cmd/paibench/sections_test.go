@@ -44,9 +44,9 @@ func TestReportSectionsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"fidelity":   "ac894d35a40bce1a7ae9b4bc35d28f94e5415b85261ac265e8758b0724edcfae",
+		"fidelity":   "70716adc7b67855cacccfe6cd466437ab0e6bce98a2148aeeb9ce5ebec5c550d",
 		"cdf":        "94cb2fb8be7eb4839200420fcecb8a3f00b90e608295985d5e8bf7c17dfb3be2",
-		"projection": "646146224c63c8d0f3ff7e60a42df8664ce9558a9f6f1f90c536026ea7fec129",
+		"projection": "17d17ff00f9f3fc8c70ab7aacb93d8e09b79568344b03f998827432de80db375",
 	}
 	for k, w := range want {
 		var c bytes.Buffer

@@ -11,15 +11,16 @@ import (
 )
 
 // goldenReportSHA256 pins the SHA-256 of the full report sink's
-// MarshalBinary after folding a fixed-seed generated trace. The constants
-// were recorded before the sketch folds gained their constant-time bin
-// lookup, so they prove every later performance change keeps the bits:
-// they change only with an intentional bump of a snapshot format (or of
-// the trace generator or model arithmetic that feeds it), never with a
-// faster fold.
+// MarshalBinary after folding a fixed-seed generated trace. They change
+// only with an intentional bump of a snapshot format (or of the trace
+// generator or model arithmetic that feeds it), never with a faster fold.
+// They were last recorded when the report accumulators became exact
+// (sketches without a Welford state, exact share and mean sums), after
+// TestReportAccumulatorsExact showed every mean the report reads is the
+// correctly rounded math/big value within 1e-12 of the old float one.
 var goldenReportSHA256 = map[string]string{
-	"repetitive": "471b4d20b0a083789e097209b6d254c6f1d171a0941dae2a1fc2596fc1d6e293",
-	"distinct":   "88520f3869d778b752b4a624d844ad4e0868900920e57f7303a3f873f9bb69e7",
+	"repetitive": "feddbe965a4dad57cb8fd1ae451cdeedb90fc35cc09ffde85eda3b0bcf9214ab",
+	"distinct":   "744304346f5adf16c5d6a7f24f42c247284f7f71842dc9620f355814192954f4",
 }
 
 // goldenTrace generates the fixed-seed trace behind one golden case and

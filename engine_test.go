@@ -453,7 +453,7 @@ func TestEngineEvaluateStreamDecodeError(t *testing.T) {
 
 // TestEngineStreamBreakdownsFromSource: folding the streaming generator
 // must reproduce the cNode-level shares computed directly from the
-// materialized trace's batch breakdowns.
+// materialized trace's batch breakdowns, correctly rounded.
 func TestEngineStreamBreakdownsFromSource(t *testing.T) {
 	p := pai.DefaultTraceParams()
 	p.NumJobs = 1500
@@ -486,6 +486,10 @@ func TestEngineStreamBreakdownsFromSource(t *testing.T) {
 	}
 	comps := []pai.Component{pai.CompDataIO, pai.CompWeights, pai.CompComputeFLOPs, pai.CompComputeMem}
 	sums := make([]float64, len(comps))
+	exact := make([]*bigSum, len(comps))
+	for k := range exact {
+		exact[k] = newBigSum()
+	}
 	var weight float64
 	for i, tm := range times {
 		w := float64(trace.Jobs[i].CNodes)
@@ -495,13 +499,14 @@ func TestEngineStreamBreakdownsFromSource(t *testing.T) {
 				t.Fatal(err)
 			}
 			sums[k] += fr * w
+			exact[k].addProduct(fr, w)
 		}
 		weight += w
 	}
+	// The stream's shares are the exact weighted sums rounded once; the
+	// batch's plain float sums agree to 1e-12.
 	for k, c := range comps {
-		if got, want := overallStream[c], sums[k]/weight; got != want {
-			t.Errorf("%v: stream %v vs batch %v", c, got, want)
-		}
+		checkExact(t, c.String(), overallStream[c], exact[k].quo(weight), sums[k]/weight)
 	}
 }
 

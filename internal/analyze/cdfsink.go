@@ -14,17 +14,7 @@ import (
 // uniform bins over [0, 1], bounding the interior quantile error of any
 // fraction CDF to under 0.2% absolute. Shared edges are what keep per-shard
 // sketches mergeable, and a uniform grid makes each fold an O(1) bin lookup.
-var fractionGrid = func() *stats.Grid {
-	edges, err := stats.LinGrid(0, 1, 513)
-	if err != nil {
-		panic(err)
-	}
-	g, err := stats.NewGrid(edges)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}()
+var fractionGrid = stats.MustGrid(stats.LinGrid(0, 1, 513))
 
 func newFractionSketch() *stats.Sketch { return stats.NewGridSketch(fractionGrid) }
 
@@ -141,21 +131,22 @@ const componentCDFVersion = 1
 // state yields identical bytes.
 func (s *ComponentCDFSink) MarshalBinary() ([]byte, error) {
 	s.init()
-	w := binenc.NewWriter(1024)
-	w.U8(componentCDFVersion)
 	classes := sortedClasses(s.byClass)
+	const perClass = 2 * numComponents
+	raws, size, err := marshalAll(len(classes)*perClass, func(i int) ([]byte, error) {
+		cell := s.byClass[classes[i/perClass]]
+		return cell[i%perClass/numComponents][i%numComponents].MarshalBinary()
+	})
+	if err != nil {
+		return nil, err
+	}
+	w := binenc.NewWriter(size + 16*len(classes) + 16)
+	w.U8(componentCDFVersion)
 	w.Int(len(classes))
-	for _, class := range classes {
-		cell := s.byClass[class]
+	for k, class := range classes {
 		w.Uvarint(uint64(class))
-		for lvl := range cell {
-			for c := range cell[lvl] {
-				raw, err := cell[lvl][c].MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-				w.Raw(raw)
-			}
+		for _, raw := range raws[k*perClass : (k+1)*perClass] {
+			w.Raw(raw)
 		}
 	}
 	return w.Bytes(), nil
@@ -177,7 +168,7 @@ func (s *ComponentCDFSink) UnmarshalBinary(data []byte) error {
 		cell := new([2][numComponents]*stats.Sketch)
 		for lvl := range cell {
 			for c := range cell[lvl] {
-				raw := r.Raw()
+				raw := r.View()
 				if r.Err() != nil {
 					break
 				}
@@ -279,8 +270,13 @@ func (s *HardwareCDFSink) CDF(lvl Level, h core.HardwareComponent) (*stats.Sketc
 	return s.byLevel[lvl][h], nil
 }
 
-// Panel assembles the Fig. 8(a) panel for one level.
+// Panel assembles the Fig. 8(a) panel for one level, or returns an error
+// when no job has been folded.
 func (s *HardwareCDFSink) Panel(lvl Level) (HardwareCDFs, error) {
+	s.init()
+	if s.byLevel[JobLevel][0].Weight() == 0 {
+		return HardwareCDFs{}, fmt.Errorf("analyze: no jobs folded into the hardware CDF sink")
+	}
 	out := HardwareCDFs{Level: lvl, CDF: map[core.HardwareComponent]*stats.Sketch{}}
 	for _, h := range core.HardwareComponents() {
 		sk, err := s.CDF(lvl, h)
@@ -298,17 +294,17 @@ const hardwareCDFVersion = 1
 // MarshalBinary encodes the sink deterministically.
 func (s *HardwareCDFSink) MarshalBinary() ([]byte, error) {
 	s.init()
-	w := binenc.NewWriter(1024)
+	raws, size, err := marshalAll(len(s.byLevel)*numHardware, func(i int) ([]byte, error) {
+		return s.byLevel[i/numHardware][i%numHardware].MarshalBinary()
+	})
+	if err != nil {
+		return nil, err
+	}
+	w := binenc.NewWriter(size + 16)
 	w.U8(hardwareCDFVersion)
 	w.Int(numHardware)
-	for lvl := range s.byLevel {
-		for h := range s.byLevel[lvl] {
-			raw, err := s.byLevel[lvl][h].MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			w.Raw(raw)
-		}
+	for _, raw := range raws {
+		w.Raw(raw)
 	}
 	return w.Bytes(), nil
 }
@@ -325,7 +321,7 @@ func (s *HardwareCDFSink) UnmarshalBinary(data []byte) error {
 	fresh := NewHardwareCDFSink()
 	for lvl := range fresh.byLevel {
 		for h := range fresh.byLevel[lvl] {
-			raw := r.Raw()
+			raw := r.View()
 			if r.Err() != nil {
 				break
 			}

@@ -14,9 +14,9 @@ import (
 // too, never materializing per-record Features or Results on the hot path.
 //
 // Contract: AddColumns(c, ts) must leave the sink in exactly the state a
-// row-by-row Add(c.Row(i), ts[i]) loop would — same floating-point operation
-// order per record, so snapshots stay byte-identical between the columnar
-// and scalar paths (the invariant the engine-level identity tests pin).
+// row-by-row Add(c.Row(i), ts[i]) loop would, so snapshots stay
+// byte-identical between the columnar and scalar paths (the invariant the
+// engine-level identity tests pin).
 // ts has length c.Len(); both buffers are owned by the pipeline and must not
 // be retained after the call returns.
 type ColumnSink interface {
@@ -52,11 +52,8 @@ func (a *BreakdownAccumulator) AddColumns(c *workload.Columns, ts []core.Times) 
 		}
 		fr := fractions(ts[i])
 		cn := c.CNodes[i]
-		wj, wc := 1.0, float64(cn)
-		cell.level[JobLevel].add(&fr, wj)
-		a.overall[JobLevel].add(&fr, wj)
-		cell.level[CNodeLevel].add(&fr, wc)
-		a.overall[CNodeLevel].add(&fr, wc)
+		cell.level[JobLevel].add(&fr, 1)
+		cell.level[CNodeLevel].add(&fr, float64(cn))
 		cell.jobs++
 		cell.cnodes += cn
 		a.totalJobs++
@@ -101,7 +98,9 @@ func (s *HardwareCDFSink) AddColumns(c *workload.Columns, ts []core.Times) error
 
 // AddColumns implements ColumnSink for the projection study: the class
 // column pre-filters the block, so only PS/Worker rows materialize Features
-// for the projector.
+// for the projector. A projection does not depend on arrival, and the rows
+// are projected with ArrivalSec cleared, so the fold reads only the keyed
+// columns the fold memo requires (Name appears only in error messages).
 func (s *ProjectionSink) AddColumns(c *workload.Columns, ts []core.Times) error {
 	if err := checkBlockShape(c, ts); err != nil {
 		return err
@@ -110,7 +109,9 @@ func (s *ProjectionSink) AddColumns(c *workload.Columns, ts []core.Times) error 
 		if c.Class[i] != workload.PSWorker {
 			continue
 		}
-		if err := s.Add(c.Row(i), ts[i]); err != nil {
+		f := c.Row(i)
+		f.ArrivalSec = 0
+		if err := s.Add(f, ts[i]); err != nil {
 			return err
 		}
 	}

@@ -116,7 +116,7 @@ func (s *ProjectionSink) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("analyze: projection snapshot version %d, want %d", v, projectionSinkVersion)
 	}
 	target := project.Target(r.Uvarint())
-	raw := r.Raw()
+	raw := r.View()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("analyze: projection snapshot: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/evalcache"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -18,9 +19,9 @@ import (
 // grid is a pure function of the trace and the grain, every run over the
 // same file — one consumer, N consumers, or N processes — folds the same
 // records into the same cells and merges them in the same order, so the
-// merged sink's snapshot is byte-identical across all of them even for
-// statistics (MeanVar) whose merge is associative only up to
-// floating-point rounding.
+// merged sink's snapshot is byte-identical across all of them for any sink
+// whose Merge is deterministic. The report sinks merge exactly, so for
+// them the grid and the merge order do not change the bytes at all.
 //
 // open is called at most once per cell, from a consumer goroutine, and one
 // goroutine owns each cell's sink at a time, so the sinks need no locking.
@@ -41,8 +42,8 @@ func FoldRanges(ctx context.Context, ev backend.Evaluator, parallelism, consumer
 		}
 		sinks[i] = s
 	}
-	counts, err := stream.EvaluateBlocksMulti(ctx, ev, cells, consumers, parallelism, open, func(cell int, cols *workload.Columns, times []core.Times) error {
-		return addBlock(sinks[cell], cols, times)
+	counts, err := stream.EvaluateBlocksMulti(ctx, ev, cells, consumers, parallelism, open, func(cell int, cols *workload.Columns, times []core.Times, blk *evalcache.Block) error {
+		return addBlock(sinks[cell], cols, times, blk)
 	})
 	if err != nil {
 		return nil, counts, fmt.Errorf("analyze: %w", err)
@@ -81,19 +82,4 @@ func FoldRange(ctx context.Context, ev backend.Evaluator, parallelism int, src s
 		return nil, n, err
 	}
 	return sink, n, nil
-}
-
-// addBlock folds one evaluated block into s: a column-capable sink takes
-// the whole block, any other sink the row loop. This is the only place the
-// choice is made.
-func addBlock(s Sink, cols *workload.Columns, times []core.Times) error {
-	if cs, ok := s.(ColumnSink); ok {
-		return cs.AddColumns(cols, times)
-	}
-	for i := 0; i < cols.Len(); i++ {
-		if err := s.Add(cols.Row(i), times[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,9 @@
 package analyze
 
 import (
+	"bytes"
 	"encoding"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -25,8 +27,11 @@ import (
 // Contract: Merge must be deterministic (merging the same sinks in the same
 // order always produces identical state) and snapshots must round-trip
 // bit-exactly, so a multi-process merge of snapshots is byte-identical to
-// the in-process sharded fold. Sinks are not safe for concurrent use; give
-// every shard its own sink.
+// the in-process sharded fold. The report sinks (breakdown, component and
+// hardware CDFs, projection) and the sweep sink go further: their state is
+// exact until read, so Merge is associative and commutative and any split
+// of a stream, merged in any order, leaves the bytes of one bulk fold.
+// Sinks are not safe for concurrent use; give every shard its own sink.
 type Sink interface {
 	// Kind names the sink's registered type, making snapshots
 	// self-describing: ReadSnapshot reconstructs a sink of the right type
@@ -178,18 +183,41 @@ const multiSinkVersion = 1
 
 // MarshalBinary encodes every bundled sink, tagged by kind.
 func (m *MultiSink) MarshalBinary() ([]byte, error) {
-	w := binenc.NewWriter(256)
+	raws, size, err := marshalAll(len(m.sinks), func(i int) ([]byte, error) {
+		raw, err := m.sinks[i].MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("analyze: marshal %q sink: %w", m.sinks[i].Kind(), err)
+		}
+		return raw, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	w := binenc.NewWriter(size + 32*len(m.sinks) + 16)
 	w.U8(multiSinkVersion)
 	w.Int(len(m.sinks))
-	for _, s := range m.sinks {
-		raw, err := s.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("analyze: marshal %q sink: %w", s.Kind(), err)
-		}
+	for i, s := range m.sinks {
 		w.Str(s.Kind())
-		w.Raw(raw)
+		w.Raw(raws[i])
 	}
 	return w.Bytes(), nil
+}
+
+// marshalAll encodes n nested payloads and returns them with their total
+// size, so the enclosing writer is sized once instead of growing (and
+// copying) through a report-sized snapshot.
+func marshalAll(n int, marshal func(i int) ([]byte, error)) ([][]byte, int, error) {
+	raws := make([][]byte, n)
+	size := 0
+	for i := range raws {
+		raw, err := marshal(i)
+		if err != nil {
+			return nil, 0, err
+		}
+		raws[i] = raw
+		size += len(raw) + binary.MaxVarintLen64
+	}
+	return raws, size, nil
 }
 
 // UnmarshalBinary reconstructs the bundled sinks from a MarshalBinary
@@ -203,7 +231,7 @@ func (m *MultiSink) UnmarshalBinary(data []byte) error {
 	sinks := make([]Sink, 0, n)
 	for i := 0; i < n; i++ {
 		kind := r.Str()
-		raw := r.Raw()
+		raw := r.View()
 		if r.Err() != nil {
 			break
 		}
@@ -328,9 +356,16 @@ func ReadSnapshot(r io.Reader) (Sink, error) {
 // string, reconstructing the sink via the kind registry and verifying the
 // checksum.
 func ReadSnapshotMeta(r io.Reader) (Sink, string, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, "", err
+	var data []byte
+	if b, ok := r.(*bytes.Buffer); ok {
+		// Decoding copies everything it keeps, so the buffer's own bytes
+		// serve without a second copy of the snapshot.
+		data = b.Next(b.Len())
+	} else {
+		var err error
+		if data, err = io.ReadAll(r); err != nil {
+			return nil, "", err
+		}
 	}
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, "", fmt.Errorf("analyze: not a sink snapshot (bad magic)")
@@ -338,7 +373,7 @@ func ReadSnapshotMeta(r io.Reader) (Sink, string, error) {
 	br := binenc.NewReader(data[len(snapshotMagic):])
 	kind := br.Str()
 	meta := br.Str()
-	payload := br.Raw()
+	payload := br.View()
 	sum := br.U64()
 	if err := br.Err(); err != nil {
 		return nil, "", fmt.Errorf("analyze: snapshot frame: %w", err)

@@ -3,6 +3,7 @@ package analyze
 import (
 	"bytes"
 	"context"
+	"os"
 	"strings"
 	"testing"
 
@@ -415,5 +416,42 @@ func TestShardMetaMalformed(t *testing.T) {
 		if base := MetaBase(meta); base != meta {
 			t.Errorf("MetaBase(%q) = %q, want unchanged", meta, base)
 		}
+	}
+}
+
+// TestSnapshotRejectsFloatSumFormat decodes a snapshot written before the
+// report accumulators became exact (testdata/report-v1.snap: a breakdown
+// and a projection sink in a MultiSink, with float share and speedup sums
+// and Welford sketch state). Every member must fail with an error naming
+// its old snapshot version, never decode into wrong sums.
+func TestSnapshotRejectsFloatSumFormat(t *testing.T) {
+	raw, err := os.ReadFile("testdata/report-v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Fatalf("old snapshot: %v, want a version error", err)
+	}
+	// Frame: magic, kind, provenance, payload, checksum.
+	fr := binenc.NewReader(raw[len(snapshotMagic):])
+	_ = fr.Str()
+	_ = fr.Str()
+	r := binenc.NewReader(fr.Raw())
+	if v := r.U8(); v != multiSinkVersion {
+		t.Fatalf("MultiSink version %d", v)
+	}
+	n := r.Int()
+	for i := 0; i < n; i++ {
+		kind, payload := r.Str(), r.Raw()
+		s, err := NewSinkOf(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UnmarshalBinary(payload); err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+			t.Errorf("old %q payload: %v, want a version error", kind, err)
+		}
+	}
+	if r.Err() != nil || n != 2 {
+		t.Fatalf("read %d members: %v", n, r.Err())
 	}
 }

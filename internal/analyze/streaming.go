@@ -8,19 +8,20 @@ import (
 	"repro/internal/backend"
 	"repro/internal/binenc"
 	"repro/internal/core"
+	"repro/internal/evalcache"
 	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
 // compAcc accumulates weighted component-fraction sums at one (class, level)
-// cell. Plain sums merge trivially, which is what keeps the whole breakdown
-// fold associative across shards. The sums live in a fixed array indexed by
-// core.Component — the accumulator sits on the per-job hot path of the
-// streaming fold, where a map per cell used to cost more than the
-// evaluation itself.
+// cell. The sums are exact (stats.ExactSum) and the weights are integral
+// (one per job, or the job's cNodes), so cells merge exactly and the
+// shares, rounded once when read, do not depend on how the stream was split
+// or merged. The sums live in a fixed array indexed by core.Component — the
+// accumulator sits on the per-job hot path of the streaming fold.
 type compAcc struct {
-	sum [numComponents]float64
+	sum [numComponents]stats.ExactSum
 	w   float64
 	n   int
 }
@@ -47,7 +48,7 @@ func fractions(t core.Times) [numComponents]float64 {
 
 func (a *compAcc) add(fr *[numComponents]float64, w float64) {
 	for c := range fr {
-		a.sum[c] += fr[c] * w
+		a.sum[c].AddProduct(fr[c], w)
 	}
 	a.w += w
 	a.n++
@@ -55,16 +56,18 @@ func (a *compAcc) add(fr *[numComponents]float64, w float64) {
 
 func (a *compAcc) merge(b *compAcc) {
 	for c := range b.sum {
-		a.sum[c] += b.sum[c]
+		a.sum[c].Merge(&b.sum[c])
 	}
 	a.w += b.w
 	a.n += b.n
 }
 
+// shares returns each component's weighted mean fraction, the exact sum
+// divided by the total weight and rounded once.
 func (a *compAcc) shares() map[core.Component]float64 {
 	out := make(map[core.Component]float64, numComponents)
-	for c, s := range a.sum {
-		out[core.Component(c)] = s / a.w
+	for c := range a.sum {
+		out[core.Component(c)] = a.sum[c].Quo(a.w)
 	}
 	return out
 }
@@ -82,30 +85,21 @@ type classCell struct {
 // histogram every accumulator uses, so per-shard histograms always merge.
 // The range covers 100 µs to ~3 hours per step, far beyond the calibrated
 // lognormal's support.
-var stepHistGrid = func() *stats.Grid {
-	edges, err := stats.LogGrid(1e-4, 1e4, 161)
-	if err != nil {
-		panic(err)
-	}
-	g, err := stats.NewGrid(edges)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}()
+var stepHistGrid = stats.MustGrid(stats.LogGrid(1e-4, 1e4, 161))
 
 // BreakdownAccumulator folds per-job evaluation results into every
 // collective aggregate the characterization reports — constitution (Fig. 5),
 // average component breakdowns per class and overall at both levels
 // (Fig. 7 / Sec. III-D), and step-time summary statistics — in O(1) memory
-// per job. It is the sink the streaming pipeline hands results to, and
-// per-shard accumulators Merge into the bulk result exactly.
+// per job. It is the sink the streaming pipeline hands results to. Every
+// aggregate is exact until read (the overall shares are summed from the
+// class cells at read time), so per-shard accumulators merge into the bulk
+// result exactly, in any grouping and order.
 //
 // An accumulator is not safe for concurrent use; the streaming pipeline
 // calls Add from a single goroutine.
 type BreakdownAccumulator struct {
 	byClass map[workload.Class]*classCell
-	overall [2]compAcc // indexed by Level
 
 	totalJobs   int
 	totalCNodes int
@@ -141,11 +135,8 @@ func (a *BreakdownAccumulator) Add(f workload.Features, t core.Times) error {
 		a.byClass[f.Class] = cell
 	}
 	fr := fractions(t)
-	wj, wc := JobLevel.weight(f), CNodeLevel.weight(f)
-	cell.level[JobLevel].add(&fr, wj)
-	a.overall[JobLevel].add(&fr, wj)
-	cell.level[CNodeLevel].add(&fr, wc)
-	a.overall[CNodeLevel].add(&fr, wc)
+	cell.level[JobLevel].add(&fr, JobLevel.weight(f))
+	cell.level[CNodeLevel].add(&fr, CNodeLevel.weight(f))
 	cell.jobs++
 	cell.cnodes += f.CNodes
 	a.totalJobs++
@@ -160,8 +151,8 @@ func (a *BreakdownAccumulator) Add(f workload.Features, t core.Times) error {
 func (a *BreakdownAccumulator) Kind() string { return kindBreakdown }
 
 // Merge folds another accumulator into the receiver (the per-shard
-// reduction step). Merging is associative: merging shard accumulators in
-// any grouping equals accumulating the whole stream.
+// reduction step). Merging is exact: merging shard accumulators in any
+// grouping and order equals accumulating the whole stream.
 func (a *BreakdownAccumulator) Merge(other Sink) error {
 	if other == nil {
 		return nil
@@ -185,9 +176,6 @@ func (a *BreakdownAccumulator) Merge(other Sink) error {
 		}
 		mine.jobs += cell.jobs
 		mine.cnodes += cell.cnodes
-	}
-	for lvl := range b.overall {
-		a.overall[lvl].merge(&b.overall[lvl])
 	}
 	a.totalJobs += b.totalJobs
 	a.totalCNodes += b.totalCNodes
@@ -224,9 +212,12 @@ func (a *BreakdownAccumulator) Overall(lvl Level) (map[core.Component]float64, e
 	if lvl != JobLevel && lvl != CNodeLevel {
 		return nil, fmt.Errorf("analyze: unknown level %v", lvl)
 	}
-	acc := &a.overall[lvl]
-	if acc.n == 0 {
+	if a.totalJobs == 0 {
 		return nil, fmt.Errorf("analyze: empty accumulator")
+	}
+	var acc compAcc
+	for _, class := range sortedClasses(a.byClass) {
+		acc.merge(&a.byClass[class].level[lvl])
 	}
 	return acc.shares(), nil
 }
@@ -266,24 +257,27 @@ func (a *BreakdownAccumulator) StepTimeQuantile(q float64) (float64, error) {
 }
 
 // breakdownAccVersion tags the BreakdownAccumulator snapshot layout.
-const breakdownAccVersion = 1
+const breakdownAccVersion = 2
 
 // marshalCompAcc appends one component accumulator's exact state.
 func marshalCompAcc(w *binenc.Writer, c *compAcc) {
-	for _, s := range c.sum {
-		w.F64(s)
+	for i := range c.sum {
+		c.sum[i].AppendBinary(w)
 	}
 	w.F64(c.w)
 	w.Int(c.n)
 }
 
 // unmarshalCompAcc reads one component accumulator.
-func unmarshalCompAcc(r *binenc.Reader, c *compAcc) {
+func unmarshalCompAcc(r *binenc.Reader, c *compAcc) error {
 	for i := range c.sum {
-		c.sum[i] = r.F64()
+		if err := c.sum[i].ReadBinary(r); err != nil {
+			return err
+		}
 	}
 	c.w = r.F64()
 	c.n = int(r.Uvarint())
+	return nil
 }
 
 // MarshalBinary encodes the accumulator as a versioned binary snapshot.
@@ -306,9 +300,6 @@ func (a *BreakdownAccumulator) MarshalBinary() ([]byte, error) {
 		return nil, err
 	}
 	w.Raw(histRaw)
-	for lvl := range a.overall {
-		marshalCompAcc(w, &a.overall[lvl])
-	}
 	classes := make([]workload.Class, 0, len(a.byClass))
 	for class := range a.byClass {
 		classes = append(classes, class)
@@ -336,17 +327,16 @@ func (a *BreakdownAccumulator) UnmarshalBinary(data []byte) error {
 	b := NewBreakdownAccumulator()
 	b.totalJobs = int(r.Uvarint())
 	b.totalCNodes = int(r.Uvarint())
-	stepRaw := r.Raw()
-	histRaw := r.Raw()
-	for lvl := range b.overall {
-		unmarshalCompAcc(r, &b.overall[lvl])
-	}
+	stepRaw := r.View()
+	histRaw := r.View()
 	nClasses := r.Int()
 	for i := 0; i < nClasses && r.Err() == nil; i++ {
 		class := workload.Class(r.Uvarint())
 		cell := &classCell{}
 		for lvl := range cell.level {
-			unmarshalCompAcc(r, &cell.level[lvl])
+			if err := unmarshalCompAcc(r, &cell.level[lvl]); err != nil {
+				return fmt.Errorf("analyze: breakdown snapshot: %w", err)
+			}
 		}
 		cell.jobs = int(r.Uvarint())
 		cell.cnodes = int(r.Uvarint())
@@ -379,8 +369,8 @@ func FoldInto(ctx context.Context, ev backend.Evaluator, parallelism int, src st
 	if sink == nil {
 		return 0, fmt.Errorf("analyze: FoldInto with nil sink")
 	}
-	n, err := stream.EvaluateBlocksInto(ctx, ev, src, parallelism, func(cols *workload.Columns, times []core.Times) error {
-		return addBlock(sink, cols, times)
+	n, err := stream.EvaluateBlocksInto(ctx, ev, src, parallelism, func(cols *workload.Columns, times []core.Times, blk *evalcache.Block) error {
+		return addBlock(sink, cols, times, blk)
 	})
 	if err != nil {
 		return n, fmt.Errorf("analyze: %w", err)

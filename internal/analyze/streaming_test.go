@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -122,13 +121,17 @@ func TestAccumulatorMergeEqualsBulk(t *testing.T) {
 					t.Fatalf("%s cuts %v: row %d identity drift", name, cuts, i)
 				}
 				for _, comp := range core.Components() {
-					if d := math.Abs(gotRows[i].Share[comp] - wantRows[i].Share[comp]); d > 1e-12 {
-						t.Errorf("%s cuts %v: row %d %v share drift %v", name, cuts, i, comp, d)
+					if got, want := gotRows[i].Share[comp], wantRows[i].Share[comp]; got != want {
+						t.Errorf("%s cuts %v: row %d %v share %v, bulk %v", name, cuts, i, comp, got, want)
 					}
 				}
 			}
-			if math.Abs(merged.StepTime().Mean()-bulk.StepTime().Mean()) > 1e-12 {
+			if merged.StepTime().Mean() != bulk.StepTime().Mean() {
 				t.Errorf("%s cuts %v: step-time mean drift", name, cuts)
+			}
+			// Merging is exact, so the whole state matches the bulk fold.
+			if got, want := snapshotOf(t, merged), snapshotOf(t, bulk); !bytes.Equal(got, want) {
+				t.Errorf("%s cuts %v: merged snapshot differs from the bulk fold's", name, cuts)
 			}
 			gq, err := merged.StepTimeQuantile(0.5)
 			if err != nil {
@@ -225,8 +228,8 @@ func foldBreakdowns(ctx context.Context, ev backend.Evaluator, parallelism int, 
 }
 
 // TestFoldSourcesMatchesFold: the sharded fold over N partitions of one
-// trace must reproduce the single-source fold — counts and constitution
-// exactly, shares within the same tolerance the Merge contract gives.
+// trace must reproduce the single-source fold exactly — counts,
+// constitution, shares and the whole snapshot.
 func TestFoldSourcesMatchesFold(t *testing.T) {
 	jobs := accJobs(t, 3000)
 	ev := accBackend(t)
@@ -277,9 +280,12 @@ func TestFoldSourcesMatchesFold(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, comp := range core.Components() {
-			if d := math.Abs(gotO[comp] - wantO[comp]); d > 1e-12 {
-				t.Errorf("%d shards: overall %v drift %v", nShards, comp, d)
+			if gotO[comp] != wantO[comp] {
+				t.Errorf("%d shards: overall %v share %v, bulk %v", nShards, comp, gotO[comp], wantO[comp])
 			}
+		}
+		if !bytes.Equal(snapshotOf(t, merged), snapshotOf(t, bulk)) {
+			t.Errorf("%d shards: merged snapshot differs from the bulk fold's", nShards)
 		}
 		gq, err := merged.StepTimeQuantile(0.99)
 		if err != nil {
@@ -441,4 +447,14 @@ func TestFoldSinksShardErrorCancelsAll(t *testing.T) {
 	if !strings.Contains(err.Error(), "cell 1") {
 		t.Errorf("error %q does not name the failing cell", err)
 	}
+}
+
+// snapshotOf is a sink's snapshot payload.
+func snapshotOf(t *testing.T, s Sink) []byte {
+	t.Helper()
+	raw, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }

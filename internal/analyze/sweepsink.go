@@ -263,7 +263,7 @@ func (s *SweepSink) UnmarshalBinary(data []byte) error {
 	n := r.Int()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		c := sweepCell{res: hw.Resource(r.Uvarint()), normalized: r.F64()}
-		raw := r.Raw()
+		raw := r.View()
 		if r.Err() != nil {
 			break
 		}

@@ -59,6 +59,11 @@ func (w *Writer) Uvarint(v uint64) {
 // Int appends a non-negative count as a uvarint.
 func (w *Writer) Int(v int) { w.Uvarint(uint64(v)) }
 
+// Varint appends a signed integer as a zig-zag varint.
+func (w *Writer) Varint(v int64) {
+	w.buf = binary.AppendVarint(w.buf, v)
+}
+
 // F64 appends the IEEE-754 bits of a float64, preserving the value exactly
 // (including NaNs, infinities and signed zeros).
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
@@ -168,6 +173,20 @@ func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
 		r.fail("malformed uvarint")
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// Varint reads a zig-zag varint-encoded signed integer.
+func (r *Reader) Varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.buf[r.off:])
+	if n <= 0 {
+		r.fail("malformed varint")
 		return 0
 	}
 	r.off += n
@@ -306,6 +325,17 @@ func (r *Reader) Str() string {
 
 // Raw reads a length-prefixed byte slice (copied out of the input).
 func (r *Reader) Raw() []byte {
+	b := r.View()
+	if b == nil {
+		return nil
+	}
+	return append([]byte(nil), b...)
+}
+
+// View is Raw without the copy: the slice aliases the input, so it is for
+// nested payloads the caller decodes before the input is reused. Snapshot
+// decoders read nested sink and sketch payloads this way.
+func (r *Reader) View() []byte {
 	n := r.Int()
 	if r.err != nil {
 		return nil
@@ -314,7 +344,7 @@ func (r *Reader) Raw() []byte {
 		r.fail("truncated raw field of %d bytes", n)
 		return nil
 	}
-	b := append([]byte(nil), r.buf[r.off:r.off+n]...)
+	b := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return b
 }

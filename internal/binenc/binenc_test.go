@@ -146,3 +146,41 @@ func TestScalarUnboundedByInput(t *testing.T) {
 		t.Errorf("overflowing Scalar = %d, %v; want an error", got, r.Err())
 	}
 }
+
+// TestViewAliasesRawCopies: View returns the nested bytes in place, Raw a
+// copy, and both read the same field the same way, the signed varints
+// beside them included.
+func TestViewAliasesRawCopies(t *testing.T) {
+	w := NewWriter(16)
+	w.Raw([]byte{7, 8, 9})
+	w.Varint(-300)
+	w.Raw([]byte{7, 8, 9})
+	w.Raw(nil)
+	data := w.Bytes()
+	r := NewReader(data)
+	view := r.View()
+	if v := r.Varint(); v != -300 {
+		t.Fatalf("Varint = %d, want -300", v)
+	}
+	raw := r.Raw()
+	empty := r.View()
+	if r.Err() != nil || string(view) != "\x07\x08\x09" || string(raw) != string(view) || len(empty) != 0 {
+		t.Fatalf("view %v, raw %v, empty %v, err %v", view, raw, empty, r.Err())
+	}
+	data[1] = 42 // the first payload byte
+	if view[0] != 42 {
+		t.Error("View copied the input")
+	}
+	data[len(data)-3] = 42 // the second payload's last byte
+	if raw[2] != 9 {
+		t.Error("Raw aliases the input")
+	}
+	// A view past the input's end fails like Raw, and cannot be appended
+	// into the bytes that follow it.
+	if v := NewReader([]byte{5, 1, 2}).View(); v != nil {
+		t.Errorf("truncated View = %v", v)
+	}
+	if cap(view) != len(view) {
+		t.Errorf("view capacity %d reaches past its %d bytes", cap(view), len(view))
+	}
+}

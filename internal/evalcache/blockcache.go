@@ -23,6 +23,12 @@ import (
 // memoizes the block. Record sources cut into blocks (NDJSON uploads, say)
 // mostly produce blocks that never repeat; memoizing each of them would
 // fill the budget with dead weight.
+//
+// A memoized block can also carry per-block values its consumers derive from
+// it — the analysis layer memoizes each sink configuration's fold of the
+// block (a partial sink) this way. They live on the entry, so they share its
+// hash-and-verify identity, its second-sighting admission and its byte
+// budget, and leave with it on rotation.
 
 // ghostBytes is the budget charge of a ghost: one map slot, hash and
 // pointer.
@@ -30,15 +36,72 @@ const ghostBytes = 16
 
 // blockEntry stores one memoized block: the keyed columns (everything the
 // model reads — Name and ArrivalSec excluded, matching the record key) for
-// verification, the evaluated times, and the footprint estimate used for
-// byte-budget rotation.
+// verification, the evaluated times, the values memoized on the block, and
+// the footprint estimate used for byte-budget rotation.
 type blockEntry struct {
 	class     []workload.Class
 	cNodes    []int
 	batchSize []int
 	num       [6][]float64
 	times     []core.Times
+	memos     []blockMemo // guarded by the cache's blockMu
 	bytes     int64
+}
+
+// blockMemo is one value memoized on a block entry under a comparable key.
+type blockMemo struct {
+	key, value any
+}
+
+// Block is the handle of a block-cache hit: the verified, memoized entry
+// that answered one evaluated block. It lets the consumer of that block
+// memoize values derived from it (Memo) without re-hashing or re-verifying
+// the block.
+type Block struct {
+	c *Cache
+	h uint64
+	e *blockEntry
+}
+
+// Memo returns the value memoized on the block under key, calling build to
+// make it on first use. build returns the value and its resident bytes,
+// which are charged to the block budget with the entry; the value must not
+// change afterwards, since every later sighting of the block, on any
+// goroutine, shares it. A value built after the entry has left the young
+// generation is returned but not kept. key must be comparable.
+func (b *Block) Memo(key any, build func() (any, int64, error)) (any, error) {
+	c := b.c
+	c.blockMu.Lock()
+	for _, m := range b.e.memos {
+		if m.key == key {
+			c.blockMu.Unlock()
+			return m.value, nil
+		}
+	}
+	c.blockMu.Unlock()
+
+	v, size, err := build()
+	if err != nil {
+		return nil, err
+	}
+	c.blockMu.Lock()
+	defer c.blockMu.Unlock()
+	for _, m := range b.e.memos {
+		if m.key == key {
+			return m.value, nil // built concurrently; keep the first
+		}
+	}
+	if c.blockCur[b.h] == b.e {
+		// Re-insert the grown entry so the charge passes the same budget
+		// check (and rotation) as a new one.
+		delete(c.blockCur, b.h)
+		c.blockCurBytes -= b.e.bytes
+		c.blockCurMemo--
+		b.e.memos = append(b.e.memos, blockMemo{key: key, value: v})
+		b.e.bytes += size
+		c.blockInsert(b.h, b.e)
+	}
+	return v, nil
 }
 
 // numericCols lists the six float feature columns in key order; both hashing
@@ -141,12 +204,19 @@ func newBlockEntry(cols *workload.Columns, ts []core.Times) *blockEntry {
 // backend.EvaluateColumns routes cached engines through the block path
 // instead of the scalar fallback loop.
 func (c *Cache) BreakdownColumns(cols *workload.Columns, out []core.Times) error {
+	_, err := c.EvaluateBlock(cols, out)
+	return err
+}
+
+// EvaluateBlock is BreakdownColumns that also returns the handle of the
+// memoized entry when the block is a block-cache hit (nil otherwise).
+func (c *Cache) EvaluateBlock(cols *workload.Columns, out []core.Times) (*Block, error) {
 	n := cols.Len()
 	if len(out) != n {
-		return fmt.Errorf("evalcache: BreakdownColumns: out has length %d, block has %d records", len(out), n)
+		return nil, fmt.Errorf("evalcache: BreakdownColumns: out has length %d, block has %d records", len(out), n)
 	}
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	h := c.blockHash(cols)
 
@@ -171,7 +241,7 @@ func (c *Cache) BreakdownColumns(cols *workload.Columns, out []core.Times) error
 		c.blockHits.Add(1)
 		c.hits.Add(uint64(n))
 		copy(out, hit.times)
-		return nil
+		return &Block{c: c, h: h, e: hit}, nil
 	}
 
 	// Miss: per-record fallback through the record cache, so rows shared
@@ -181,7 +251,7 @@ func (c *Cache) BreakdownColumns(cols *workload.Columns, out []core.Times) error
 		f := cols.Row(i)
 		t, err := c.Breakdown(f)
 		if err != nil {
-			return fmt.Errorf("job %q: %w", f.Name, err)
+			return nil, fmt.Errorf("job %q: %w", f.Name, err)
 		}
 		out[i] = t
 	}
@@ -193,7 +263,7 @@ func (c *Cache) BreakdownColumns(cols *workload.Columns, out []core.Times) error
 		c.blockInsert(h, e)
 		c.blockMu.Unlock()
 	}
-	return nil
+	return nil, nil
 }
 
 // size is an entry's charge against the block budget; a nil entry is a

@@ -262,3 +262,124 @@ func TestBlockCacheLengthMismatch(t *testing.T) {
 		t.Fatal("mismatched out length accepted")
 	}
 }
+
+// hitBlock evaluates b until it is a block-cache hit and returns the
+// entry handle (a block is memoized on its second sighting).
+func hitBlock(t *testing.T, c *Cache, b *workload.Columns) *Block {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		blk, err := c.EvaluateBlock(b, make([]core.Times, b.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blk != nil {
+			return blk
+		}
+	}
+	t.Fatal("block never hit")
+	return nil
+}
+
+// TestBlockMemo: a value memoized on a block is built once per key and
+// returned on every later sighting, through a fresh handle; distinct keys
+// keep distinct values; only hits carry a handle.
+func TestBlockMemo(t *testing.T) {
+	ev, spec := newCounting(t)
+	c, err := New(ev, spec, 1<<14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := blockOf(64, 16, 0)
+	if blk, err := c.EvaluateBlock(b, make([]core.Times, b.Len())); err != nil || blk != nil {
+		t.Fatalf("first sighting: handle %v, err %v; want neither", blk, err)
+	}
+	builds := 0
+	build := func(v string) func() (any, int64, error) {
+		return func() (any, int64, error) { builds++; return v, 100, nil }
+	}
+	for i := 0; i < 3; i++ {
+		blk := hitBlock(t, c, b)
+		for key, want := range map[string]string{"a": "A", "b": "B"} {
+			got, err := blk.Memo(key, build(want))
+			if err != nil || got != want {
+				t.Fatalf("sighting %d key %q: %v, %v; want %q", i, key, got, err, want)
+			}
+		}
+	}
+	if builds != 2 {
+		t.Fatalf("built %d values for 2 keys over 3 sightings", builds)
+	}
+	// The other block's entry holds its own values.
+	other := hitBlock(t, c, blockOf(64, 16, 5000))
+	if got, _ := other.Memo("a", build("other")); got != "other" {
+		t.Fatalf("another block shared key %q's value: %v", "a", got)
+	}
+}
+
+// TestBlockMemoChargesBudget: memoized values are charged to the block
+// budget with their entry. Blocks whose entries alone fit the budget, but
+// not with their values, must rotate the generations once the values are
+// built, and residency — entries and values — must stay within two
+// generations' worth of budget.
+func TestBlockMemoChargesBudget(t *testing.T) {
+	ev, spec := newCounting(t)
+	const blocks, size = 16, 32
+	sample := blockOf(size, size, 0)
+	ts := make([]core.Times, size)
+	for i := range ts {
+		var err error
+		if ts[i], err = ev.Breakdown(sample.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := newBlockEntry(sample, ts).bytes
+	value := 4 * entry
+	budget := 2 * blocks * entry
+	c, err := NewBytes(ev, spec, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < blocks; i++ {
+			b := blockOf(size, size, i*1000)
+			if err := c.BreakdownColumns(b, make([]core.Times, size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := c.Stats(); st.Rotations != 0 || st.BlockEntries != blocks {
+		t.Fatalf("entries alone: %d rotations, %d entries; want 0, %d", st.Rotations, st.BlockEntries, blocks)
+	}
+	for i := 0; i < blocks; i++ {
+		blk := hitBlock(t, c, blockOf(size, size, i*1000))
+		if _, err := blk.Memo("partial", func() (any, int64, error) { return i, value, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Stats().Rotations == 0 {
+		t.Fatal("charging the memoized values never rotated the block generations")
+	}
+	c.blockMu.Lock()
+	defer c.blockMu.Unlock()
+	var resident, cur int64
+	for g, gen := range []map[uint64]*blockEntry{c.blockCur, c.blockPrev} {
+		for _, e := range gen {
+			if e == nil {
+				continue
+			}
+			resident += e.bytes
+			if g == 0 {
+				cur += e.bytes
+			}
+			if len(e.memos) > 0 && e.bytes != entry+value {
+				t.Errorf("entry with %d values charged %d B, want %d", len(e.memos), e.bytes, entry+value)
+			}
+		}
+	}
+	if cur != c.blockCurBytes {
+		t.Errorf("young generation holds %d B, accounted %d B", cur, c.blockCurBytes)
+	}
+	if resident > 2*budget {
+		t.Fatalf("entries and values hold %d B, over twice the %d B budget", resident, budget)
+	}
+}

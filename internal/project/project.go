@@ -12,6 +12,7 @@ package project
 import (
 	"context"
 	"fmt"
+	"reflect"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -138,6 +139,24 @@ func NewFromBackend(b backend.Backend) (*Projector, error) {
 		return nil, fmt.Errorf("project: backend %q does not support projections", b.Name())
 	}
 	return NewWithEvaluator(b, b.Spec().Config)
+}
+
+// projectorKey identifies a projector's evaluation: its evaluator and its
+// configuration.
+type projectorKey struct {
+	ev  backend.Evaluator
+	cfg hw.Config
+}
+
+// MemoKey returns a comparable value that is equal for two projectors
+// exactly when they evaluate through the same evaluator under the same
+// configuration, so their projections agree. ok is false when the
+// evaluator is not a pointer and so cannot be compared safely.
+func (p *Projector) MemoKey() (any, bool) {
+	if reflect.TypeOf(p.ev).Kind() != reflect.Pointer {
+		return nil, false
+	}
+	return projectorKey{ev: p.ev, cfg: p.cfg}, true
 }
 
 // Project maps one PS/Worker workload to the target and evaluates both

@@ -26,29 +26,25 @@ func (p *Projector) ProjectTimed(f workload.Features, origT core.Times, target T
 	return assembleResult(f, mapped, origT, projT)
 }
 
-// speedupSketchEdges are the shared log-spaced bin edges of every speedup
-// sketch, so per-shard accumulators always merge. The range covers 1/1000x
-// to 1000x, far beyond the paper's 21x communication bound (Eq. 3).
-var speedupSketchEdges = func() []float64 {
-	edges, err := stats.LogGrid(1e-3, 1e3, 241)
-	if err != nil {
-		panic(err)
-	}
-	return edges
-}()
+// speedupSketchGrid is the one log-spaced bin grid every speedup sketch
+// shares, so per-shard accumulators always merge without comparing edges.
+// The range covers 1/1000x to 1000x, far beyond the paper's 21x
+// communication bound (Eq. 3).
+var speedupSketchGrid = stats.MustGrid(stats.LogGrid(1e-3, 1e3, 241))
 
 // SummaryAccumulator folds projection results into the Fig. 9 aggregates —
 // the not-sped fractions, mean speedups, and fixed-memory speedup
-// distribution sketches — in O(1) memory per result. Per-shard accumulators
-// Merge deterministically, and snapshots round-trip bit-exactly, so the
-// projection summary participates in the same multi-process fold as the
-// breakdown aggregates.
+// distribution sketches — in O(1) memory per result. The speedup sums are
+// exact (stats.ExactSum) and the means are rounded once, when read, so
+// per-shard accumulators merge exactly in any order, and snapshots
+// round-trip bit-exactly: the projection summary participates in the same
+// multi-process fold as the breakdown aggregates.
 //
 // The zero value is usable: Add and Merge initialize it lazily.
 type SummaryAccumulator struct {
 	n              int
 	notNode, notTp int
-	sumNode, sumTp float64
+	sumNode, sumTp stats.ExactSum
 
 	nodeSketch, tpSketch *stats.Sketch
 }
@@ -58,15 +54,8 @@ func (a *SummaryAccumulator) init() {
 	if a.nodeSketch != nil {
 		return
 	}
-	ns, err := stats.NewSketch(speedupSketchEdges)
-	if err != nil {
-		panic(err) // edges are a package constant; cannot fail
-	}
-	ts, err := stats.NewSketch(speedupSketchEdges)
-	if err != nil {
-		panic(err)
-	}
-	a.nodeSketch, a.tpSketch = ns, ts
+	a.nodeSketch = stats.NewGridSketch(speedupSketchGrid)
+	a.tpSketch = stats.NewGridSketch(speedupSketchGrid)
 }
 
 // Add folds one projection result into the aggregates.
@@ -79,8 +68,8 @@ func (a *SummaryAccumulator) Add(r Result) {
 	if r.ThroughputSpeedup <= 1 {
 		a.notTp++
 	}
-	a.sumNode += r.NodeSpeedup
-	a.sumTp += r.ThroughputSpeedup
+	a.sumNode.Add(r.NodeSpeedup)
+	a.sumTp.Add(r.ThroughputSpeedup)
 	a.nodeSketch.Add(r.NodeSpeedup)
 	a.tpSketch.Add(r.ThroughputSpeedup)
 }
@@ -96,8 +85,8 @@ func (a *SummaryAccumulator) Merge(b *SummaryAccumulator) error {
 	a.n += b.n
 	a.notNode += b.notNode
 	a.notTp += b.notTp
-	a.sumNode += b.sumNode
-	a.sumTp += b.sumTp
+	a.sumNode.Merge(&b.sumNode)
+	a.sumTp.Merge(&b.sumTp)
 	if err := a.nodeSketch.Merge(b.nodeSketch); err != nil {
 		return fmt.Errorf("project: merge node-speedup sketch: %w", err)
 	}
@@ -119,8 +108,8 @@ func (a *SummaryAccumulator) Summary() (Summary, error) {
 		N:                     a.n,
 		FracNodeNotSped:       float64(a.notNode) / float64(a.n),
 		FracThroughputNotSped: float64(a.notTp) / float64(a.n),
-		MeanNodeSpeedup:       a.sumNode / float64(a.n),
-		MeanThroughputSpeedup: a.sumTp / float64(a.n),
+		MeanNodeSpeedup:       a.sumNode.Quo(float64(a.n)),
+		MeanThroughputSpeedup: a.sumTp.Quo(float64(a.n)),
 	}, nil
 }
 
@@ -139,7 +128,7 @@ func (a *SummaryAccumulator) ThroughputSpeedups() *stats.Sketch {
 }
 
 // summaryAccVersion tags the SummaryAccumulator snapshot layout.
-const summaryAccVersion = 1
+const summaryAccVersion = 2
 
 // MarshalBinary encodes the accumulator as a versioned binary snapshot.
 // Identical state always yields identical bytes.
@@ -150,8 +139,8 @@ func (a *SummaryAccumulator) MarshalBinary() ([]byte, error) {
 	w.Int(a.n)
 	w.Int(a.notNode)
 	w.Int(a.notTp)
-	w.F64(a.sumNode)
-	w.F64(a.sumTp)
+	a.sumNode.AppendBinary(w)
+	a.sumTp.AppendBinary(w)
 	for _, s := range []*stats.Sketch{a.nodeSketch, a.tpSketch} {
 		raw, err := s.MarshalBinary()
 		if err != nil {
@@ -172,10 +161,13 @@ func (a *SummaryAccumulator) UnmarshalBinary(data []byte) error {
 	b.n = int(r.Uvarint())
 	b.notNode = int(r.Uvarint())
 	b.notTp = int(r.Uvarint())
-	b.sumNode = r.F64()
-	b.sumTp = r.F64()
-	nodeRaw := r.Raw()
-	tpRaw := r.Raw()
+	for _, s := range []*stats.ExactSum{&b.sumNode, &b.sumTp} {
+		if err := s.ReadBinary(r); err != nil {
+			return fmt.Errorf("project: summary snapshot: %w", err)
+		}
+	}
+	nodeRaw := r.View()
+	tpRaw := r.View()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("project: summary snapshot: %w", err)
 	}

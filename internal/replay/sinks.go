@@ -41,27 +41,15 @@ func syntheticOutcome(f workload.Features, t core.Times) Outcome {
 	}
 }
 
-// queueDelaySketchEdges are the shared log-spaced bin edges of every
-// queue-delay sketch: 512 bins over [1 ms, 10^7 s]. Delays below a
-// millisecond (including the exact zeros of an uncongested replay) land in
-// the under-range mass, where the sketch still resolves them exactly at
-// q=0 via its tracked minimum. Shared edges keep per-shard sketches
-// mergeable.
-var queueDelaySketchEdges = func() []float64 {
-	edges, err := stats.LogGrid(1e-3, 1e7, 513)
-	if err != nil {
-		panic(err)
-	}
-	return edges
-}()
+// queueDelaySketchGrid is the one log-spaced bin grid every queue-delay
+// sketch shares: 512 bins over [1 ms, 10^7 s]. Delays below a millisecond
+// (including the exact zeros of an uncongested replay) land in the
+// under-range mass, where the sketch still resolves them exactly at q=0 via
+// its tracked minimum. The shared grid keeps per-shard sketches mergeable
+// without comparing edges.
+var queueDelaySketchGrid = stats.MustGrid(stats.LogGrid(1e-3, 1e7, 513))
 
-func newQueueDelaySketch() *stats.Sketch {
-	s, err := stats.NewSketch(queueDelaySketchEdges)
-	if err != nil {
-		panic(err) // edges are a package constant; cannot fail
-	}
-	return s
-}
+func newQueueDelaySketch() *stats.Sketch { return stats.NewGridSketch(queueDelaySketchGrid) }
 
 // QueueDelaySink folds per-job queueing delays (start - arrival) into
 // fixed-memory CDF sketches, overall and per workload class — the
@@ -192,7 +180,7 @@ func (s *QueueDelaySink) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("replay: queue-delay snapshot version %d, want %d", v, queueDelayVersion)
 	}
 	fresh := NewQueueDelaySink()
-	overallRaw := r.Raw()
+	overallRaw := r.View()
 	if r.Err() == nil {
 		if err := fresh.overall.UnmarshalBinary(overallRaw); err != nil {
 			return err
@@ -201,7 +189,7 @@ func (s *QueueDelaySink) UnmarshalBinary(data []byte) error {
 	n := r.Int()
 	for i := 0; i < n && r.Err() == nil; i++ {
 		class := workload.Class(r.Uvarint())
-		raw := r.Raw()
+		raw := r.View()
 		if r.Err() != nil {
 			break
 		}

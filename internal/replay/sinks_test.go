@@ -57,8 +57,9 @@ func TestQueueDelaySink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ps.Mean(); math.Abs(got-100) > 1e-9 {
-		t.Errorf("PS mean delay = %v, want 100", got)
+	// One PS job waited 100 s, so the sketch holds that one delay.
+	if ps.Weight() != 1 || ps.Min() != 100 || ps.Max() != 100 {
+		t.Errorf("PS delays: weight %v over [%v, %v], want one delay of 100", ps.Weight(), ps.Min(), ps.Max())
 	}
 	if _, err := s.Class(workload.AllReduceLocal); err == nil {
 		t.Error("unseen class should error")

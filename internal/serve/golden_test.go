@@ -52,8 +52,8 @@ func TestJSONReportGolden(t *testing.T) {
 		t.Fatalf("golden upload misses a ring branch: %+v", st)
 	}
 	want := map[string]string{
-		"format=json":            "ac10400ab02b665251e56ef09f84e85ca90c4b15753b81fa7a496fbf311facbd",
-		"format=json&window=30s": "17e1c0c5e02593b9a4b151aaa902042b5f3debe356bd3fbfd81d3c69e853cdad",
+		"format=json":            "efd1a1de32486915a1435fd3d9e71629c6ade40a0c07a1ba1fc90706be7a3c77",
+		"format=json&window=30s": "d85de40fba69dd6bbe4be74802cfa0a9a07a16d0e364eb8bb6174bc6b69d4763",
 	}
 	for q, w := range want {
 		code, body := get(t, ts.URL+"/v1/tenants/gold/report?"+q)

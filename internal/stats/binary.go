@@ -10,10 +10,11 @@ import (
 // Binary snapshot codecs for the mergeable accumulators. Every layout is
 // versioned independently so a future change to one accumulator does not
 // invalidate snapshots of the others, and every float64 travels as its raw
-// IEEE-754 bits, so a decoded accumulator is bit-identical to the encoded
-// one — the property the multi-process merge path builds on.
+// IEEE-754 bits (exact sums as their canonical digits), so a decoded
+// accumulator is bit-identical to the encoded one — the property the
+// multi-process merge path builds on.
 const (
-	meanVarVersion   = 1
+	meanVarVersion   = 2
 	histogramVersion = 1
 )
 
@@ -22,16 +23,17 @@ const (
 func newStatsWriter(capacity int) *binenc.Writer { return binenc.NewWriter(capacity) }
 func newStatsReader(data []byte) *binenc.Reader  { return binenc.NewReader(data) }
 
-// MarshalBinary encodes the accumulator's exact state.
+// MarshalBinary encodes the accumulator's exact state: the unit-weight
+// count, the three exact sums in their compact form, then the extrema.
 func (a *MeanVar) MarshalBinary() ([]byte, error) {
-	w := newStatsWriter(1 + 6*8)
+	w := newStatsWriter(64)
 	w.U8(meanVarVersion)
-	w.F64(a.n)
-	w.F64(a.mean)
-	w.F64(a.m2)
+	w.Uvarint(a.units)
+	a.w.AppendBinary(w)
+	a.s1.AppendBinary(w)
+	a.s2.AppendBinary(w)
 	w.F64(a.min)
 	w.F64(a.max)
-	w.F64(a.sum)
 	return w.Bytes(), nil
 }
 
@@ -42,17 +44,26 @@ func (a *MeanVar) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("stats: MeanVar snapshot version %d, want %d", v, meanVarVersion)
 	}
 	var b MeanVar
-	b.n = r.F64()
-	b.mean = r.F64()
-	b.m2 = r.F64()
+	b.units = r.Uvarint()
+	for _, s := range []*ExactSum{&b.w, &b.s1, &b.s2} {
+		if err := s.ReadBinary(r); err != nil {
+			return fmt.Errorf("stats: MeanVar snapshot: %w", err)
+		}
+	}
 	b.min = r.F64()
 	b.max = r.F64()
-	b.sum = r.F64()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("stats: MeanVar snapshot: %w", err)
 	}
-	if math.IsNaN(b.n) || b.n < 0 {
-		return fmt.Errorf("stats: MeanVar snapshot has invalid weight %v", b.n)
+	if b.w.special != 0 || b.w.Sign() < 0 {
+		return fmt.Errorf("stats: MeanVar snapshot has invalid weight %v", b.w.Float64())
+	}
+	b.nonEmpty = b.units > 0 || !b.w.IsZero()
+	if !b.nonEmpty && (b.min != 0 || b.max != 0 || !b.s1.IsZero() || !b.s2.IsZero()) {
+		return fmt.Errorf("stats: MeanVar snapshot has no weight but holds samples")
+	}
+	if b.nonEmpty && !(b.min <= b.max) {
+		return fmt.Errorf("stats: MeanVar snapshot has extrema %v > %v", b.min, b.max)
 	}
 	*a = b
 	return nil

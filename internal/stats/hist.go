@@ -9,21 +9,39 @@ import (
 // and sketches built on one Grid share its edges instead of copying them,
 // and merge without comparing them edge by edge.
 //
-// NewGrid also records whether the edges are uniform, which lets a bin
-// lookup start from an O(1) arithmetic guess instead of a binary search.
-// The guess is corrected against the edges themselves, so the chosen bin is
-// always exactly the one a binary search would pick.
+// NewGrid also records whether the edges are uniform or log-uniform, which
+// lets a bin lookup start from an O(1) arithmetic guess instead of a binary
+// search. The guess is corrected against the edges themselves, so the
+// chosen bin is always exactly the one a binary search would pick.
 type Grid struct {
 	edges []float64 // len = bins+1, strictly increasing; never mutated
 	// inv is 1/width on a uniform grid and 0 otherwise: the lookup's
 	// arithmetic guess is int((x-edges[0])*inv).
 	inv float64
+	// logInv is 1/width in approxLog2 units on a log-uniform grid (positive
+	// normal edges, as LogGrid builds them) and 0 otherwise; logLo is
+	// approxLog2(edges[0]). The guess is int((approxLog2(x)-logLo)*logInv).
+	logInv, logLo float64
 }
 
 // NewGrid validates and copies the given bin edges. Edges must be strictly
 // increasing with at least two entries.
 func NewGrid(edges []float64) (*Grid, error) {
 	return newGrid(append([]float64(nil), edges...))
+}
+
+// MustGrid is NewGrid for the fixed grids a package builds once at start-up
+// from a grid constructor (LinGrid, LogGrid): it panics on an error, which
+// only a bug in those constant arguments can cause.
+func MustGrid(edges []float64, err error) *Grid {
+	if err != nil {
+		panic(err)
+	}
+	g, err := NewGrid(edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // newGrid validates edges and adopts them without copying; the caller must
@@ -37,7 +55,49 @@ func newGrid(edges []float64) (*Grid, error) {
 			return nil, fmt.Errorf("stats: histogram edges not increasing at %d", i)
 		}
 	}
-	return &Grid{edges: edges, inv: uniformInverse(edges)}, nil
+	g := &Grid{edges: edges, inv: uniformInverse(edges)}
+	if g.inv == 0 {
+		g.logInv, g.logLo = logUniformInverse(edges)
+	}
+	return g, nil
+}
+
+// logUniformInverse is uniformInverse in log space: it returns 1/width and
+// approxLog2(edges[0]) when every edge is a positive normal float and
+// approxLog2 of each lies within half a bin of approxLog2(edges[0]) +
+// i·width, and zeros otherwise. It measures in the lookup's own
+// approximation, which is monotonic, so the guess for any x in a bin is
+// within a step or two of it; a log grid from LogGrid passes whenever a bin
+// is wider than twice the approximation's error. Decoded snapshots run it
+// once per histogram, so it must stay cheap.
+func logUniformInverse(edges []float64) (inv, lo float64) {
+	last := edges[len(edges)-1]
+	if !(edges[0] >= 0x1p-1022) || math.IsInf(last, 0) {
+		return 0, 0
+	}
+	lo = approxLog2(edges[0])
+	bins := len(edges) - 1
+	width := (approxLog2(last) - lo) / float64(bins)
+	inv = 1 / width
+	if !(width > 0) || math.IsInf(inv, 0) {
+		return 0, 0
+	}
+	for i, e := range edges {
+		if !(math.Abs(approxLog2(e)-(lo+float64(i)*width)) <= width/2) {
+			return 0, 0
+		}
+	}
+	return inv, lo
+}
+
+// approxLog2 is a cheap, monotonic approximation of log2(x) for positive
+// normal x, within 0.008 of the true value: the exponent plus a quadratic
+// in the mantissa. The bin lookup only uses it as a starting guess.
+func approxLog2(x float64) float64 {
+	b := math.Float64bits(x)
+	e := float64(int(b>>52&0x7ff) - 1023)
+	m := math.Float64frombits(b&(1<<52-1)|1023<<52) - 1
+	return e + m*(1.3465735903-0.3465735903*m)
 }
 
 // uniformInverse returns 1/width when every edge lies within a quarter bin
@@ -66,7 +126,20 @@ func uniformInverse(edges []float64) float64 {
 func (g *Grid) locate(x float64) int {
 	edges := g.edges
 	last := len(edges) - 1
-	if g.inv == 0 {
+	var i int
+	switch {
+	case g.inv != 0:
+		// x-edges[0] is finite and at most the grid's finite range, so the
+		// guess is within a step of the answer.
+		i = int((x - edges[0]) * g.inv)
+	case g.logInv != 0:
+		// x >= edges[0] is a positive normal float, and the guess is within
+		// a step or two of the answer.
+		i = int((approxLog2(x) - g.logLo) * g.logInv)
+		if i < 0 {
+			i = 0
+		}
+	default:
 		lo, hi := 0, last
 		for lo+1 < hi {
 			mid := (lo + hi) / 2
@@ -78,9 +151,7 @@ func (g *Grid) locate(x float64) int {
 		}
 		return lo
 	}
-	// x-edges[0] is finite and at most the grid's finite range, so the
-	// guess is within a step of the answer; the walk makes it exact.
-	i := int((x - edges[0]) * g.inv)
+	// The walk makes the guess exact.
 	if i >= last {
 		i = last - 1
 	}
@@ -122,11 +193,17 @@ func NewGridHistogram(g *Grid) *Histogram {
 // Add inserts a sample with weight 1.
 func (h *Histogram) Add(x float64) { h.AddWeighted(x, 1) }
 
-// AddWeighted inserts a sample with the given weight.
+// AddWeighted inserts a sample with the given weight. NaN samples and
+// non-positive or NaN weights are ignored.
 func (h *Histogram) AddWeighted(x, w float64) {
 	if math.IsNaN(x) || math.IsNaN(w) || w <= 0 {
 		return
 	}
+	h.add(x, w)
+}
+
+// add inserts a sample the caller has already checked.
+func (h *Histogram) add(x, w float64) {
 	h.total += w
 	edges := h.grid.edges
 	if x < edges[0] {
@@ -144,6 +221,10 @@ func (h *Histogram) AddWeighted(x, w float64) {
 	}
 	h.counts[h.grid.locate(x)] += w
 }
+
+// Footprint estimates the histogram's resident bytes: its bin counts plus
+// a fixed overhead. The grid is shared, so it is not counted.
+func (h *Histogram) Footprint() int64 { return int64(len(h.counts))*8 + 96 }
 
 // Bins returns copies of the bin edges and weighted counts.
 func (h *Histogram) Bins() (edges, counts []float64) {

@@ -50,8 +50,8 @@ func checkLocate(tb testing.TB, h *Histogram, x float64) {
 	before := *slot
 	h.AddWeighted(x, 1)
 	if *slot != before+1 {
-		tb.Fatalf("x=%v (bits %#x): weight missed reference bin %d of %d (uniform=%v)",
-			x, math.Float64bits(x), want, len(h.counts), h.grid.inv > 0)
+		tb.Fatalf("x=%v (bits %#x): weight missed reference bin %d of %d (uniform=%v, log-uniform=%v)",
+			x, math.Float64bits(x), want, len(h.counts), h.grid.inv > 0, h.grid.logInv > 0)
 	}
 }
 
@@ -101,8 +101,8 @@ func snapshotEdges(t *testing.T, edges []float64) *Histogram {
 }
 
 // TestHistogramLocateMatchesBinarySearch pins the O(1) lookup to the binary
-// search bin for bin, on uniform grids (fast path) and on every kind of grid
-// that must fall back to the search.
+// search bin for bin, on uniform and log-uniform grids (fast paths) and on
+// every kind of grid that must fall back to the search.
 func TestHistogramLocateMatchesBinarySearch(t *testing.T) {
 	// A near-uniform grid: interior edges nudged by a few ulps and by a
 	// fifth of a bin, still inside the quarter-bin uniformity tolerance.
@@ -126,33 +126,52 @@ func TestHistogramLocateMatchesBinarySearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The queue-delay and speedup grids.
+	delayEdges, err := LogGrid(1e-3, 1e7, 513)
+	if err != nil {
+		t.Fatal(err)
+	}
+	speedupEdges, err := LogGrid(1e-3, 1e3, 241)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A log grid nudged by 0.7 bin: outside the half-bin tolerance.
+	logSkewed := append([]float64(nil), logEdges...)
+	logSkewed[80] *= math.Pow(1e8, 0.7/160)
 
 	inf := math.Inf(1)
 	cases := []struct {
-		name    string
-		hist    *Histogram
-		uniform bool
+		name         string
+		hist         *Histogram
+		uniform, log bool
 	}{
-		{"1 bin", mustHist(t, linGrid(t, 0, 1, 1)), true},
-		{"2 bins", mustHist(t, linGrid(t, 0, 1, 2)), true},
-		{"512 bins", mustHist(t, linGrid(t, 0, 1, 512)), true},
-		{"513 bins", mustHist(t, linGrid(t, 0, 1, 513)), true},
-		{"negative lo", mustHist(t, linGrid(t, -3.7, 2.1, 100)), true},
-		{"1e-300 width", mustHist(t, linGrid(t, -1e-298, 1e-298, 200)), true},
-		{"overflowing width", mustHist(t, overflow), false},
-		{"-Inf first edge", mustHist(t, []float64{-inf, 0, 1, 2, 3}), false},
-		{"+Inf last edge", mustHist(t, []float64{0, 0.25, 0.5, 0.75, 1, inf}), false},
-		{"both infinite", mustHist(t, []float64{-inf, -1, 0, 1, inf}), false},
-		{"log grid", mustHist(t, logEdges), false},
-		{"skewed", mustHist(t, skewed), false},
-		{"decoded fraction grid", snapshotEdges(t, linGrid(t, 0, 1, 512)), true},
-		{"decoded near-uniform", snapshotEdges(t, near), true},
+		{"1 bin", mustHist(t, linGrid(t, 0, 1, 1)), true, false},
+		{"2 bins", mustHist(t, linGrid(t, 0, 1, 2)), true, false},
+		{"512 bins", mustHist(t, linGrid(t, 0, 1, 512)), true, false},
+		{"513 bins", mustHist(t, linGrid(t, 0, 1, 513)), true, false},
+		{"negative lo", mustHist(t, linGrid(t, -3.7, 2.1, 100)), true, false},
+		{"1e-300 width", mustHist(t, linGrid(t, -1e-298, 1e-298, 200)), true, false},
+		{"overflowing width", mustHist(t, overflow), false, false},
+		{"-Inf first edge", mustHist(t, []float64{-inf, 0, 1, 2, 3}), false, false},
+		{"+Inf last edge", mustHist(t, []float64{0, 0.25, 0.5, 0.75, 1, inf}), false, false},
+		{"both infinite", mustHist(t, []float64{-inf, -1, 0, 1, inf}), false, false},
+		{"log grid", mustHist(t, logEdges), false, true},
+		{"queue-delay grid", mustHist(t, delayEdges), false, true},
+		{"speedup grid", mustHist(t, speedupEdges), false, true},
+		{"decoded log grid", snapshotEdges(t, logEdges), false, true},
+		{"skewed log grid", mustHist(t, logSkewed), false, false},
+		{"skewed", mustHist(t, skewed), false, false},
+		{"decoded fraction grid", snapshotEdges(t, linGrid(t, 0, 1, 512)), true, false},
+		{"decoded near-uniform", snapshotEdges(t, near), true, false},
 	}
 	rng := rand.New(rand.NewSource(14))
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if got := c.hist.grid.inv > 0; got != c.uniform {
 				t.Fatalf("uniform = %v, want %v", got, c.uniform)
+			}
+			if got := c.hist.grid.logInv > 0; got != c.log {
+				t.Fatalf("log-uniform = %v, want %v", got, c.log)
 			}
 			for _, x := range probes(c.hist.grid.edges, rng, 2000) {
 				checkLocate(t, c.hist, x)
@@ -202,25 +221,43 @@ func TestGridShared(t *testing.T) {
 }
 
 // FuzzHistogramLocate fuzzes the bin lookup against the binary search on
-// linear grids with optional jitter: jitter in [0, 0.25) keeps the grid on
+// linear grids, or log grids (LogGrid over |lo|, |hi|) when logScale is
+// set, with optional jitter of up to a bin: small jitter keeps the grid on
 // the O(1) path with the correction walk at work; larger jitter sends it to
 // the search.
 func FuzzHistogramLocate(f *testing.F) {
-	f.Add(0.0, 1.0, uint16(512), 0.0, 0.5)
-	f.Add(-3.7, 2.1, uint16(1), 0.0, 2.1)
-	f.Add(0.0, 1.0, uint16(513), 0.2, 0.3333333333333333)
-	f.Add(-1e-298, 1e-298, uint16(200), 0.0, 1e-300)
-	f.Add(1e3, 1e3+1e-9, uint16(7), 0.24, 1e3)
-	f.Add(-1e308, 1e308, uint16(10), 0.0, 0.0)
-	f.Fuzz(func(t *testing.T, lo, hi float64, bins uint16, jitter, x float64) {
-		edges, err := LinGrid(lo, hi, int(bins%2048)+2)
+	f.Add(0.0, 1.0, uint16(512), 0.0, 0.5, false)
+	f.Add(-3.7, 2.1, uint16(1), 0.0, 2.1, false)
+	f.Add(0.0, 1.0, uint16(513), 0.2, 0.3333333333333333, false)
+	f.Add(-1e-298, 1e-298, uint16(200), 0.0, 1e-300, false)
+	f.Add(1e3, 1e3+1e-9, uint16(7), 0.24, 1e3, false)
+	f.Add(-1e308, 1e308, uint16(10), 0.0, 0.0, false)
+	f.Add(1e-4, 1e4, uint16(159), 0.0, 0.3, true)
+	f.Add(1e-3, 1e7, uint16(511), 0.2, 12.5, true)
+	f.Add(1e-310, 1e300, uint16(2047), 0.1, 1e-305, true)
+	f.Add(1.0, 1.0000001, uint16(30), 0.0, 1.00000005, true)
+	f.Fuzz(func(t *testing.T, lo, hi float64, bins uint16, jitter, x float64, logScale bool) {
+		n := int(bins%2048) + 2
+		var edges []float64
+		var err error
+		if logScale {
+			edges, err = LogGrid(math.Abs(lo), math.Abs(hi), n)
+		} else {
+			edges, err = LinGrid(lo, hi, n)
+		}
 		if err != nil {
 			return
 		}
 		if !math.IsNaN(jitter) && !math.IsInf(jitter, 0) {
+			j := math.Mod(jitter, 1)
 			width := (hi - lo) / float64(len(edges)-1)
+			ratio := math.Pow(edges[len(edges)-1]/edges[0], j/float64(len(edges)-1))
 			for i := 1; i < len(edges)-1; i += 2 {
-				edges[i] += math.Mod(jitter, 1) * width
+				if logScale {
+					edges[i] *= ratio
+				} else {
+					edges[i] += j * width
+				}
 			}
 		}
 		h, err := NewHistogram(edges)

@@ -3,83 +3,130 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/big"
 )
 
-// MeanVar is a mergeable streaming accumulator of count, mean, variance and
-// extrema (Welford's algorithm; merging uses the parallel variant of Chan et
-// al.). It is the O(1)-memory substitute for Summarize on streams too large
-// to hold, and the per-shard aggregate the streaming evaluation pipeline
-// folds together. The zero value is an empty accumulator.
+// MeanVar is a mergeable streaming accumulator of weight, mean, variance
+// and extrema. It keeps the exact sums Σw, Σw·x and Σw·x² (ExactSum, with
+// each product split exactly by TwoProduct) and rounds mean and variance
+// once, when they are read. Merging is therefore exactly associative and
+// commutative: any split of a stream, merged in any order, leaves the same
+// state as accumulating the stream in one piece. It is the O(1)-memory
+// substitute for Summarize on streams too large to hold. The zero value is
+// an empty accumulator.
 type MeanVar struct {
-	n        float64
-	mean, m2 float64
-	min, max float64
-	sum      float64
+	// units counts the unit-weight samples; w sums the other weights.
+	units     uint64
+	w, s1, s2 ExactSum
+	min, max  float64
+	// nonEmpty turns true with the first accepted sample; it guards the
+	// extrema.
+	nonEmpty bool
 }
 
 // Add inserts one sample with weight 1. NaN samples are ignored.
-func (a *MeanVar) Add(x float64) { a.AddWeighted(x, 1) }
+func (a *MeanVar) Add(x float64) {
+	if math.IsNaN(x) {
+		return
+	}
+	a.extrema(x)
+	a.units++
+	a.s1.Add(x)
+	a.s2.AddProduct(x, x)
+}
 
 // AddWeighted inserts one sample carrying weight w. Non-positive or NaN
 // weights and NaN samples are ignored.
 func (a *MeanVar) AddWeighted(x, w float64) {
+	if w == 1 {
+		a.Add(x)
+		return
+	}
 	if math.IsNaN(x) || math.IsNaN(w) || w <= 0 {
 		return
 	}
-	if a.n == 0 || x < a.min {
-		a.min = x
-	}
-	if a.n == 0 || x > a.max {
-		a.max = x
-	}
-	a.n += w
-	a.sum += x * w
-	d := x - a.mean
-	a.mean += d * w / a.n
-	a.m2 += w * d * (x - a.mean)
+	a.extrema(x)
+	a.w.Add(w)
+	a.s1.AddProduct(x, w)
+	// w·x² = (x·w)·x, each product split exactly.
+	p := x * w
+	a.s2.AddProduct(p, x)
+	a.s2.AddProduct(math.FMA(x, w, -p), x)
 }
 
-// Merge folds another accumulator into the receiver. Merging is associative
-// and commutative up to floating-point rounding: merging per-shard
-// accumulators equals accumulating the concatenated stream.
+func (a *MeanVar) extrema(x float64) {
+	if !a.nonEmpty || x < a.min {
+		a.min = x
+	}
+	if !a.nonEmpty || x > a.max {
+		a.max = x
+	}
+	a.nonEmpty = true
+}
+
+// Merge folds another accumulator into the receiver. Merging is exact, so
+// merging per-shard accumulators in any grouping and order equals
+// accumulating the concatenated stream.
 func (a *MeanVar) Merge(b *MeanVar) {
-	if b == nil || b.n == 0 {
+	if b == nil || !b.nonEmpty {
 		return
 	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*a.n*b.n/n
-	a.mean += d * b.n / n
-	a.sum += b.sum
-	a.n = n
+	a.extrema(b.min)
+	a.extrema(b.max)
+	a.units += b.units
+	a.w.Merge(&b.w)
+	a.s1.Merge(&b.s1)
+	a.s2.Merge(&b.s2)
+}
+
+// weight returns the exact total weight.
+func (a *MeanVar) weight() *ExactSum {
+	w := a.w
+	w.Add(float64(a.units))
+	return &w
 }
 
 // N returns the total inserted weight.
-func (a *MeanVar) N() float64 { return a.n }
+func (a *MeanVar) N() float64 { return a.weight().Float64() }
 
-// Sum returns the weighted sum of samples.
-func (a *MeanVar) Sum() float64 { return a.sum }
+// Sum returns the weighted sum of samples, correctly rounded.
+func (a *MeanVar) Sum() float64 { return a.s1.Float64() }
 
-// Mean returns the weighted mean, or 0 for an empty accumulator.
-func (a *MeanVar) Mean() float64 { return a.mean }
-
-// Var returns the population variance (weight-normalized), or 0 when fewer
-// than two units of weight have been inserted.
-func (a *MeanVar) Var() float64 {
-	if a.n == 0 {
+// Mean returns the weighted mean Σw·x / Σw, correctly rounded, or 0 for an
+// empty accumulator.
+func (a *MeanVar) Mean() float64 {
+	if !a.nonEmpty {
 		return 0
 	}
-	return a.m2 / a.n
+	return quo(a.s1.scaled(), a.weight().scaled())
+}
+
+// Var returns the population variance (weight-normalized),
+// (Σw·Σw·x² − (Σw·x)²) / (Σw)², computed exactly and rounded once; 0 for an
+// empty accumulator.
+func (a *MeanVar) Var() float64 {
+	if !a.nonEmpty {
+		return 0
+	}
+	// With every sum scaled by 2^1074 the scale cancels: W·S2 − S1² over W².
+	w, s1, s2 := a.weight().scaled(), a.s1.scaled(), a.s2.scaled()
+	num := new(big.Int).Mul(w, s2)
+	num.Sub(num, new(big.Int).Mul(s1, s1))
+	if num.Sign() <= 0 {
+		return 0
+	}
+	return quo(num, new(big.Int).Mul(w, w))
+}
+
+// quo returns num/den correctly rounded to float64 in the normal range.
+func quo(num, den *big.Int) float64 {
+	if den.Sign() == 0 {
+		return 0
+	}
+	n := new(big.Float).SetInt(num)
+	d := new(big.Float).SetInt(den)
+	q, _ := new(big.Float).SetPrec(53).Quo(n, d).Float64()
+	return q
 }
 
 // Std returns the population standard deviation.
@@ -92,8 +139,9 @@ func (a *MeanVar) Min() float64 { return a.min }
 func (a *MeanVar) Max() float64 { return a.max }
 
 // Merge folds another histogram with identical bin edges into the receiver.
-// Like MeanVar.Merge it is associative, so per-shard histograms fold into
-// the bulk histogram exactly. Histograms on one shared Grid skip the
+// Bin counts are sums of weights; with integral weights below 2^53 (job
+// counts, cNode counts) every sum is exact, so per-shard histograms fold
+// into the bulk histogram exactly, in any order. Histograms on one shared Grid skip the
 // edge-by-edge comparison.
 func (h *Histogram) Merge(o *Histogram) error {
 	if o == nil {

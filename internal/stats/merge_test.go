@@ -45,7 +45,7 @@ func TestMeanVarMatchesSummarize(t *testing.T) {
 		t.Errorf("extrema (%v, %v) vs (%v, %v)", a.Min(), a.Max(), s.Min, s.Max)
 	}
 	// Summarize reports the sample std (n-1); MeanVar the population std.
-	sampleVar := a.m2 / (a.N() - 1)
+	sampleVar := a.Var() * a.N() / (a.N() - 1)
 	if !approxEq(math.Sqrt(sampleVar), s.Std, 1e-9) {
 		t.Errorf("std %v vs %v", math.Sqrt(sampleVar), s.Std)
 	}

@@ -24,27 +24,23 @@ var (
 )
 
 // Sketch is a fixed-memory, mergeable quantile sketch: a fixed-bin weighted
-// histogram for the distribution's body plus an exact streaming MeanVar for
-// count, mean, and extrema. It is the streaming substitute for the exact CDF
-// on traces too large to materialize — memory is O(bins) regardless of how
-// many samples are folded in, and per-shard sketches with identical edges
-// Merge deterministically: merging the same shard sketches in the same order
-// always produces bit-identical state, which is what makes a multi-process
-// merge of snapshots byte-identical to the in-process sharded fold. (Merging
-// is associative only up to floating-point rounding of the Welford state, so
-// a merged sketch can differ from one bulk fold of the concatenated stream
-// in the last bits of mean and variance; bin counts with integer weights
-// merge exactly.)
+// histogram for the distribution's body plus the exact extrema. It is the
+// streaming substitute for the exact CDF on traces too large to
+// materialize — memory is O(bins) regardless of how many samples are folded
+// in. Sketches with identical edges merge exactly: bin weights are sums of
+// the sample weights, which stay exact for integral weights below 2^53 (job
+// and cNode counts), and min/max are exact, so any split of a stream, merged
+// in any order, gives the sketch (and the snapshot bytes) of one bulk fold.
 //
 // Accuracy: quantiles are interpolated within bins, so the absolute error of
 // Quantile(q) for interior q is bounded by one bin width at the answer
 // (plus clamping to the exact [Min, Max]); q = 0 and q = 1 are exact, served
 // from the tracked extrema. P(x) has error bounded by the weight fraction of
 // x's bin. The zero value is not usable; build sketches with NewSketch,
-// NewLinearSketch or NewLogSketch.
+// NewGridSketch, NewLinearSketch or NewLogSketch.
 type Sketch struct {
-	hist *Histogram
-	mv   MeanVar
+	hist     *Histogram
+	min, max float64
 }
 
 // NewSketch builds a sketch over the given bin edges (strictly increasing,
@@ -90,40 +86,56 @@ func NewLogSketch(lo, hi float64, bins int) (*Sketch, error) {
 func (s *Sketch) Add(x float64) { s.AddWeighted(x, 1) }
 
 // AddWeighted folds in one sample carrying weight w. NaN samples and
-// non-positive or NaN weights are ignored, mirroring MeanVar.
+// non-positive or NaN weights are ignored.
 func (s *Sketch) AddWeighted(x, w float64) {
-	s.hist.AddWeighted(x, w)
-	s.mv.AddWeighted(x, w)
+	if math.IsNaN(x) || math.IsNaN(w) || w <= 0 {
+		return
+	}
+	if s.hist.total == 0 {
+		s.min, s.max = x, x
+	} else if x < s.min {
+		s.min = x
+	} else if x > s.max {
+		s.max = x
+	}
+	s.hist.add(x, w)
 }
 
 // Merge folds another sketch into the receiver. The sketches must share
-// identical bin edges; merging is associative, so per-shard sketches fold
-// into the bulk sketch exactly.
+// identical bin edges; merging is exact, so per-shard sketches fold into
+// the bulk sketch exactly.
 func (s *Sketch) Merge(o *Sketch) error {
 	if o == nil {
 		return nil
 	}
+	wasEmpty := s.hist.total == 0
 	if err := s.hist.Merge(o.hist); err != nil {
 		return err
 	}
-	s.mv.Merge(&o.mv)
+	if o.hist.total == 0 {
+		return nil
+	}
+	if wasEmpty || o.min < s.min {
+		s.min = o.min
+	}
+	if wasEmpty || o.max > s.max {
+		s.max = o.max
+	}
 	return nil
 }
 
 // Weight returns the total folded weight.
-func (s *Sketch) Weight() float64 { return s.mv.N() }
-
-// Mean returns the exact weighted mean of the folded samples.
-func (s *Sketch) Mean() float64 { return s.mv.Mean() }
+func (s *Sketch) Weight() float64 { return s.hist.total }
 
 // Min returns the exact smallest folded sample, or 0 when empty.
-func (s *Sketch) Min() float64 { return s.mv.Min() }
+func (s *Sketch) Min() float64 { return s.min }
 
 // Max returns the exact largest folded sample, or 0 when empty.
-func (s *Sketch) Max() float64 { return s.mv.Max() }
+func (s *Sketch) Max() float64 { return s.max }
 
-// Std returns the population standard deviation of the folded samples.
-func (s *Sketch) Std() float64 { return s.mv.Std() }
+// Footprint estimates the sketch's resident bytes (see
+// Histogram.Footprint).
+func (s *Sketch) Footprint() int64 { return s.hist.Footprint() + 16 }
 
 // Quantile returns the interpolated q-quantile (q clamped to [0, 1]), or NaN
 // when the sketch is empty. The boundaries are exact: q = 0 returns Min and
@@ -131,22 +143,20 @@ func (s *Sketch) Std() float64 { return s.mv.Std() }
 // clamped into [Min, Max] so a sparse histogram can never report a value
 // outside the observed range.
 func (s *Sketch) Quantile(q float64) float64 {
-	if s.mv.N() == 0 {
+	if s.hist.total == 0 {
 		return math.NaN()
 	}
 	if q <= 0 {
-		return s.mv.Min()
+		return s.min
 	}
 	if q >= 1 {
-		return s.mv.Max()
+		return s.max
 	}
 	v, err := s.hist.Quantile(q)
 	if err != nil {
-		// The histogram shares every AddWeighted call with mv, so a non-empty
-		// sketch always has a non-empty histogram.
 		return math.NaN()
 	}
-	return math.Min(math.Max(v, s.mv.Min()), s.mv.Max())
+	return math.Min(math.Max(v, s.min), s.max)
 }
 
 // P returns the interpolated cumulative probability P(X <= x), or NaN when
@@ -158,7 +168,7 @@ func (s *Sketch) P(x float64) float64 {
 	if total <= 0 {
 		return math.NaN()
 	}
-	min, max := s.mv.Min(), s.mv.Max()
+	min, max := s.min, s.max
 	if x < min {
 		return 0
 	}
@@ -202,19 +212,16 @@ func (s *Sketch) Edges() []float64 {
 }
 
 // sketchVersion tags the Sketch binary snapshot layout.
-const sketchVersion = 1
+const sketchVersion = 2
 
 // MarshalBinary encodes the sketch as a versioned, self-describing binary
 // snapshot (the edges travel with the counts, so any process can decode and
 // merge it). Identical sketch state always yields identical bytes.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	w := newStatsWriter(16 + 8*(2*len(s.hist.grid.edges)+8))
+	w := newStatsWriter(32 + 8*(2*len(s.hist.grid.edges)+8))
 	w.U8(sketchVersion)
-	mv, err := s.mv.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	w.Raw(mv)
+	w.F64(s.min)
+	w.F64(s.max)
 	h, err := s.hist.MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -230,25 +237,23 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if v := r.U8(); r.Err() == nil && v != sketchVersion {
 		return fmt.Errorf("stats: sketch snapshot version %d, want %d", v, sketchVersion)
 	}
-	mvRaw := r.Raw()
-	hRaw := r.Raw()
+	min, max := r.F64(), r.F64()
+	hRaw := r.View()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("stats: sketch snapshot: %w", err)
-	}
-	var mv MeanVar
-	if err := mv.UnmarshalBinary(mvRaw); err != nil {
-		return err
 	}
 	var h Histogram
 	if err := h.UnmarshalBinary(hRaw); err != nil {
 		return err
 	}
-	// Every AddWeighted and Merge moves both weights together, bit for bit,
-	// and Quantile relies on it: a mismatch is a corrupt or forged snapshot.
-	if mv.N() != h.Total() {
-		return fmt.Errorf("stats: sketch snapshot weight %v differs from histogram total %v", mv.N(), h.Total())
+	// Quantile and P clamp to the extrema: an empty sketch has none, and a
+	// non-empty one needs an ordered pair.
+	if h.total == 0 && (min != 0 || max != 0) {
+		return fmt.Errorf("stats: empty sketch snapshot has extrema [%v, %v]", min, max)
 	}
-	s.mv = mv
-	s.hist = &h
+	if h.total > 0 && !(min <= max) {
+		return fmt.Errorf("stats: sketch snapshot has extrema %v > %v", min, max)
+	}
+	*s = Sketch{hist: &h, min: min, max: max}
 	return nil
 }

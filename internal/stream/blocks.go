@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/evalcache"
 	"repro/internal/workload"
 )
 
@@ -52,6 +53,7 @@ type blockChunk struct {
 type evaluatedBlock struct {
 	blockChunk
 	times []core.Times
+	memo  *evalcache.Block
 }
 
 // Block buffers recycle through pools: at millions of jobs per second the
@@ -114,6 +116,16 @@ func releaseChunk(c blockChunk) {
 	putCols(c.cols)
 }
 
+// evaluateBlock evaluates one block through backend.EvaluateColumns, or
+// through the result cache's block path when ev is one, returning the
+// cache's entry handle on a block-cache hit.
+func evaluateBlock(ev backend.Evaluator, cols *workload.Columns, ts []core.Times) (*evalcache.Block, error) {
+	if c, ok := ev.(*evalcache.Cache); ok {
+		return c.EvaluateBlock(cols, ts)
+	}
+	return nil, backend.EvaluateColumns(ev, cols, ts)
+}
+
 // EvaluateBlocks is the pipeline Evaluate runs: each block is one work
 // unit — decoded in bulk upstream, evaluated in one backend call
 // (backend.EvaluateColumns, which uses the backend's column fast path when
@@ -125,7 +137,7 @@ func EvaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, 
 	// Blocks arrive in input order, so the running count is each record's
 	// stream index; it also counts the records before a failing fn call.
 	delivered := 0
-	_, err := EvaluateBlocksInto(ctx, ev, src, parallelism, func(cols *workload.Columns, times []core.Times) error {
+	_, err := EvaluateBlocksInto(ctx, ev, src, parallelism, func(cols *workload.Columns, times []core.Times, _ *evalcache.Block) error {
 		if fn == nil {
 			delivered += cols.Len()
 			return nil
@@ -149,7 +161,13 @@ func EvaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, 
 // materialized. Both buffers are owned by the pipeline and recycled after
 // blockFn returns — do not retain them. A nil blockFn discards results. The
 // count returned is records (not blocks), matching EvaluateBlocks.
-func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSource, parallelism int, blockFn func(*workload.Columns, []core.Times) error) (int, error) {
+//
+// When ev is a result cache (evalcache.Cache) and a block's evaluation is a
+// block-cache hit, blockFn also receives the handle of the memoized entry
+// that answered it — taken by the evaluating worker, so the consumer can
+// memoize what it derives from the block without hashing or verifying it
+// again. Otherwise the handle is nil.
+func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSource, parallelism int, blockFn func(*workload.Columns, []core.Times, *evalcache.Block) error) (int, error) {
 	if ev == nil {
 		return 0, fmt.Errorf("stream: EvaluateBlocks with nil evaluator")
 	}
@@ -263,14 +281,15 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 					c.cols = cols
 				}
 				ts := getTimes(c.cols.Len())
-				if err := backend.EvaluateColumns(ev, c.cols, ts); err != nil {
+				memo, err := evaluateBlock(ev, c.cols, ts)
+				if err != nil {
 					putTimes(ts)
 					putCols(c.cols)
 					fail(fmt.Errorf("stream: %w", err))
 					return
 				}
 				select {
-				case done <- evaluatedBlock{blockChunk: c, times: ts}:
+				case done <- evaluatedBlock{blockChunk: c, times: ts, memo: memo}:
 				case <-ctx.Done():
 					putTimes(ts)
 					putCols(c.cols)
@@ -317,7 +336,7 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 			}
 			delete(pending, next)
 			if blockFn != nil {
-				if err := blockFn(c.cols, c.times); err != nil {
+				if err := blockFn(c.cols, c.times, c.memo); err != nil {
 					fail(fmt.Errorf("stream: sink: %w", err))
 					failed = true
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/evalcache"
 	"repro/internal/workload"
 )
 
@@ -77,7 +78,7 @@ func TestEvaluateBlocksBufferBalance(t *testing.T) {
 		}
 	})
 	balanced("success/blockFn", func() {
-		if _, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, func(*workload.Columns, []core.Times) error { return nil }); err != nil {
+		if _, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, func(*workload.Columns, []core.Times, *evalcache.Block) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -112,7 +113,7 @@ func TestEvaluateBlocksBufferBalance(t *testing.T) {
 	balanced("blockFn-error", func() {
 		blockErr := errors.New("columnar sink broke")
 		calls := 0
-		_, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, func(*workload.Columns, []core.Times) error {
+		_, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, func(*workload.Columns, []core.Times, *evalcache.Block) error {
 			calls++
 			if calls == 3 {
 				return blockErr
@@ -179,7 +180,7 @@ func TestEvaluateBlocksIntoDeliversWholeBlocks(t *testing.T) {
 	jobs := testJobs(t, 500)
 	ev := testBackend(t)
 	next := 0
-	n, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, func(c *workload.Columns, ts []core.Times) error {
+	n, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, func(c *workload.Columns, ts []core.Times, _ *evalcache.Block) error {
 		if len(ts) != c.Len() {
 			t.Fatalf("block of %d records came with %d times", c.Len(), len(ts))
 		}

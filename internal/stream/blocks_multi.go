@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/evalcache"
 	"repro/internal/workload"
 )
 
@@ -23,10 +24,11 @@ import (
 // blockFn receives every evaluated block tagged with its cell; blocks of
 // one cell arrive in that cell's input order, but calls for different cells
 // interleave from different goroutines — per-cell state needs no locking,
-// shared state does. The returned slice holds per-cell record counts. The
+// shared state does. The cache entry handle is passed through as in
+// EvaluateBlocksInto. The returned slice holds per-cell record counts. The
 // first error (open, decode, evaluation, blockFn, or cancellation), tagged
 // with its cell, cancels every in-flight pipeline.
-func EvaluateBlocksMulti(ctx context.Context, ev backend.Evaluator, cells, consumers, parallelism int, open func(cell int) (BlockSource, error), blockFn func(cell int, cols *workload.Columns, times []core.Times) error) ([]int, error) {
+func EvaluateBlocksMulti(ctx context.Context, ev backend.Evaluator, cells, consumers, parallelism int, open func(cell int) (BlockSource, error), blockFn func(cell int, cols *workload.Columns, times []core.Times, memo *evalcache.Block) error) ([]int, error) {
 	if ev == nil {
 		return nil, fmt.Errorf("stream: EvaluateBlocksMulti with nil evaluator")
 	}
@@ -85,10 +87,10 @@ func EvaluateBlocksMulti(ctx context.Context, ev backend.Evaluator, cells, consu
 					fail(fmt.Errorf("stream: open cell %d: %w", cell, err))
 					return
 				}
-				var cellFn func(*workload.Columns, []core.Times) error
+				var cellFn func(*workload.Columns, []core.Times, *evalcache.Block) error
 				if blockFn != nil {
-					cellFn = func(cols *workload.Columns, ts []core.Times) error {
-						return blockFn(cell, cols, ts)
+					cellFn = func(cols *workload.Columns, ts []core.Times, memo *evalcache.Block) error {
+						return blockFn(cell, cols, ts, memo)
 					}
 				}
 				n, err := EvaluateBlocksInto(ctx, ev, src, per, cellFn)

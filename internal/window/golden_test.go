@@ -78,9 +78,9 @@ func TestRingFoldGolden(t *testing.T) {
 		t.Fatalf("golden stream misses a branch: %+v", st)
 	}
 	want := map[string]string{
-		"fold1": "0d2171e7c8aa82bbfa4b2c6fa8faa5429ce508cc07254803243390eafe80cea8",
-		"fold3": "edc2f255649cd2f02b231a5e71bca7b9ecefab6a3e49ff2e3b32bf73607aa130",
-		"fold8": "94b8aa429283d8aaa140b2425cf37bc39014fac9ca46862e675f47958939ab69",
+		"fold1": "0a55dbe8abae8db91dfbcbc73c1abb270c420468a2aa0fa12341673f7e4d1d73",
+		"fold3": "730e020a7f50560088967b993d098d6f92f37d4db11ce0c79e51fa21b8bda09b",
+		"fold8": "6f119facd807b5780018c51e67ba2cf37062e5ac6694602bcb0d5ff4b0f5e5ce",
 		"stats": "af13e5908b075ec1928c767489f3895228f75b026479623f3984dc99c3c17a67",
 	}
 	got := map[string]string{}

@@ -19,11 +19,12 @@ import (
 // later performance change keeps each placement and every byte: they change
 // only with an intentional snapshot-format or model change (the trace
 // generator, the step-time model or the scheduling rules), never with a
-// faster event loop.
+// faster event loop. They were last recorded for the sketch snapshot
+// format without a Welford state; the stats are unchanged.
 var goldenReplaySHA256 = map[string]string{
-	"fifo-congested-stragglers": "0b121af96683f90680d9899b353b927c167823ac73046e9610398f0880256b61",
-	"sjf-queue-limit":           "1f743d00045e0ff023d734fe741357446bc748c3ed145e745aff2aced679a77b",
-	"no-nvlink-rejects":         "2982c1c6d7f3b3c50e7da58247f957e36f26c58eecc07db5fe3d86d1a616c837",
+	"fifo-congested-stragglers": "72f59cbad5d003126c06a640dd94217bb147e13f7c42af69083ebc61eafd4407",
+	"sjf-queue-limit":           "50181c69dbfc420ec68adf491c6776eedb068414c75815268c100ff63642025a",
+	"no-nvlink-rejects":         "7db199f38408753d69ceb475ce08753cc2a1efd067c8ca70b30f0b35360ee973",
 }
 
 // goldenReplayTrace generates the fixed-seed, arrival-stamped trace behind
