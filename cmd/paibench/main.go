@@ -1383,14 +1383,18 @@ func openCells(a pai.MicroShardAssignment, stderr io.Writer) (cellEval, func(), 
 	if err != nil {
 		return nil, nil, err
 	}
-	if n := len(ir.Index().Partition(cfg.grain)); n != a.Cells {
+	cells := ir.Index().Partition(cfg.grain)
+	if len(cells) != a.Cells {
 		f.Close()
-		return nil, nil, fmt.Errorf("%s yields a %d-cell grid at grain %d, assignment names %d", cfg.tracePath, n, cfg.grain, a.Cells)
+		return nil, nil, fmt.Errorf("%s yields a %d-cell grid at grain %d, assignment names %d", cfg.tracePath, len(cells), cfg.grain, a.Cells)
 	}
 	base := traceMetaBase(cfg)
-	factory := func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) }
 	return func(ctx context.Context, cell int) (pai.Sink, string, int, error) {
-		sink, n, err := eng.EvaluateIndexedCell(ctx, ir, cfg.grain, cell, factory)
+		sink, err := eng.NewReportSink(pai.ToAllReduceLocal)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		n, err := eng.StreamColumnsInto(ctx, ir.Range(cells[cell].Lo, cells[cell].Hi), sink)
 		return sink, pai.ShardSnapshotMeta(base, cell), n, err
 	}, func() { f.Close() }, nil
 }

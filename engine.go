@@ -3,13 +3,11 @@ package pai
 import (
 	"context"
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 
 	"repro/internal/analyze"
 	"repro/internal/backend"
-	"repro/internal/coord"
 	"repro/internal/evalcache"
 	"repro/internal/project"
 	"repro/internal/stream"
@@ -369,7 +367,7 @@ func (e *Engine) EvaluateSource(ctx context.Context, src JobSource, fn func(Stre
 	if err != nil {
 		return 0, err
 	}
-	return stream.Evaluate(ctx, ev, src, e.parallelism, fn)
+	return stream.EvaluateBlocks(ctx, ev, stream.Blocks(src), e.parallelism, fn)
 }
 
 // EvaluateIndexedColumns is the file-parallel StreamColumnsInto: `consumers`
@@ -401,31 +399,6 @@ func (e *Engine) EvaluateIndexedColumns(ctx context.Context, ir *ColumnIndexedRe
 		return ir.Range(cells[cell].Lo, cells[cell].Hi), nil
 	}
 	return analyze.FoldRanges(ctx, ev, e.parallelism, consumers, len(cells), open, factory)
-}
-
-// EvaluateIndexedCell folds exactly one cell of the grainRecords partition
-// grid into a fresh factory sink — the worker-side unit of the distributed
-// work-stealing mode. Its sink is bit-identical to the per-cell sink
-// EvaluateIndexedColumns folds in process, so a coordinator that merges
-// remote cell snapshots in cell order reconstructs the single-process
-// aggregate byte for byte. It returns the filled sink and the cell's record
-// count.
-func (e *Engine) EvaluateIndexedCell(ctx context.Context, ir *ColumnIndexedReader, grainRecords, cell int, factory func() (Sink, error)) (Sink, int, error) {
-	ev, err := e.evaluator()
-	if err != nil {
-		return nil, 0, err
-	}
-	if ir == nil {
-		return nil, 0, fmt.Errorf("pai: EvaluateIndexedCell with nil indexed reader")
-	}
-	if grainRecords <= 0 {
-		grainRecords = DefaultGrainRecords
-	}
-	cells := ir.Index().Partition(grainRecords)
-	if cell < 0 || cell >= len(cells) {
-		return nil, 0, fmt.Errorf("pai: cell %d outside the %d-cell partition grid", cell, len(cells))
-	}
-	return analyze.FoldRange(ctx, ev, e.parallelism, ir.Range(cells[cell].Lo, cells[cell].Hi), factory)
 }
 
 // CacheStats snapshots the result cache's hit/miss counters and residency.
@@ -485,19 +458,29 @@ func (e *Engine) foldInto(ctx context.Context, src BlockSource, sink Sink) (int,
 	return analyze.FoldInto(ctx, ev, e.parallelism, src, sink)
 }
 
-// EvaluateSourcesInto is the sharded StreamInto: every source is drained by
-// its own block pipeline into its own sink built by factory (the engine's
-// parallelism split evenly across sources), and the per-source sinks are
-// merged in source order — exactly the merge a coordinator applies to
-// per-process snapshot files, so the two produce byte-identical snapshots.
-// It returns the merged sink and per-source job counts; any source's error
-// names it and cancels every other source.
+// EvaluateSourcesInto is the sharded StreamInto: every source is one cell
+// of a FoldRanges grid, drained by its own block pipeline (the engine's
+// parallelism split evenly across sources) into its own sink built by
+// factory, and the per-source sinks are merged in source order — exactly
+// the merge a coordinator applies to per-process snapshot files, so the two
+// produce byte-identical snapshots. It returns the merged sink and
+// per-source job counts; any source's error names its cell and cancels
+// every other source.
 func (e *Engine) EvaluateSourcesInto(ctx context.Context, factory func() (Sink, error), srcs ...JobSource) (Sink, []int, error) {
 	ev, err := e.evaluator()
 	if err != nil {
 		return nil, nil, err
 	}
-	return analyze.FoldSinks(ctx, ev, e.parallelism, srcs, factory)
+	if len(srcs) == 0 {
+		return nil, nil, fmt.Errorf("pai: EvaluateSourcesInto with no sources")
+	}
+	for i, src := range srcs {
+		if src == nil {
+			return nil, nil, fmt.Errorf("pai: EvaluateSourcesInto with nil source %d", i)
+		}
+	}
+	open := func(cell int) (stream.BlockSource, error) { return stream.Blocks(srcs[cell]), nil }
+	return analyze.FoldRanges(ctx, ev, e.parallelism, len(srcs), len(srcs), open, factory)
 }
 
 // NewProjectionSink returns a Sink folding the Fig. 9 PS -> AllReduce
@@ -547,119 +530,6 @@ func (e *Engine) NewReportSink(target ProjectionTarget) (*MultiSink, error) {
 		analyze.NewHardwareCDFSink(),
 		ps,
 	), nil
-}
-
-// ShardSources builds the job source for one cell of a distributed run's
-// grid — the caller's mapping from a cell index to the jobs of that
-// partition (a trace-file decoder, a generator partition, a slice). A static
-// sharded run maps cell i to shard i. It is called once per cell
-// evaluation, so retried cells get a fresh source.
-type ShardSources func(cell int) (JobSource, error)
-
-// cellRunner adapts the engine into the worker side of networked
-// distributed evaluation: each cell of an assigned range streams the
-// partition built by sources through the engine's evaluator (cache
-// included) into a fresh sink built by factory, stamped with the cell's
-// provenance and emitted the moment its fold completes.
-func (e *Engine) cellRunner(ev backend.Evaluator, sources ShardSources, factory func() (Sink, error)) MicroShardRunner {
-	return func(ctx context.Context, a MicroShardAssignment, emit func(int, Sink, string, int) error) error {
-		if sources == nil {
-			return fmt.Errorf("pai: distributed worker with nil sources")
-		}
-		for cell := a.Lo; cell < a.Hi; cell++ {
-			src, err := sources(cell)
-			if err != nil {
-				return err
-			}
-			sink, err := factory()
-			if err != nil {
-				return err
-			}
-			n, err := analyze.FoldInto(ctx, ev, e.parallelism, stream.Blocks(src), sink)
-			if err != nil {
-				return err
-			}
-			if err := emit(cell, sink, analyze.ShardMeta(a.Provenance, cell), n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// DistributedWorker connects out to a coordinator at addr and serves cell
-// ranges through this engine until the coordinator finishes the run — the
-// library form of `paibench -worker`. It returns nil on a clean completion,
-// or the protocol/evaluation error that ended the session.
-func (e *Engine) DistributedWorker(ctx context.Context, addr string, sources ShardSources, factory func() (Sink, error)) error {
-	ev, err := e.evaluator()
-	if err != nil {
-		return err
-	}
-	if factory == nil {
-		return fmt.Errorf("pai: DistributedWorker with nil sink factory")
-	}
-	return coord.WorkDynamic(ctx, addr, 0, e.cellRunner(ev, sources, factory))
-}
-
-// EvaluateDistributed is the networked EvaluateSourcesInto: the engine acts
-// as coordinator on ln over a grid of `shards` cells, hands connected
-// workers contiguous cell ranges (work stealing, see CoordinateMicroShards),
-// streams the per-cell sink snapshots back over TCP, and folds them in cell
-// order with the exact Merge — byte-identical to the in-process
-// EvaluateSourcesInto over the same partitions, even when a worker dies
-// mid-range and its cells are retried elsewhere (set opts.CellTimeout so
-// hung workers are abandoned).
-//
-// localWorkers > 0 spawns that many in-process worker loops dialing ln's
-// address — the zero-config path — and arms the coordinator's stall
-// detector so a run whose workers all die fails at opts.CellTimeout
-// instead of hanging. External workers built on Engine.DistributedWorker
-// (with equivalent sources/factory semantics) can connect to the same
-// listener from other processes or machines; `paibench -worker` cannot —
-// its assignments must carry a paibench payload, which this method does
-// not send. The listener is closed on return. It returns the merged sink
-// and per-cell job counts.
-func (e *Engine) EvaluateDistributed(ctx context.Context, ln net.Listener, shards, localWorkers int, sources ShardSources, factory func() (Sink, error), opts *MicroShardOptions) (Sink, []int, error) {
-	ev, err := e.evaluator()
-	if err != nil {
-		return nil, nil, err
-	}
-	if ln == nil {
-		return nil, nil, fmt.Errorf("pai: EvaluateDistributed with nil listener")
-	}
-	if factory == nil {
-		return nil, nil, fmt.Errorf("pai: EvaluateDistributed with nil sink factory")
-	}
-	var o MicroShardOptions
-	if opts != nil {
-		o = *opts
-	}
-	if o.NewSink == nil {
-		// Pin the fold base to the caller's sink type — the exact fold shape
-		// of analyze.FoldSinks, which is what makes the distributed result
-		// byte-identical to the in-process sharded run.
-		o.NewSink = func() (analyze.Sink, error) { return factory() }
-	}
-	var wg sync.WaitGroup
-	if localWorkers > 0 {
-		o.ExpectWorkers = true
-		runner := e.cellRunner(ev, sources, factory)
-		addr := ln.Addr().String()
-		for i := 0; i < localWorkers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Worker teardown at end of run (coordinator closes the
-				// connection) is expected; real cell failures surface
-				// through the coordinator's retry accounting instead.
-				_ = coord.WorkDynamic(ctx, addr, 0, runner)
-			}()
-		}
-	}
-	sink, counts, _, err := coord.RunDynamic(ctx, ln, shards, nil, o)
-	wg.Wait()
-	return sink, counts, err
 }
 
 // Backends lists the registered evaluation backend names.

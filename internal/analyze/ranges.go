@@ -3,52 +3,105 @@ package analyze
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/backend"
-	"repro/internal/core"
-	"repro/internal/evalcache"
 	"repro/internal/stream"
-	"repro/internal/workload"
 )
 
 // FoldRanges is the grid-cell fold every sharded analysis runs on: `cells`
-// block sources — N trace sources (FoldSinks) or the micro-shards of one
-// deterministic partition grid (colbin Index.Partition) — each fold into
-// their own sink built by factory, and the per-cell sinks merge in cell
-// order into one aggregate. Because the
-// grid is a pure function of the trace and the grain, every run over the
-// same file — one consumer, N consumers, or N processes — folds the same
-// records into the same cells and merges them in the same order, so the
-// merged sink's snapshot is byte-identical across all of them for any sink
-// whose Merge is deterministic. The report sinks merge exactly, so for
-// them the grid and the merge order do not change the bytes at all.
+// block sources — N trace sources (one cell per source) or the micro-shards
+// of one deterministic partition grid (colbin Index.Partition) — each fold
+// by FoldInto into their own sink built by factory, and the per-cell sinks
+// merge in cell order into a fresh factory sink. Because the grid is a pure
+// function of the trace and the grain, every run over the same file — one
+// consumer, N consumers, or N processes — folds the same records into the
+// same cells and merges them in the same order, so the merged sink's
+// snapshot is byte-identical across all of them for any sink whose Merge is
+// deterministic. The report sinks merge exactly, so for them the grid and
+// the merge order do not change the bytes at all.
 //
-// open is called at most once per cell, from a consumer goroutine, and one
-// goroutine owns each cell's sink at a time, so the sinks need no locking.
-// Column-capable sinks fold whole blocks (ColumnSink.AddColumns); others
-// get the row loop. It returns the merged sink and per-cell record counts.
+// `consumers` goroutines pull cell indexes from a shared counter; each
+// opens its cell, builds the cell's sink, and folds the cell with an even
+// share of the parallelism budget (at least one worker), so no two
+// consumers ever contend on one frame sequence. open is called at most once
+// per cell, from several consumers at once. Factory calls are serialized,
+// so a factory need not be safe for concurrent use, and one goroutine owns
+// each cell's sink, so the sinks need no locking. The first error — open,
+// factory, decode, evaluation, fold or cancellation — names its cell and
+// cancels every other cell. It returns the merged sink and per-cell record
+// counts.
 func FoldRanges(ctx context.Context, ev backend.Evaluator, parallelism, consumers, cells int, open func(cell int) (stream.BlockSource, error), factory func() (Sink, error)) (Sink, []int, error) {
-	if factory == nil {
-		return nil, nil, fmt.Errorf("analyze: FoldRanges with nil sink factory")
+	if ev == nil {
+		return nil, nil, fmt.Errorf("analyze: FoldRanges with nil evaluator")
 	}
-	sinks := make([]Sink, cells)
-	for i := range sinks {
+	if open == nil || factory == nil {
+		return nil, nil, fmt.Errorf("analyze: FoldRanges with nil open or sink factory")
+	}
+	if cells < 0 {
+		return nil, nil, fmt.Errorf("analyze: FoldRanges with %d cells", cells)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var factoryMu sync.Mutex
+	newSink := func() (Sink, error) {
+		factoryMu.Lock()
+		defer factoryMu.Unlock()
 		s, err := factory()
+		if err == nil && s == nil {
+			err = fmt.Errorf("sink factory returned nil")
+		}
+		return s, err
+	}
+	consumers = min(max(consumers, 1), max(cells, 1))
+	per := max(parallelism/consumers, 1)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+
+	var (
+		sinks    = make([]Sink, cells)
+		counts   = make([]int, cells)
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	foldCell := func(cell int) error {
+		if err := context.Cause(ctx); err != nil {
+			return err
+		}
+		src, err := open(cell)
 		if err != nil {
-			return nil, nil, fmt.Errorf("analyze: %w", err)
+			return fmt.Errorf("open: %w", err)
 		}
-		if s == nil {
-			return nil, nil, fmt.Errorf("analyze: sink factory returned nil")
+		if sinks[cell], err = newSink(); err != nil {
+			return err
 		}
-		sinks[i] = s
+		counts[cell], err = FoldInto(ctx, ev, per, src, sinks[cell])
+		return err
 	}
-	counts, err := stream.EvaluateBlocksMulti(ctx, ev, cells, consumers, parallelism, open, func(cell int, cols *workload.Columns, times []core.Times, blk *evalcache.Block) error {
-		return addBlock(sinks[cell], cols, times, blk)
-	})
-	if err != nil {
-		return nil, counts, fmt.Errorf("analyze: %w", err)
+	for w := 0; w < consumers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for cell := int(next.Add(1) - 1); cell < cells; cell = int(next.Add(1) - 1) {
+				if err := foldCell(cell); err != nil {
+					errOnce.Do(func() {
+						firstErr = fmt.Errorf("analyze: cell %d: %w", cell, err)
+						cancel()
+					})
+					return
+				}
+			}
+		}()
 	}
-	total, err := factory()
+	wg.Wait()
+	if firstErr != nil {
+		return nil, counts, firstErr
+	}
+	total, err := newSink()
 	if err != nil {
 		return nil, counts, fmt.Errorf("analyze: %w", err)
 	}
@@ -58,28 +111,4 @@ func FoldRanges(ctx context.Context, ev backend.Evaluator, parallelism, consumer
 		}
 	}
 	return total, counts, nil
-}
-
-// FoldRange folds one block source into a single fresh factory sink — the
-// per-cell unit FoldRanges runs once per grid cell, exposed on its own so
-// distributed workers can produce the identical per-cell sinks out of
-// process: a coordinator that merges them in cell order reconstructs the
-// FoldRanges aggregate byte for byte. It returns the filled sink and the
-// record count.
-func FoldRange(ctx context.Context, ev backend.Evaluator, parallelism int, src stream.BlockSource, factory func() (Sink, error)) (Sink, int, error) {
-	if factory == nil {
-		return nil, 0, fmt.Errorf("analyze: FoldRange with nil sink factory")
-	}
-	sink, err := factory()
-	if err != nil {
-		return nil, 0, fmt.Errorf("analyze: %w", err)
-	}
-	if sink == nil {
-		return nil, 0, fmt.Errorf("analyze: sink factory returned nil")
-	}
-	n, err := FoldInto(ctx, ev, parallelism, src, sink)
-	if err != nil {
-		return nil, n, err
-	}
-	return sink, n, nil
 }

@@ -94,7 +94,7 @@ func TestSinkSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestMultiProcessMergeMatchesSingleProcess is the distributed-evaluation
-// exactness pin: folding N shards in one process (FoldSinks) and folding
+// exactness pin: folding N shards in one process (FoldRanges) and folding
 // them in N separate "processes" — communicated only through snapshot files
 // — must produce byte-identical merged snapshots.
 func TestMultiProcessMergeMatchesSingleProcess(t *testing.T) {
@@ -116,7 +116,7 @@ func TestMultiProcessMergeMatchesSingleProcess(t *testing.T) {
 	for k := range srcs {
 		srcs[k] = stream.NewSliceSource(parts[k])
 	}
-	single, _, err := FoldSinks(context.Background(), b, 4, srcs, func() (Sink, error) {
+	single, _, err := foldSources(context.Background(), b, 4, srcs, func() (Sink, error) {
 		return fullSink(t, b), nil
 	})
 	if err != nil {

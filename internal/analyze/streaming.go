@@ -377,24 +377,3 @@ func FoldInto(ctx context.Context, ev backend.Evaluator, parallelism int, src st
 	}
 	return n, nil
 }
-
-// FoldSinks is the sharded FoldInto: FoldRanges over one cell per source,
-// with one consumer per cell. Every source is drained by its own block
-// pipeline (the parallelism budget split evenly, at least one worker each)
-// into its own sink built by factory, and the per-source sinks are merged
-// in source order into one aggregate — the same merge order a coordinator
-// applies to per-process snapshot files, which is what makes the two
-// byte-identical. It returns the merged sink and the per-source job counts;
-// an error names the failing source's cell and cancels every other source.
-func FoldSinks(ctx context.Context, ev backend.Evaluator, parallelism int, srcs []stream.Source, factory func() (Sink, error)) (Sink, []int, error) {
-	if len(srcs) == 0 {
-		return nil, nil, fmt.Errorf("analyze: FoldSinks with no sources")
-	}
-	for i, src := range srcs {
-		if src == nil {
-			return nil, nil, fmt.Errorf("analyze: FoldSinks with nil source %d", i)
-		}
-	}
-	open := func(cell int) (stream.BlockSource, error) { return stream.Blocks(srcs[cell]), nil }
-	return FoldRanges(ctx, ev, parallelism, len(srcs), len(srcs), open, factory)
-}

@@ -215,10 +215,17 @@ func foldAcc(ctx context.Context, ev backend.Evaluator, parallelism int, src str
 	return acc, nil
 }
 
-// foldBreakdowns is the sharded breakdown fold: FoldSinks with a
+// foldSources folds each source as one cell of a FoldRanges grid with one
+// consumer per cell — the shape of Engine.EvaluateSourcesInto.
+func foldSources(ctx context.Context, ev backend.Evaluator, parallelism int, srcs []stream.Source, factory func() (Sink, error)) (Sink, []int, error) {
+	open := func(cell int) (stream.BlockSource, error) { return stream.Blocks(srcs[cell]), nil }
+	return FoldRanges(ctx, ev, parallelism, len(srcs), len(srcs), open, factory)
+}
+
+// foldBreakdowns is the sharded breakdown fold: foldSources with a
 // BreakdownAccumulator factory.
 func foldBreakdowns(ctx context.Context, ev backend.Evaluator, parallelism int, srcs []stream.Source) (*BreakdownAccumulator, []int, error) {
-	total, counts, err := FoldSinks(ctx, ev, parallelism, srcs, func() (Sink, error) {
+	total, counts, err := foldSources(ctx, ev, parallelism, srcs, func() (Sink, error) {
 		return NewBreakdownAccumulator(), nil
 	})
 	if err != nil {
@@ -341,8 +348,8 @@ func TestFoldSourcesSingleSourceBitExact(t *testing.T) {
 func TestFoldSourcesEmpty(t *testing.T) {
 	ev := accBackend(t)
 	ctx := context.Background()
-	if _, _, err := foldBreakdowns(ctx, ev, 2, nil); err == nil {
-		t.Error("expected error for no sources")
+	if acc, counts, err := foldBreakdowns(ctx, ev, 2, nil); err != nil || acc.N() != 0 || len(counts) != 0 {
+		t.Errorf("no sources: N %v, counts %v, err %v", acc, counts, err)
 	}
 	acc, counts, err := foldBreakdowns(ctx, ev, 2, []stream.Source{stream.NewSliceSource(nil)})
 	if err != nil || acc.N() != 0 || !reflect.DeepEqual(counts, []int{0}) {
@@ -357,60 +364,84 @@ func TestFoldSourcesEmpty(t *testing.T) {
 	}
 }
 
-// TestFoldSinksMatchesSingle: draining N partitions of one trace through
-// FoldSinks folds every job exactly once into its own shard's sink, with
-// per-shard counts, and each shard's sink equals a single-source fold of
-// its partition byte for byte.
-func TestFoldSinksMatchesSingle(t *testing.T) {
+// TestFoldRangesMatchesSingle: a grid over N partitions of one trace folds
+// every job exactly once into its own cell's sink, with per-cell counts;
+// each cell's sink equals a single-source fold of its partition byte for
+// byte, and the merged sink does not depend on the consumer count.
+func TestFoldRangesMatchesSingle(t *testing.T) {
 	jobs := accJobs(t, 1800)
 	ev := accBackend(t)
 	ctx := context.Background()
 	cuts := []int{0, 500, 1100, len(jobs)}
-	var srcs []stream.Source
-	for i := 0; i+1 < len(cuts); i++ {
-		srcs = append(srcs, stream.NewSliceSource(jobs[cuts[i]:cuts[i+1]]))
+	open := func(cell int) (stream.BlockSource, error) {
+		return stream.Blocks(stream.NewSliceSource(jobs[cuts[cell]:cuts[cell+1]])), nil
 	}
-	var shards []*BreakdownAccumulator
-	total, counts, err := FoldSinks(ctx, ev, 6, srcs, func() (Sink, error) {
-		acc := NewBreakdownAccumulator()
-		shards = append(shards, acc)
-		return acc, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total.(*BreakdownAccumulator).N() != len(jobs) {
-		t.Fatalf("merged N %d, want %d", total.(*BreakdownAccumulator).N(), len(jobs))
-	}
-	for shard, n := range counts {
-		if want := cuts[shard+1] - cuts[shard]; n != want {
-			t.Errorf("shard %d folded %d jobs, want %d", shard, n, want)
-		}
-		got, err := shards[shard].MarshalBinary()
+	var merged [][]byte
+	for _, consumers := range []int{1, 3} {
+		var built []*BreakdownAccumulator
+		total, counts, err := FoldRanges(ctx, ev, 6, consumers, len(cuts)-1, open, func() (Sink, error) {
+			acc := NewBreakdownAccumulator()
+			built = append(built, acc)
+			return acc, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fill(t, ev, jobs[cuts[shard]:cuts[shard+1]]).MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+		if total.(*BreakdownAccumulator).N() != len(jobs) {
+			t.Fatalf("merged N %d, want %d", total.(*BreakdownAccumulator).N(), len(jobs))
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("shard %d sink differs from a single-source fold of its partition", shard)
+		if len(built) != len(cuts) {
+			t.Fatalf("factory called %d times, want one per cell plus the aggregate", len(built))
 		}
+		merged = append(merged, snapshotOf(t, total))
+		for cell, n := range counts {
+			if want := cuts[cell+1] - cuts[cell]; n != want {
+				t.Errorf("consumers %d: cell %d folded %d jobs, want %d", consumers, cell, n, want)
+			}
+			// One consumer opens the cells in order, so the factory's
+			// sinks line up with them.
+			if consumers == 1 && !bytes.Equal(snapshotOf(t, built[cell]), snapshotOf(t, fill(t, ev, jobs[cuts[cell]:cuts[cell+1]]))) {
+				t.Errorf("cell %d sink differs from a single-source fold of its partition", cell)
+			}
+		}
+	}
+	if !bytes.Equal(merged[0], merged[1]) {
+		t.Error("merged sink depends on the consumer count")
 	}
 }
 
-func TestFoldSinksValidation(t *testing.T) {
+func TestFoldRangesValidation(t *testing.T) {
 	ev := accBackend(t)
+	ctx := context.Background()
 	factory := func() (Sink, error) { return NewBreakdownAccumulator(), nil }
-	if _, _, err := FoldSinks(context.Background(), ev, 2, nil, factory); err == nil {
-		t.Error("expected error for no sources")
+	open := func(int) (stream.BlockSource, error) { return stream.Blocks(stream.NewSliceSource(nil)), nil }
+	if _, _, err := FoldRanges(ctx, nil, 2, 1, 1, open, factory); err == nil {
+		t.Error("expected error for a nil evaluator")
 	}
-	if _, _, err := FoldSinks(context.Background(), ev, 2, []stream.Source{stream.NewSliceSource(nil), nil}, factory); err == nil {
-		t.Error("expected error for a nil source")
+	if _, _, err := FoldRanges(ctx, ev, 2, 1, 1, nil, factory); err == nil {
+		t.Error("expected error for a nil open")
 	}
-	if _, _, err := FoldSinks(context.Background(), ev, 2, []stream.Source{stream.NewSliceSource(nil)}, nil); err == nil {
+	if _, _, err := FoldRanges(ctx, ev, 2, 1, 1, open, nil); err == nil {
 		t.Error("expected error for a nil factory")
+	}
+	if _, _, err := FoldRanges(ctx, ev, 2, 1, -1, open, factory); err == nil {
+		t.Error("expected error for a negative cell count")
+	}
+	nilFactory := func() (Sink, error) { return nil, nil }
+	if _, _, err := FoldRanges(ctx, ev, 2, 1, 1, open, nilFactory); err == nil || !strings.Contains(err.Error(), "cell 0") {
+		t.Errorf("factory returning nil: err = %v, want it to name cell 0", err)
+	}
+	if _, _, err := FoldRanges(ctx, ev, 2, 1, 1, func(int) (stream.BlockSource, error) { return nil, nil }, factory); err == nil {
+		t.Error("expected error for a nil cell source")
+	}
+	// Zero cells: nothing is opened, and the aggregate is an empty factory
+	// sink.
+	total, counts, err := FoldRanges(ctx, ev, 2, 4, 0, func(int) (stream.BlockSource, error) {
+		t.Error("open called on a 0-cell grid")
+		return nil, nil
+	}, factory)
+	if err != nil || len(counts) != 0 || total.(*BreakdownAccumulator).N() != 0 {
+		t.Errorf("0 cells: total %v, counts %v, err %v", total, counts, err)
 	}
 }
 
@@ -430,9 +461,9 @@ func (s *failAfterSource) Next() (workload.Features, error) {
 	return f, nil
 }
 
-// TestFoldSinksShardErrorCancelsAll: a failing source cancels its siblings
-// and surfaces an error naming its cell.
-func TestFoldSinksShardErrorCancelsAll(t *testing.T) {
+// TestFoldRangesCellErrorCancelsAll: a failing cell source cancels its
+// siblings and surfaces an error naming its cell.
+func TestFoldRangesCellErrorCancelsAll(t *testing.T) {
 	jobs := accJobs(t, 600)
 	ev := accBackend(t)
 	bad := errors.New("shard source exploded")

@@ -51,13 +51,15 @@ func shardAcc(tb testing.TB, b backend.Backend, jobs []workload.Features, shards
 	return acc, n
 }
 
+// newAcc is the DynamicOptions.NewSink every test run folds into.
+func newAcc() (analyze.Sink, error) { return analyze.NewBreakdownAccumulator(), nil }
+
 // directFoldBytes is the reference result of a static sharded run: the
-// per-shard accumulators merged in shard-index order, first shard as the
-// fold base (DynamicOptions.NewSink nil).
+// per-shard accumulators merged in shard-index order into an empty one.
 func directFoldBytes(tb testing.TB, b backend.Backend, jobs []workload.Features, shards int) []byte {
 	tb.Helper()
-	total, _ := shardAcc(tb, b, jobs, shards, 0)
-	for i := 1; i < shards; i++ {
+	total := analyze.NewBreakdownAccumulator()
+	for i := 0; i < shards; i++ {
 		acc, _ := shardAcc(tb, b, jobs, shards, i)
 		if err := total.Merge(acc); err != nil {
 			tb.Fatal(err)
@@ -193,7 +195,7 @@ func TestRunMatchesDirectFold(t *testing.T) {
 
 	ln := listen(t)
 	wait := startDynWorkers(ctx, ln.Addr().String(), 0, pullBarrier(2, shardRunner(t, b, jobs, base)), 2)
-	sink, counts, stats, err := RunDynamic(ctx, ln, shards, []byte("payload"), DynamicOptions{Provenance: base})
+	sink, counts, stats, err := RunDynamic(ctx, ln, shards, []byte("payload"), DynamicOptions{NewSink: newAcc, Provenance: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +225,9 @@ func TestRunMatchesDirectFold(t *testing.T) {
 	}
 }
 
-// TestRunWithSinkFactory: DynamicOptions.NewSink switches to the FoldSinks
-// fold shape (empty base, merge every cell); bytes must still match.
+// TestRunWithSinkFactory: DynamicOptions.NewSink is required — a nil one
+// is refused by name with the listener closed — and the cells merge into
+// the factory's empty sink, byte-identical to the direct shard merge.
 func TestRunWithSinkFactory(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -233,10 +236,16 @@ func TestRunWithSinkFactory(t *testing.T) {
 	const shards = 2
 
 	ln := listen(t)
+	if _, _, _, err := RunDynamic(ctx, ln, shards, nil, DynamicOptions{}); err == nil || !strings.Contains(err.Error(), "NewSink") {
+		t.Fatalf("nil NewSink: err = %v, want it named", err)
+	}
+	if _, err := ln.Accept(); err == nil {
+		t.Fatal("listener still open after a refused run")
+	}
+
+	ln = listen(t)
 	wait := startDynWorkers(ctx, ln.Addr().String(), 0, shardRunner(t, b, jobs, ""), 1)
-	sink, _, _, err := RunDynamic(ctx, ln, shards, nil, DynamicOptions{
-		NewSink: func() (analyze.Sink, error) { return analyze.NewBreakdownAccumulator(), nil },
-	})
+	sink, _, _, err := RunDynamic(ctx, ln, shards, nil, DynamicOptions{NewSink: newAcc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +275,7 @@ func TestWorkerDeathMidShardRetries(t *testing.T) {
 	var logLines []string
 	ln := listen(t)
 	opts := DynamicOptions{
+		NewSink:    newAcc,
 		Provenance: base,
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
@@ -351,6 +361,7 @@ func TestShardTimeoutRequeues(t *testing.T) {
 	runDone := make(chan outcome, 1)
 	go func() {
 		sink, _, stats, err := RunDynamic(ctx, ln, shards, nil, DynamicOptions{
+			NewSink:     newAcc,
 			Provenance:  base,
 			CellTimeout: 200 * time.Millisecond,
 		})
@@ -402,7 +413,7 @@ func TestFailureReportsRetryInPlace(t *testing.T) {
 	}
 	ln := listen(t)
 	wait := startDynWorkers(ctx, ln.Addr().String(), 0, flaky, 1)
-	sink, _, stats, err := RunDynamic(ctx, ln, shards, nil, DynamicOptions{Provenance: base, MaxAttempts: 3})
+	sink, _, stats, err := RunDynamic(ctx, ln, shards, nil, DynamicOptions{NewSink: newAcc, Provenance: base, MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +445,7 @@ func TestAttemptBudgetExhaustionFailsRun(t *testing.T) {
 	}
 	ln := listen(t)
 	wait := startDynWorkers(ctx, ln.Addr().String(), 0, broken, 1)
-	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{MaxAttempts: 2})
+	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{NewSink: newAcc, MaxAttempts: 2})
 	if err == nil || !strings.Contains(err.Error(), "budget spent") {
 		t.Errorf("exhausted retries returned %v", err)
 	}
@@ -455,7 +466,7 @@ func TestAllWorkersLostFailsRun(t *testing.T) {
 	assigned := make(chan RangeAssignment, 1)
 	go crashAfterAssign(t, ln.Addr().String(), assigned)
 	start := time.Now()
-	_, _, _, err := RunDynamic(ctx, ln, 2, nil, DynamicOptions{CellTimeout: 200 * time.Millisecond})
+	_, _, _, err := RunDynamic(ctx, ln, 2, nil, DynamicOptions{NewSink: newAcc, CellTimeout: 200 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "no active workers") {
 		t.Errorf("all-workers-lost run returned %v", err)
 	}
@@ -485,7 +496,7 @@ func TestGarbageConnectionIgnored(t *testing.T) {
 	}
 	runDone := make(chan outcome, 1)
 	go func() {
-		sink, _, _, err := RunDynamic(ctx, ln, 2, nil, DynamicOptions{Provenance: base})
+		sink, _, _, err := RunDynamic(ctx, ln, 2, nil, DynamicOptions{NewSink: newAcc, Provenance: base})
 		runDone <- outcome{sink, err}
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -518,7 +529,7 @@ func TestOfferRejectsDuplicateShard(t *testing.T) {
 	b := testBackend(t)
 	jobs := testJobs(t, 60)
 	const base = "coordtest run=dup"
-	st := newDynState(context.Background(), 2, nil, DynamicOptions{Provenance: base})
+	st := newDynState(context.Background(), 2, nil, DynamicOptions{NewSink: newAcc, Provenance: base})
 
 	acc, n := shardAcc(t, b, jobs, 2, 0)
 	snap := snapshotBytes(t, acc, analyze.ShardMeta(base, 0))
@@ -541,7 +552,7 @@ func TestOfferRejectsForeignAndMislabeled(t *testing.T) {
 	b := testBackend(t)
 	jobs := testJobs(t, 60)
 	const base = "coordtest run=prov"
-	st := newDynState(context.Background(), 2, nil, DynamicOptions{Provenance: base})
+	st := newDynState(context.Background(), 2, nil, DynamicOptions{NewSink: newAcc, Provenance: base})
 	acc, n := shardAcc(t, b, jobs, 2, 0)
 
 	// Wrong run base.
@@ -575,7 +586,7 @@ func TestOfferRejectsForeignAndMislabeled(t *testing.T) {
 func TestOfferConsistencyWithoutPinnedBase(t *testing.T) {
 	b := testBackend(t)
 	jobs := testJobs(t, 60)
-	st := newDynState(context.Background(), 2, nil, DynamicOptions{})
+	st := newDynState(context.Background(), 2, nil, DynamicOptions{NewSink: newAcc})
 	acc0, n0 := shardAcc(t, b, jobs, 2, 0)
 	acc1, n1 := shardAcc(t, b, jobs, 2, 1)
 
@@ -647,7 +658,7 @@ func TestFailFastWorkerDefersToHealthy(t *testing.T) {
 	}
 	runDone := make(chan outcome, 1)
 	go func() {
-		sink, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{Provenance: base})
+		sink, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{NewSink: newAcc, Provenance: base})
 		runDone <- outcome{sink, err}
 	}()
 	waitBroken := startDynWorkers(ctx, ln.Addr().String(), 0, broken, 1)
@@ -682,7 +693,7 @@ func TestExpectWorkersFailsWhenNoneConnect(t *testing.T) {
 	defer cancel()
 	ln := listen(t)
 	start := time.Now()
-	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{CellTimeout: 200 * time.Millisecond, ExpectWorkers: true})
+	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{NewSink: newAcc, CellTimeout: 200 * time.Millisecond, ExpectWorkers: true})
 	if err == nil || !strings.Contains(err.Error(), "no active workers") {
 		t.Errorf("worker-less armed run returned %v", err)
 	}
@@ -704,7 +715,7 @@ func TestAllWorkersFailedShardBurnsBudget(t *testing.T) {
 	ln := listen(t)
 	wait := startDynWorkers(ctx, ln.Addr().String(), 0, broken, 2)
 	start := time.Now()
-	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{MaxAttempts: 4})
+	_, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{NewSink: newAcc, MaxAttempts: 4})
 	if err == nil || !strings.Contains(err.Error(), "budget spent") {
 		t.Errorf("universally-failing cell returned %v", err)
 	}
@@ -731,7 +742,7 @@ func TestHandshakeFrameCapped(t *testing.T) {
 	}
 	runDone := make(chan outcome, 1)
 	go func() {
-		sink, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{Provenance: base})
+		sink, _, _, err := RunDynamic(ctx, ln, 1, nil, DynamicOptions{NewSink: newAcc, Provenance: base})
 		runDone <- outcome{sink, err}
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())

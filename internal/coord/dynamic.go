@@ -35,9 +35,10 @@ const failedShardBackoff = 100 * time.Millisecond
 // snapshots by hand can test for it with errors.Is.
 var ErrDuplicateShard = errors.New("coord: duplicate snapshot for an already-folded shard")
 
-// DynamicOptions tunes a RunDynamic run. The zero value is usable: no
-// per-cell deadline, DefaultMaxAttempts attempts per cell, no span cap,
-// provenance bases required to agree across cells but not pinned.
+// DynamicOptions tunes a RunDynamic run. Only NewSink is required; the
+// rest defaults to no per-cell deadline, DefaultMaxAttempts attempts per
+// cell, no span cap, provenance bases required to agree across cells but
+// not pinned.
 type DynamicOptions struct {
 	// CellTimeout is the per-cell progress deadline: a worker that delivers
 	// neither a cell result nor a failure within it is abandoned, and the
@@ -63,11 +64,11 @@ type DynamicOptions struct {
 	// treated as worker failures and retried elsewhere. When empty, the
 	// first accepted snapshot's base becomes the requirement.
 	Provenance string
-	// NewSink, when set, builds the empty aggregate the cell sinks merge
-	// into — the exact fold shape of analyze.FoldSinks. When nil, the
-	// lowest cell's sink is the fold base (the shape of `paibench -merge`).
-	// Both shapes produce identical bytes; NewSink also lets the caller pin
-	// the expected sink type.
+	// NewSink builds the empty aggregate the cell sinks merge into, in
+	// cell order — the fold shape of analyze.FoldRanges, which is what
+	// makes a distributed run byte-identical to the in-process one. It
+	// also pins the sink type that snapshots decoded from the network must
+	// merge into. Required.
 	NewSink func() (analyze.Sink, error)
 	// MaxSpan caps the number of cells in one assignment regardless of the
 	// capacity weighting. Zero means no cap.
@@ -110,11 +111,14 @@ func RunDynamic(ctx context.Context, ln net.Listener, cells int, payload []byte,
 	if ln == nil {
 		return nil, nil, DynamicStats{}, fmt.Errorf("coord: RunDynamic with nil listener")
 	}
-	if cells < 1 {
+	if cells < 1 || opts.NewSink == nil {
 		// The contract is "listener closed on return" even for early
 		// errors: a caller that already pointed workers at ln must not be
 		// left with them blocked on a live socket.
 		ln.Close()
+		if opts.NewSink == nil {
+			return nil, nil, DynamicStats{}, fmt.Errorf("coord: RunDynamic with nil DynamicOptions.NewSink")
+		}
 		return nil, nil, DynamicStats{}, fmt.Errorf("coord: RunDynamic with %d cells", cells)
 	}
 	st := newDynState(ctx, cells, payload, opts)
@@ -641,19 +645,11 @@ func (st *dynState) sendOutcome(conn net.Conn) {
 // fold merges the per-cell sinks in cell order — the identical fold shape
 // (and bytes) of the single-process partition-grid run.
 func (st *dynState) fold() (analyze.Sink, []int, error) {
-	var total analyze.Sink
-	start := 0
-	if st.opts.NewSink != nil {
-		s, err := st.opts.NewSink()
-		if err != nil {
-			return nil, nil, fmt.Errorf("coord: %w", err)
-		}
-		total = s
-	} else {
-		total = st.sinks[0]
-		start = 1
+	total, err := st.opts.NewSink()
+	if err != nil {
+		return nil, nil, fmt.Errorf("coord: %w", err)
 	}
-	for i := start; i < st.cells; i++ {
+	for i := 0; i < st.cells; i++ {
 		if err := total.Merge(st.sinks[i]); err != nil {
 			return nil, nil, fmt.Errorf("coord: fold cell %d: %w", i, err)
 		}

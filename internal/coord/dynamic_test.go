@@ -45,11 +45,11 @@ func cellFold(tb testing.TB, b backend.Backend, jobs []workload.Features, cells,
 }
 
 // directCellFoldBytes is the reference result: per-cell accumulators merged
-// in cell order, first cell as the fold base (DynamicOptions.NewSink nil).
+// in cell order into an empty one, the DynamicOptions.NewSink shape.
 func directCellFoldBytes(tb testing.TB, b backend.Backend, jobs []workload.Features, cells int) []byte {
 	tb.Helper()
-	total, _ := cellFold(tb, b, jobs, cells, 0)
-	for i := 1; i < cells; i++ {
+	total := analyze.NewBreakdownAccumulator()
+	for i := 0; i < cells; i++ {
 		acc, _ := cellFold(tb, b, jobs, cells, i)
 		if err := total.Merge(acc); err != nil {
 			tb.Fatal(err)
@@ -113,7 +113,7 @@ func TestRunDynamicMatchesDirectFold(t *testing.T) {
 
 	ln := listen(t)
 	wait := startDynWorkers(ctx, ln.Addr().String(), 0, pullBarrier(3, testRangeRunner(t, b, jobs, base, nil)), 3)
-	sink, counts, stats, err := RunDynamic(ctx, ln, cells, []byte("payload"), DynamicOptions{Provenance: base})
+	sink, counts, stats, err := RunDynamic(ctx, ln, cells, []byte("payload"), DynamicOptions{NewSink: newAcc, Provenance: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +183,7 @@ func TestRunDynamicStealsFromStraggler(t *testing.T) {
 	runDone := make(chan outcome, 1)
 	go func() {
 		sink, _, stats, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{
+			NewSink:     newAcc,
 			Provenance:  base,
 			CellTimeout: 200 * time.Millisecond,
 		})
@@ -241,7 +242,7 @@ func TestRunDynamicWorkerDeathRequeues(t *testing.T) {
 	}
 	runDone := make(chan outcome, 1)
 	go func() {
-		sink, _, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{Provenance: base})
+		sink, _, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{NewSink: newAcc, Provenance: base})
 		runDone <- outcome{sink, err}
 	}()
 	select {
@@ -289,7 +290,7 @@ func TestRunDynamicBudgetExhaustionFailsRun(t *testing.T) {
 	ln := listen(t)
 	wait := startDynWorkers(ctx, ln.Addr().String(), 0, brokenAt2, 1)
 	start := time.Now()
-	_, _, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{Provenance: base, MaxAttempts: 2})
+	_, _, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{NewSink: newAcc, Provenance: base, MaxAttempts: 2})
 	if err == nil || !strings.Contains(err.Error(), "cell 2 failed 2 attempt(s), budget spent") {
 		t.Errorf("exhausted retries returned %v", err)
 	}
@@ -323,7 +324,7 @@ func TestRunDynamicFailureRequeuesSkippedCells(t *testing.T) {
 	}
 	runDone := make(chan outcome, 1)
 	go func() {
-		sink, _, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{Provenance: base})
+		sink, _, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{NewSink: newAcc, Provenance: base})
 		runDone <- outcome{sink, err}
 	}()
 
@@ -398,7 +399,7 @@ func TestRunDynamicPartialRangeFailure(t *testing.T) {
 	}
 	ln := listen(t)
 	wait := startDynWorkers(ctx, ln.Addr().String(), 0, flaky, 1)
-	sink, counts, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{Provenance: base, MaxAttempts: 3})
+	sink, counts, _, err := RunDynamic(ctx, ln, cells, nil, DynamicOptions{NewSink: newAcc, Provenance: base, MaxAttempts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestRunDynamicPartialRangeFailure(t *testing.T) {
 // throughput must be offered a ~3x span, both halved against the backlog;
 // workers without hints fall back to an even split.
 func TestDynamicTargetCapacityWeighting(t *testing.T) {
-	st := newDynState(context.Background(), 100, nil, DynamicOptions{})
+	st := newDynState(context.Background(), 100, nil, DynamicOptions{NewSink: newAcc})
 	fastC, fastP := net.Pipe()
 	slowC, slowP := net.Pipe()
 	defer fastC.Close()

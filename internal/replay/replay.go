@@ -5,9 +5,9 @@
 // fleet-level outcomes (queue delays, occupancy timelines, admission
 // counters) into analyze.Sink aggregates.
 //
-// The pipeline has two halves. Per-job evaluation rides stream.Evaluate —
-// block by block, parallel, cache-eligible — which delivers results to a single
-// goroutine in submission order. That goroutine runs the event loop: it
+// The pipeline has two halves. Per-job evaluation rides stream.EvaluateBlocks
+// over stream.Blocks(src) — block by block, parallel, cache-eligible — which
+// delivers results to a single goroutine in submission order. That goroutine runs the event loop: it
 // advances simulated time to each arrival, releases completed jobs'
 // GPUs, admits or rejects the arrival, queues it under the configured
 // scheduling policy, and places queue heads greedily on the most-free
@@ -179,7 +179,7 @@ func Run(ctx context.Context, ev backend.Evaluator, parallelism int, src stream.
 	}
 
 	st := newState(cfg, pol, factor, sink)
-	_, err = stream.Evaluate(ctx, ev, src, parallelism, func(r stream.Result) error {
+	_, err = stream.EvaluateBlocks(ctx, ev, stream.Blocks(src), parallelism, func(r stream.Result) error {
 		return st.submit(r.Index, r.Job, r.Times)
 	})
 	if err != nil {

@@ -135,6 +135,18 @@ func TestHistogramLocateMatchesBinarySearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A log grid from a subnormal lo: LogGrid still spaces it evenly in
+	// log, and the lookup, whose guess needs normal edges, takes the search.
+	subnormalEdges, err := LogGrid(1e-310, 1e-300, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := subnormalEdges[1] / subnormalEdges[0]
+	for i := 2; i < len(subnormalEdges); i++ {
+		if r := subnormalEdges[i] / subnormalEdges[i-1]; math.Abs(r-ratio) > 1e-9*ratio {
+			t.Fatalf("subnormal log grid: edge ratio %d is %v, edge ratio 1 is %v", i, r, ratio)
+		}
+	}
 	// A log grid nudged by 0.7 bin: outside the half-bin tolerance.
 	logSkewed := append([]float64(nil), logEdges...)
 	logSkewed[80] *= math.Pow(1e8, 0.7/160)
@@ -159,6 +171,7 @@ func TestHistogramLocateMatchesBinarySearch(t *testing.T) {
 		{"queue-delay grid", mustHist(t, delayEdges), false, true},
 		{"speedup grid", mustHist(t, speedupEdges), false, true},
 		{"decoded log grid", snapshotEdges(t, logEdges), false, true},
+		{"subnormal log grid", mustHist(t, subnormalEdges), false, false},
 		{"skewed log grid", mustHist(t, logSkewed), false, false},
 		{"skewed", mustHist(t, skewed), false, false},
 		{"decoded fraction grid", snapshotEdges(t, linGrid(t, 0, 1, 512)), true, false},

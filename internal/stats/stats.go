@@ -270,12 +270,24 @@ func LogGrid(lo, hi float64, n int) ([]float64, error) {
 		return nil, fmt.Errorf("stats: log grid needs n >= 2, got %d", n)
 	}
 	out := make([]float64, n)
-	llo, lhi := math.Log(lo), math.Log(hi)
+	llo, lhi := logPositive(lo), logPositive(hi)
 	for i := 0; i < n; i++ {
 		out[i] = math.Exp(llo + (lhi-llo)*float64(i)/float64(n-1))
 	}
 	out[0], out[n-1] = lo, hi
 	return out, nil
+}
+
+// logPositive is math.Log for x > 0. A subnormal x is split by Frexp into a
+// normal fraction and a power of two first: math.Log misreads subnormals on
+// linux/amd64 (−709.09 for 1e-310, true −713.80). Normal x takes math.Log
+// unchanged, so every normal grid keeps its exact edges.
+func logPositive(x float64) float64 {
+	if x < 0x1p-1022 {
+		frac, exp := math.Frexp(x)
+		return math.Log(frac) + float64(exp)*math.Ln2
+	}
+	return math.Log(x)
 }
 
 // LinGrid returns n points linearly spaced between lo and hi (inclusive).

@@ -20,9 +20,9 @@ import (
 // last. Sources are consumed from a single goroutine.
 //
 // A source that implements both Source and BlockSource (colbin.Reader does)
-// is evaluated through its blocks by Evaluate (see Blocks), so every caller
-// of the streaming pipeline gets decoded-block evaluation the moment its
-// input is columnar — no call-site changes.
+// passes through Blocks as it is, so every caller of the streaming pipeline
+// gets decoded-block evaluation the moment its input is columnar — no
+// call-site changes.
 type BlockSource interface {
 	NextBlock(c *workload.Columns) error
 }
@@ -126,10 +126,11 @@ func evaluateBlock(ev backend.Evaluator, cols *workload.Columns, ts []core.Times
 	return nil, backend.EvaluateColumns(ev, cols, ts)
 }
 
-// EvaluateBlocks is the pipeline Evaluate runs: each block is one work
-// unit — decoded in bulk upstream, evaluated in one backend call
-// (backend.EvaluateColumns, which uses the backend's column fast path when
-// it has one), and delivered to fn record by record in input order. Peak
+// EvaluateBlocks evaluates every block of src (a record Source comes in
+// through Blocks) and delivers the results to fn record by record, in input
+// order. Each block is one work unit: decoded in bulk upstream and
+// evaluated in one backend call (backend.EvaluateColumns, which uses the
+// backend's column fast path when it has one). Peak
 // memory is O(parallelism) blocks. It returns the delivered count and the
 // first error; any error or cancellation stops the pipeline, and a nil fn
 // discards results.

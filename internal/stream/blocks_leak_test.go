@@ -147,14 +147,14 @@ func TestEvaluateBlocksBufferBalance(t *testing.T) {
 	balanced("adapter/source-error", func() {
 		sentinel := errors.New("line 700: bad record")
 		src := &errSource{jobs: jobs, k: 700, err: sentinel}
-		if _, err := Evaluate(context.Background(), ev, src, 4, nil); !errors.Is(err, sentinel) {
+		if _, err := evaluate(context.Background(), ev, src, 4, nil); !errors.Is(err, sentinel) {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	balanced("adapter/cancellation", func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		_, err := Evaluate(ctx, ev, NewSliceSource(testJobs(t, 6000)), 4, func(Result) error {
+		_, err := evaluate(ctx, ev, NewSliceSource(testJobs(t, 6000)), 4, func(Result) error {
 			n++
 			if n == 600 {
 				cancel()

@@ -78,7 +78,7 @@ func TestEvaluateBlocksMatchesBatch(t *testing.T) {
 	}
 }
 
-// upgradeSource implements both Source and BlockSource; Evaluate must take
+// upgradeSource implements both Source and BlockSource; Blocks must take
 // the block path and never call Next.
 type upgradeSource struct {
 	blockSliceSource
@@ -93,7 +93,7 @@ func (s *upgradeSource) Next() (workload.Features, error) {
 func TestEvaluateUpgradesBlockSources(t *testing.T) {
 	jobs := testJobs(t, 500)
 	src := &upgradeSource{blockSliceSource: blockSliceSource{jobs: jobs, blockSize: 128}}
-	n, err := Evaluate(context.Background(), testBackend(t), src, 4, nil)
+	n, err := evaluate(context.Background(), testBackend(t), src, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestEvaluateUpgradesBlockSources(t *testing.T) {
 		t.Fatalf("delivered %d, want %d", n, len(jobs))
 	}
 	if c := src.nextCalls.Load(); c != 0 {
-		t.Fatalf("Evaluate called Next %d times on a BlockSource", c)
+		t.Fatalf("the record path called Next %d times on a BlockSource", c)
 	}
 }
 

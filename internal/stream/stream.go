@@ -13,12 +13,9 @@
 package stream
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"io"
 
-	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -108,24 +105,4 @@ func (b *recordBlocks) NextBlock(c *workload.Columns) error {
 		return io.EOF
 	}
 	return nil
-}
-
-// Evaluate pulls jobs from src until io.EOF, evaluates each through ev over
-// a pool of parallelism workers, and calls fn once per job in input order
-// from a single goroutine. A nil fn discards results (useful for pure
-// throughput measurement). It returns the number of jobs delivered and the
-// first error: a source/decode error, an evaluation error, an fn error, or
-// the context's cancellation cause; any error cancels the whole pipeline.
-//
-// It is EvaluateBlocks over Blocks(src): a record source is cut into
-// 256-record blocks, and a source that already yields blocks (a colbin
-// reader) is evaluated block by block as it is.
-func Evaluate(ctx context.Context, ev backend.Evaluator, src Source, parallelism int, fn func(Result) error) (int, error) {
-	if ev == nil {
-		return 0, fmt.Errorf("stream: Evaluate with nil evaluator")
-	}
-	if src == nil {
-		return 0, fmt.Errorf("stream: Evaluate with nil source")
-	}
-	return EvaluateBlocks(ctx, ev, Blocks(src), parallelism, fn)
 }

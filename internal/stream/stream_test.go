@@ -30,6 +30,12 @@ func testJobs(t testing.TB, n int) []workload.Features {
 	return tr.Jobs
 }
 
+// evaluate runs a record source through the block pipeline, the way every
+// caller of the package does.
+func evaluate(ctx context.Context, ev backend.Evaluator, src Source, parallelism int, fn func(Result) error) (int, error) {
+	return EvaluateBlocks(ctx, ev, Blocks(src), parallelism, fn)
+}
+
 func testBackend(t testing.TB) backend.Backend {
 	t.Helper()
 	b, err := backend.New(backend.AnalyticalName, backend.DefaultSpec())
@@ -51,7 +57,7 @@ func TestEvaluateMatchesBatch(t *testing.T) {
 	for _, par := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			var got []Result
-			n, err := Evaluate(context.Background(), ev, NewSliceSource(jobs), par, func(r Result) error {
+			n, err := evaluate(context.Background(), ev, NewSliceSource(jobs), par, func(r Result) error {
 				got = append(got, r)
 				return nil
 			})
@@ -78,7 +84,7 @@ func TestEvaluateMatchesBatch(t *testing.T) {
 
 func TestEvaluateNilFnCounts(t *testing.T) {
 	jobs := testJobs(t, 700)
-	n, err := Evaluate(context.Background(), testBackend(t), NewSliceSource(jobs), 4, nil)
+	n, err := evaluate(context.Background(), testBackend(t), NewSliceSource(jobs), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +94,7 @@ func TestEvaluateNilFnCounts(t *testing.T) {
 }
 
 func TestEvaluateEmptySource(t *testing.T) {
-	n, err := Evaluate(context.Background(), testBackend(t), NewSliceSource(nil), 4, func(Result) error {
+	n, err := evaluate(context.Background(), testBackend(t), NewSliceSource(nil), 4, func(Result) error {
 		t.Error("fn called for empty source")
 		return nil
 	})
@@ -103,7 +109,7 @@ func TestMidStreamCancellation(t *testing.T) {
 	jobs := testJobs(t, 5000)
 	ctx, cancel := context.WithCancel(context.Background())
 	var delivered atomic.Int64
-	n, err := Evaluate(ctx, testBackend(t), NewSliceSource(jobs), 4, func(r Result) error {
+	n, err := evaluate(ctx, testBackend(t), NewSliceSource(jobs), 4, func(r Result) error {
 		if delivered.Add(1) == 600 {
 			cancel()
 		}
@@ -123,7 +129,7 @@ func TestCancellationCausePropagates(t *testing.T) {
 	sentinel := fmt.Errorf("budget exhausted")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	var delivered atomic.Int64
-	_, err := Evaluate(ctx, testBackend(t), NewSliceSource(testJobs(t, 5000)), 4, func(r Result) error {
+	_, err := evaluate(ctx, testBackend(t), NewSliceSource(testJobs(t, 5000)), 4, func(r Result) error {
 		if delivered.Add(1) == 300 {
 			cancel(sentinel)
 		}
@@ -137,7 +143,7 @@ func TestCancellationCausePropagates(t *testing.T) {
 func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Evaluate(ctx, testBackend(t), NewSliceSource(testJobs(t, 600)), 4, nil)
+	_, err := evaluate(ctx, testBackend(t), NewSliceSource(testJobs(t, 600)), 4, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled, got %v", err)
 	}
@@ -164,7 +170,7 @@ func (s *errSource) Next() (workload.Features, error) {
 func TestSourceErrorPropagates(t *testing.T) {
 	sentinel := fmt.Errorf("line 43: bad record")
 	src := &errSource{jobs: testJobs(t, 700), k: 42, err: sentinel}
-	_, err := Evaluate(context.Background(), testBackend(t), src, 4, nil)
+	_, err := evaluate(context.Background(), testBackend(t), src, 4, nil)
 	if !errors.Is(err, sentinel) {
 		t.Errorf("want source error, got %v", err)
 	}
@@ -186,7 +192,7 @@ func TestDecodeErrorCarriesLineNumber(t *testing.T) {
 	lines := strings.SplitAfter(buf.String(), "\n")
 	lines[300] = "{broken\n"
 	d := tracegen.NewDecoder(strings.NewReader(strings.Join(lines, "")))
-	n, err := Evaluate(context.Background(), testBackend(t), d, 4, nil)
+	n, err := evaluate(context.Background(), testBackend(t), d, 4, nil)
 	if err == nil || !strings.Contains(err.Error(), "line 301") {
 		t.Fatalf("want error naming line 301, got %v (after %d jobs)", err, n)
 	}
@@ -196,7 +202,7 @@ func TestSinkErrorStops(t *testing.T) {
 	jobs := testJobs(t, 3000)
 	sentinel := fmt.Errorf("sink exploded")
 	var calls int
-	n, err := Evaluate(context.Background(), testBackend(t), NewSliceSource(jobs), 4, func(r Result) error {
+	n, err := evaluate(context.Background(), testBackend(t), NewSliceSource(jobs), 4, func(r Result) error {
 		calls++
 		if calls == 500 {
 			return sentinel
@@ -230,17 +236,17 @@ func (e failingEvaluator) Breakdown(f workload.Features) (core.Times, error) {
 func TestEvaluationErrorNamesJob(t *testing.T) {
 	jobs := testJobs(t, 900)
 	ev := failingEvaluator{Evaluator: testBackend(t), failName: jobs[700].Name}
-	_, err := Evaluate(context.Background(), ev, NewSliceSource(jobs), 4, nil)
+	_, err := evaluate(context.Background(), ev, NewSliceSource(jobs), 4, nil)
 	if err == nil || !strings.Contains(err.Error(), jobs[700].Name) {
 		t.Errorf("want error naming job %q, got %v", jobs[700].Name, err)
 	}
 }
 
 func TestNilArguments(t *testing.T) {
-	if _, err := Evaluate(context.Background(), nil, NewSliceSource(nil), 1, nil); err == nil {
+	if _, err := evaluate(context.Background(), nil, NewSliceSource(nil), 1, nil); err == nil {
 		t.Error("nil evaluator must error")
 	}
-	if _, err := Evaluate(context.Background(), testBackend(t), nil, 1, nil); err == nil {
+	if _, err := evaluate(context.Background(), testBackend(t), nil, 1, nil); err == nil {
 		t.Error("nil source must error")
 	}
 }
@@ -265,7 +271,7 @@ func TestLiveHeapBounded(t *testing.T) {
 	runtime.ReadMemStats(&before)
 
 	var total float64
-	n, err := Evaluate(context.Background(), ev, src, 4, func(r Result) error {
+	n, err := evaluate(context.Background(), ev, src, 4, func(r Result) error {
 		total += r.Times.Total()
 		return nil
 	})
@@ -292,7 +298,7 @@ func BenchmarkStreamEvaluate(b *testing.B) {
 	ev := testBackend(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := Evaluate(context.Background(), ev, NewSliceSource(jobs), 4, nil)
+		n, err := evaluate(context.Background(), ev, NewSliceSource(jobs), 4, nil)
 		if err != nil || n != len(jobs) {
 			b.Fatalf("n=%d err=%v", n, err)
 		}
@@ -356,7 +362,7 @@ func TestBlocksCutsRecordSources(t *testing.T) {
 			}
 
 			next := 0
-			got, err := Evaluate(context.Background(), ev, &strictSource{t: t, jobs: jobs[:n]}, 3, func(r Result) error {
+			got, err := evaluate(context.Background(), ev, &strictSource{t: t, jobs: jobs[:n]}, 3, func(r Result) error {
 				if r.Index != next || r.Job.Name != jobs[next].Name {
 					t.Fatalf("result %d carries index %d, job %q", next, r.Index, r.Job.Name)
 				}

@@ -1,15 +1,15 @@
 // Package window buckets a continuous stream of evaluated jobs into
 // fixed-width time windows of mergeable analysis sinks — the serving-side
-// counterpart of the batch shard fold (analyze.FoldSinks). A Ring holds the
+// counterpart of the batch grid fold (analyze.FoldRanges). A Ring holds the
 // most recent B windows of width W seconds, each a live sink that keeps
 // folding for as long as the window stays in the ring, so a late arrival is
 // one Add into its window. Windows older than the ring are rotated out for
 // flat memory under unbounded streams.
 //
 // Fold merges the last N windows in ascending window order through a fresh
-// factory sink — the exact merge shape of analyze.FoldSinks — so the folded
+// factory sink — the exact merge shape of analyze.FoldRanges — so the folded
 // aggregate is byte-identical to evaluating the same records offline, one
-// shard per window.
+// cell per window.
 package window
 
 import (
@@ -24,7 +24,7 @@ import (
 )
 
 // Factory builds one empty per-window sink. Every window of a ring uses the
-// same factory, mirroring the per-shard factory of analyze.FoldSinks.
+// same factory, mirroring the per-cell factory of analyze.FoldRanges.
 type Factory func() (*analyze.MultiSink, error)
 
 // Ring is the WindowRing: a bounded ring of time windows, each folding the
@@ -134,7 +134,7 @@ func (r *Ring) rotateTo(idx int64) {
 
 // Fold merges the newest lastN windows (lastN <= 0 or > Count folds the
 // whole ring) into one fresh sink, in ascending window order — the merge
-// shape of analyze.FoldSinks with one shard per window, so the result is
+// shape of analyze.FoldRanges with one cell per window, so the result is
 // byte-identical to the offline fold of the same records. The second return
 // is the number of jobs in the folded windows. An unstarted ring folds to an
 // empty factory sink.

@@ -59,7 +59,7 @@ func windowOf(arrival, width float64) int64 {
 	return int64(arrival / width)
 }
 
-// offlineFold is the analyze.FoldSinks merge shape with one shard per
+// offlineFold is the analyze.FoldRanges merge shape with one cell per
 // window: partition the records by window (stream order preserved), fill one
 // fresh sink per non-empty window, then merge into a fresh total in
 // ascending window order. keep filters which windows participate.

@@ -223,7 +223,8 @@ type (
 	MicroShardAssignment = coord.RangeAssignment
 	// MicroShardOptions tunes a work-stealing run: per-cell progress
 	// deadline (stalled tails are re-split and stolen), per-cell attempt
-	// budget, span cap, provenance base, fold-base factory.
+	// budget, span cap, provenance base, and the required sink factory
+	// the cell sinks merge into.
 	MicroShardOptions = coord.DynamicOptions
 	// MicroShardStats reports what the work-stealing scheduler did: workers
 	// admitted, range assignments sent, cells stolen from stragglers, range
@@ -535,29 +536,29 @@ func SnapshotShardIndex(meta string) (index int, ok bool) { return analyze.MetaS
 // run-identifying part every shard of one run must share.
 func SnapshotMetaBase(meta string) string { return analyze.MetaBase(meta) }
 
-// CoordinateMicroShards runs the network coordinator standalone: workers
-// that connect to ln pull contiguous cell ranges of a cells-wide partition
-// grid carrying payload, sized by their advertised throughput and halved
-// against the pending backlog; a worker that dies or stalls past the
-// per-cell deadline has its in-flight tail re-split and requeued for other
-// workers to steal. Per-cell snapshots fold in cell order, so the merged
-// sink is byte-identical to the single-process run over the same grid
-// (Engine.EvaluateIndexedColumns for a trace's cells, EvaluateSourcesInto
-// for N shards as N cells) no matter how cells were distributed, stolen, or
-// retried. It returns the merged sink, per-cell job counts, and scheduler
-// statistics. Engine.EvaluateDistributed wraps it with engine-built local
-// workers; `paibench -coordinate` drives it directly.
+// CoordinateMicroShards runs the network coordinator: workers that connect
+// to ln pull contiguous cell ranges of a cells-wide partition grid carrying
+// payload, sized by their advertised throughput and halved against the
+// pending backlog; a worker that dies or stalls past the per-cell deadline
+// has its in-flight tail re-split and requeued for other workers to steal.
+// Per-cell snapshots merge in cell order into a fresh opts.NewSink sink
+// (required), so the merged sink is byte-identical to the single-process
+// run over the same grid (Engine.EvaluateIndexedColumns for a trace's
+// cells, EvaluateSourcesInto for N shards as N cells) no matter how cells
+// were distributed, stolen, or retried. Pair it with ServeMicroShardWorker
+// on the worker side. It returns the merged sink, per-cell job counts, and
+// scheduler statistics.
 func CoordinateMicroShards(ctx context.Context, ln net.Listener, cells int, payload []byte, opts MicroShardOptions) (Sink, []int, MicroShardStats, error) {
 	return coord.RunDynamic(ctx, ln, cells, payload, opts)
 }
 
 // ServeMicroShardWorker dials a coordinator and serves range assignments
 // with run until the run completes — the worker half of
-// CoordinateMicroShards for callers that interpret assignment payloads
-// themselves (`paibench -worker` does; library users with a configured
-// Engine can use Engine.DistributedWorker instead). hint advertises this
-// worker's expected jobs/sec throughput for capacity-weighted range sizing
-// (0 = unknown).
+// CoordinateMicroShards. A runner folds each assigned cell into a fresh
+// sink (Engine.StreamInto or StreamColumnsInto over the cell's jobs) and
+// emits it stamped with ShardSnapshotMeta, as `paibench -worker` does.
+// hint advertises this worker's expected jobs/sec throughput for
+// capacity-weighted range sizing (0 = unknown).
 func ServeMicroShardWorker(ctx context.Context, addr string, hint float64, run MicroShardRunner) error {
 	return coord.WorkDynamic(ctx, addr, hint, run)
 }
