@@ -298,6 +298,106 @@ func BenchmarkFoldMemo(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotRebuild measures the three stages of a report rebuild
+// one at a time: encode (the framed snapshot WriteSinkSnapshot writes),
+// decode (ReadSinkSnapshot) and merge (the decoded sink into a fresh one).
+// "report" is the full report sink over 20,000 distinct jobs; "replay" is
+// the fleet sinks (admission counters, queue-delay sketches, occupancy
+// timeline) of a congested 3,000-job replay. Each reports its snapshot
+// size as snapshot-B.
+func BenchmarkSnapshotRebuild(b *testing.B) {
+	eng, err := pai.New(pai.WithParallelism(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	p := pai.DefaultTraceParams()
+	p.NumJobs = 20000
+	tr, err := pai.GenerateTrace(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	newReport := func() (pai.Sink, error) { return eng.NewReportSink(pai.ToAllReduceLocal) }
+	report, err := newReport()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.StreamInto(ctx, pai.NewSliceJobSource(tr.Jobs), report); err != nil {
+		b.Fatal(err)
+	}
+
+	const servers = 16
+	newFleet := func() (pai.Sink, error) {
+		util, err := pai.NewUtilizationSink(60, servers*pai.BaselineConfig().GPUsPerServer)
+		if err != nil {
+			return nil, err
+		}
+		return pai.NewMultiSink(pai.NewReplayCounterSink(), pai.NewQueueDelaySink(), util), nil
+	}
+	p = pai.DefaultTraceParams()
+	p.Seed = 7
+	p.NumJobs = 3000
+	p.ArrivalRate = 900
+	if tr, err = pai.GenerateTrace(p); err != nil {
+		b.Fatal(err)
+	}
+	fleet, err := newFleet()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.ReplayInto(ctx, pai.NewSliceJobSource(tr.Jobs), fleet, pai.WithReplayServers(servers)); err != nil {
+		b.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name    string
+		live    pai.Sink
+		factory func() (pai.Sink, error)
+	}{{"report", report, newReport}, {"replay", fleet, newFleet}} {
+		var frame bytes.Buffer
+		if err := pai.WriteSinkSnapshot(&frame, c.live); err != nil {
+			b.Fatal(err)
+		}
+		decoded, err := pai.ReadSinkSnapshot(bytes.NewReader(frame.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		size := float64(frame.Len())
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := pai.WriteSinkSnapshot(&buf, c.live); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(size, "snapshot-B")
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := pai.ReadSinkSnapshot(bytes.NewReader(frame.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(size, "snapshot-B")
+		})
+		b.Run(c.name+"/merge", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh, err := c.factory()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := fresh.Merge(decoded); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(size, "snapshot-B")
+		})
+	}
+}
+
 // BenchmarkAnalyticalBreakdown measures a single model evaluation — the
 // primitive every cluster-scale analysis runs per job.
 func BenchmarkAnalyticalBreakdown(b *testing.B) {

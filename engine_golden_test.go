@@ -14,13 +14,13 @@ import (
 // MarshalBinary after folding a fixed-seed generated trace. They change
 // only with an intentional bump of a snapshot format (or of the trace
 // generator or model arithmetic that feeds it), never with a faster fold.
-// They were last recorded when the report accumulators became exact
-// (sketches without a Welford state, exact share and mean sums), after
-// TestReportAccumulatorsExact showed every mean the report reads is the
-// correctly rounded math/big value within 1e-12 of the old float one.
+// They were last recorded for histogram snapshot version 2 (fixed grids by
+// checksum, integer counts as sparse varints), after
+// TestSnapshotRoundTripKeepsState showed every histogram and sketch of
+// these sinks decodes to the live state bit for bit.
 var goldenReportSHA256 = map[string]string{
-	"repetitive": "feddbe965a4dad57cb8fd1ae451cdeedb90fc35cc09ffde85eda3b0bcf9214ab",
-	"distinct":   "744304346f5adf16c5d6a7f24f42c247284f7f71842dc9620f355814192954f4",
+	"repetitive": "231863278f84e46b7618c34fe4b5e3771f51cec0253788610388a9a0897f6718",
+	"distinct":   "fbd0684374496cf6df9d0dbda1ec065e68ea5c3807a3ebf68c563885ff45e32a",
 }
 
 // goldenTrace generates the fixed-seed trace behind one golden case and

@@ -455,3 +455,41 @@ func TestSnapshotRejectsFloatSumFormat(t *testing.T) {
 		t.Fatalf("read %d members: %v", n, r.Err())
 	}
 }
+
+// TestSnapshotRejectsHistogramV1 decodes a full report sink written before
+// histogram snapshots named fixed grids by checksum
+// (testdata/report-v2.snap: every histogram with its edges and dense
+// float64 counts). The frame and each of the four members must fail with
+// an error naming the histogram version, never decode into wrong counts.
+func TestSnapshotRejectsHistogramV1(t *testing.T) {
+	const want = "histogram snapshot version 1, want 2"
+	raw, err := os.ReadFile("testdata/report-v2.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("old snapshot: %v, want %q", err, want)
+	}
+	fr := binenc.NewReader(raw[len(snapshotMagic):])
+	_ = fr.Str()
+	_ = fr.Str()
+	r := binenc.NewReader(fr.Raw())
+	if v := r.U8(); v != multiSinkVersion {
+		t.Fatalf("MultiSink version %d", v)
+	}
+	var kinds []string
+	for i, n := 0, r.Int(); i < n; i++ {
+		kind, payload := r.Str(), r.Raw()
+		s, err := NewSinkOf(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UnmarshalBinary(payload); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("old %q payload: %v, want %q", kind, err, want)
+		}
+		kinds = append(kinds, kind)
+	}
+	if got := strings.Join(kinds, ","); r.Err() != nil || got != "breakdown,component-cdf,hardware-cdf,projection" {
+		t.Fatalf("members %s: %v", got, r.Err())
+	}
+}

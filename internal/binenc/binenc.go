@@ -165,13 +165,20 @@ func (r *Reader) U64() uint64 {
 	return v
 }
 
-// Uvarint reads a varint-encoded count.
+// Uvarint reads a varint-encoded count. Writer emits the shortest
+// encoding only, and a longer one (a trailing zero byte) fails, so every
+// value has one spelling and a decoded snapshot re-encodes to its input.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		v := r.buf[r.off]
+		r.off++
+		return uint64(v)
+	}
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
+	if n <= 0 || !r.shortest(n) {
 		r.fail("malformed uvarint")
 		return 0
 	}
@@ -179,13 +186,18 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads a zig-zag varint-encoded signed integer.
+// shortest reports whether the n-byte varint at the offset is the shortest
+// encoding of its value: only a one-byte varint may end in a zero byte.
+func (r *Reader) shortest(n int) bool { return n == 1 || r.buf[r.off+n-1] != 0 }
+
+// Varint reads a zig-zag varint-encoded signed integer, in its shortest
+// encoding like Uvarint.
 func (r *Reader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
+	if n <= 0 || !r.shortest(n) {
 		r.fail("malformed varint")
 		return 0
 	}

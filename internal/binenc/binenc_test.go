@@ -95,6 +95,35 @@ func TestTruncationAndCorruption(t *testing.T) {
 	}
 }
 
+// TestVarintShortestOnly: a varint padded with continuation bytes decodes
+// to a value Writer spells shorter, so it fails; the shortest spelling of
+// every value, zero included, passes.
+func TestVarintShortestOnly(t *testing.T) {
+	for _, b := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}, {0xff, 0x80, 0x80, 0x00}} {
+		if r := NewReader(b); r.Uvarint() != 0 || r.Err() == nil {
+			t.Errorf("Uvarint accepted padded % x", b)
+		}
+		if r := NewReader(b); r.Varint() != 0 || r.Err() == nil {
+			t.Errorf("Varint accepted padded % x", b)
+		}
+	}
+	w := NewWriter(32)
+	for _, v := range []uint64{0, 1, 127, 128, 1 << 32, 1<<64 - 1} {
+		w.Uvarint(v)
+	}
+	w.Varint(-1)
+	w.Varint(0)
+	r := NewReader(w.Bytes())
+	for _, want := range []uint64{0, 1, 127, 128, 1 << 32, 1<<64 - 1} {
+		if got := r.Uvarint(); got != want {
+			t.Errorf("Uvarint = %d, want %d", got, want)
+		}
+	}
+	if a, b := r.Varint(), r.Varint(); a != -1 || b != 0 || r.Err() != nil {
+		t.Errorf("Varint = %d, %d (%v)", a, b, r.Err())
+	}
+}
+
 func TestStickyError(t *testing.T) {
 	r := NewReader(nil)
 	r.U64() // fails

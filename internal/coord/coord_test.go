@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/analyze"
 	"repro/internal/backend"
+	"repro/internal/binenc"
 	"repro/internal/tracegen"
 	"repro/internal/workload"
 )
@@ -723,6 +724,79 @@ func TestAllWorkersFailedShardBurnsBudget(t *testing.T) {
 		t.Errorf("budget exhaustion took %v (livelock?)", elapsed)
 	}
 	wait()
+}
+
+// TestHandshakeRefusesOldProtocol: a peer of protocol version 1, whose
+// result frames would carry version-1 histogram snapshots, is refused at
+// hello with an error naming both versions, before it is assigned a cell;
+// the run then completes on a current worker.
+func TestHandshakeRefusesOldProtocol(t *testing.T) {
+	old := binenc.NewWriter(24)
+	old.Str(protoMagic)
+	old.U8(1)
+	if _, err := decodeHello(old.Bytes()); err == nil || !strings.Contains(err.Error(), "protocol version 1, want 2") {
+		t.Fatalf("decodeHello(v1) = %v, want a protocol version error", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	b := testBackend(t)
+	jobs := testJobs(t, 80)
+	const base = "coordtest run=oldpeer"
+
+	var logMu sync.Mutex
+	var logLines []string
+	ln := listen(t)
+	opts := DynamicOptions{
+		NewSink:    newAcc,
+		Provenance: base,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logLines = append(logLines, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	}
+	type outcome struct {
+		sink analyze.Sink
+		err  error
+	}
+	runDone := make(chan outcome, 1)
+	go func() {
+		sink, _, _, err := RunDynamic(ctx, ln, 1, nil, opts)
+		runDone <- outcome{sink, err}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, msgHello, old.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	// The coordinator hangs up without a hello of its own.
+	if typ, _, err := readFrame(conn); err == nil {
+		t.Errorf("old peer got a %q frame, want the connection closed", typ)
+	}
+	conn.Close()
+	logMu.Lock()
+	refused := strings.Contains(strings.Join(logLines, "\n"), "protocol version 1, want 2")
+	logMu.Unlock()
+	if !refused {
+		t.Errorf("no handshake refusal naming the versions in the log: %q", logLines)
+	}
+
+	wait := startDynWorkers(ctx, ln.Addr().String(), 0, shardRunner(t, b, jobs, base), 1)
+	out := <-runDone
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	wait()
+	raw, err := out.sink.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, directFoldBytes(t, b, jobs, 1)) {
+		t.Error("fold after a refused old peer is not byte-identical to the direct shard merge")
+	}
 }
 
 // TestHandshakeFrameCapped: an unauthenticated peer claiming a huge hello

@@ -54,10 +54,13 @@ const (
 
 // protoMagic and protoVersion open every connection in both directions, so
 // a foreign client (or an incompatible release) fails the handshake
-// immediately instead of corrupting a run.
+// immediately instead of corrupting a run. Version 2 carries version-2
+// histogram snapshots in its result frames (fixed grids by checksum, sparse
+// integer counts), so a version-1 worker is refused at hello rather than
+// after it has folded a cell.
 const (
 	protoMagic   = "PAICOORD"
-	protoVersion = 1
+	protoVersion = 2
 )
 
 // maxFrame bounds one frame's payload. Snapshots are tens of kilobytes;

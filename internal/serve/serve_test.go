@@ -288,6 +288,9 @@ func TestUploadTooLargeRejected(t *testing.T) {
 func TestConcurrentUploadLimit(t *testing.T) {
 	_, ts := newTestServer(t, func(c *serve.Config) { c.TenantUploads = 1 })
 	pr, pw := io.Pipe()
+	// Every early t.Fatal must still end the stalled upload, or its handler
+	// never returns and the server's Close waits for the test timeout.
+	defer pw.Close()
 	errc := make(chan error, 1)
 	go func() {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/tenants/slow/traces", pr)

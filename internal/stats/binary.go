@@ -15,7 +15,7 @@ import (
 // multi-process merge path builds on.
 const (
 	meanVarVersion   = 2
-	histogramVersion = 1
+	histogramVersion = 2
 )
 
 // newStatsWriter and newStatsReader keep the codec helpers nameable inside
@@ -69,53 +69,234 @@ func (a *MeanVar) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the histogram — edges included, so the snapshot is
-// self-describing and the decoder can enforce merge compatibility.
+// Histogram snapshot layout (histogramVersion 2): the version, a form
+// byte, the grid, then the counts. The form's bits say how each travels:
+//
+//   - formFixedGrid set: the grid is a fixed one (MustGrid) and travels as
+//     its bin count and edge checksum; clear: as its edge list.
+//   - formIntCounts set: every count is an integer and the counts travel
+//     sparse, as the number of non-zero bins, a (gap, count) uvarint pair
+//     per non-zero bin (the gap counts the empty bins skipped since the
+//     last one), then under and over; the total is their sum. Clear: dense
+//     float64 counts, then total, under and over.
+//
+// The form is a function of the state alone, and the decoder rejects any
+// other spelling of a state, so decoding and re-encoding gives back the
+// input bytes.
+const (
+	formFixedGrid = 1 << iota
+	formIntCounts
+)
+
+// maxCount bounds the counts of the integer form: every integer up to 2^53
+// is a float64.
+const maxCount = 1 << 53
+
+// isCount reports whether v is an integer count of the integer form.
+func isCount(v float64) bool { return v >= 0 && v <= maxCount && v == float64(int64(v)) }
+
+// intForm reports whether the histogram's counts take the integer form:
+// every count, under and over an integer in [0, 2^53], and the total their
+// exact sum. It also returns the number of non-zero bins.
+func (h *Histogram) intForm() (nonZero int, ok bool) {
+	var sum uint64
+	for _, c := range h.counts {
+		if !isCount(c) {
+			return 0, false
+		}
+		if c != 0 {
+			nonZero++
+			if sum += uint64(c); sum > math.MaxInt64 {
+				return 0, false
+			}
+		}
+	}
+	if !isCount(h.under) || !isCount(h.over) {
+		return 0, false
+	}
+	sum += uint64(h.under) + uint64(h.over)
+	return nonZero, h.total == float64(sum) && uint64(h.total) == sum
+}
+
+// MarshalBinary encodes the histogram. A fixed grid travels by checksum and
+// any other grid by its edges, so every snapshot decodes on its own in any
+// process that registered the same fixed grids. Integer counts travel as
+// sparse varints, others as float64 bits.
 func (h *Histogram) MarshalBinary() ([]byte, error) {
-	w := newStatsWriter(1 + 8*(len(h.grid.edges)+len(h.counts)+3))
+	fixed := h.grid.fixed() != nil
+	nonZero, ints := h.intForm()
+	size, form := 24, uint8(0)
+	if fixed {
+		form |= formFixedGrid
+	} else {
+		size += 8 * len(h.grid.edges)
+	}
+	if ints {
+		form |= formIntCounts
+		size += 4 * nonZero
+	} else {
+		size += 8 * len(h.counts)
+	}
+	w := newStatsWriter(size)
 	w.U8(histogramVersion)
-	w.F64s(h.grid.edges)
-	w.F64s(h.counts)
-	w.F64(h.total)
-	w.F64(h.under)
-	w.F64(h.over)
+	w.U8(form)
+	if fixed {
+		w.Int(len(h.counts))
+		w.U64(h.grid.sum)
+	} else {
+		w.F64s(h.grid.edges)
+	}
+	if !ints {
+		w.F64Col(h.counts)
+		w.F64(h.total)
+		w.F64(h.under)
+		w.F64(h.over)
+		return w.Bytes(), nil
+	}
+	w.Int(nonZero)
+	next := 0
+	for i, c := range h.counts {
+		if c != 0 {
+			w.Int(i - next)
+			w.Uvarint(uint64(c))
+			next = i + 1
+		}
+	}
+	w.Uvarint(uint64(h.under))
+	w.Uvarint(uint64(h.over))
 	return w.Bytes(), nil
 }
 
 // UnmarshalBinary decodes a MarshalBinary snapshot, replacing the receiver.
-// The edge and count invariants are re-validated, so corrupted snapshots
-// fail here instead of corrupting later merges. The decoded edges become the
-// histogram's own Grid without a second copy.
+// A fixed grid's checksum must name a registered grid with the same bin
+// count, and the histogram then shares that Grid; spelled-out edges are
+// re-validated. Counts that no fold can produce, and any spelling of a
+// state other than the one MarshalBinary writes, fail here instead of
+// corrupting later merges.
 func (h *Histogram) UnmarshalBinary(data []byte) error {
 	r := newStatsReader(data)
 	if v := r.U8(); r.Err() == nil && v != histogramVersion {
 		return fmt.Errorf("stats: histogram snapshot version %d, want %d", v, histogramVersion)
 	}
-	edges := r.F64s()
-	counts := r.F64s()
-	total := r.F64()
-	under := r.F64()
-	over := r.F64()
+	form := r.U8()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("stats: histogram snapshot: %w", err)
 	}
-	g, err := newGrid(edges)
+	if form&^(formFixedGrid|formIntCounts) != 0 {
+		return fmt.Errorf("stats: histogram snapshot form %#x", form)
+	}
+	g, err := readGrid(r, form&formFixedGrid != 0)
 	if err != nil {
 		return fmt.Errorf("stats: histogram snapshot: %w", err)
 	}
-	if len(counts) != len(edges)-1 {
-		return fmt.Errorf("stats: histogram snapshot has %d counts for %d edges", len(counts), len(edges))
+	out := Histogram{grid: g, counts: make([]float64, len(g.edges)-1)}
+	if form&formIntCounts != 0 {
+		err = out.readIntCounts(r)
+	} else {
+		err = out.readFloatCounts(r)
 	}
-	for i, c := range counts {
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("%d trailing bytes", r.Len())
+	}
+	if err != nil {
+		return fmt.Errorf("stats: histogram snapshot: %w", err)
+	}
+	*h = out
+	return nil
+}
+
+// readGrid reads a snapshot's grid: a registered fixed grid named by bin
+// count and checksum, or validated edges that no fixed grid has.
+func readGrid(r *binenc.Reader, fixed bool) (*Grid, error) {
+	if !fixed {
+		edges := r.F64s()
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		g, err := newGrid(edges)
+		if err != nil {
+			return nil, err
+		}
+		if g.fixed() != nil {
+			return nil, fmt.Errorf("edges of fixed grid %016x spelled out", g.sum)
+		}
+		return g, nil
+	}
+	bins := r.Scalar()
+	sum := r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	g := fixedGrid(sum)
+	if g == nil {
+		return nil, fmt.Errorf("unknown grid checksum %016x (%d bins)", sum, bins)
+	}
+	if len(g.edges)-1 != bins {
+		return nil, fmt.Errorf("grid checksum %016x names %d bins, snapshot has %d", sum, len(g.edges)-1, bins)
+	}
+	return g, nil
+}
+
+// readIntCounts reads the integer form into the receiver's zeroed counts.
+func (h *Histogram) readIntCounts(r *binenc.Reader) error {
+	bins := len(h.counts)
+	nonZero := r.Int()
+	var sum uint64
+	next := 0
+	for k := 0; k < nonZero && r.Err() == nil; k++ {
+		gap, c := r.Uvarint(), r.Uvarint()
+		if r.Err() != nil {
+			break
+		}
+		if gap >= uint64(bins-next) {
+			return fmt.Errorf("count gap %d past the last bin", gap)
+		}
+		if c == 0 || c > maxCount {
+			return fmt.Errorf("sparse count %d", c)
+		}
+		next += int(gap)
+		h.counts[next] = float64(c)
+		next++
+		if sum += c; sum > math.MaxInt64 {
+			return fmt.Errorf("counts sum past 2^63")
+		}
+	}
+	under, over := r.Uvarint(), r.Uvarint()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if under > maxCount || over > maxCount {
+		return fmt.Errorf("out-of-range counts %d and %d", under, over)
+	}
+	sum += under + over
+	h.under, h.over, h.total = float64(under), float64(over), float64(sum)
+	if uint64(h.total) != sum {
+		return fmt.Errorf("counts sum %d is not a float64", sum)
+	}
+	return nil
+}
+
+// readFloatCounts reads the float64 form into the receiver's counts.
+func (h *Histogram) readFloatCounts(r *binenc.Reader) error {
+	r.F64Col(h.counts)
+	h.total = r.F64()
+	h.under = r.F64()
+	h.over = r.F64()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	for i, c := range h.counts {
 		if math.IsNaN(c) || c < 0 {
-			return fmt.Errorf("stats: histogram snapshot has invalid count %v in bin %d", c, i)
+			return fmt.Errorf("invalid count %v in bin %d", c, i)
 		}
 	}
-	for _, v := range []float64{total, under, over} {
+	for _, v := range []float64{h.total, h.under, h.over} {
 		if math.IsNaN(v) || v < 0 {
-			return fmt.Errorf("stats: histogram snapshot has invalid weight %v", v)
+			return fmt.Errorf("invalid weight %v", v)
 		}
 	}
-	*h = Histogram{grid: g, counts: counts, total: total, under: under, over: over}
+	if _, ints := h.intForm(); ints {
+		return fmt.Errorf("integer counts in the float64 form")
+	}
 	return nil
 }

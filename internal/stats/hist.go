@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Grid is an immutable, validated set of histogram bin edges. Histograms
@@ -22,6 +23,9 @@ type Grid struct {
 	// normal edges, as LogGrid builds them) and 0 otherwise; logLo is
 	// approxLog2(edges[0]). The guess is int((approxLog2(x)-logLo)*logInv).
 	logInv, logLo float64
+	// sum is edgeChecksum(edges): the name a fixed grid travels under in
+	// histogram snapshots.
+	sum uint64
 }
 
 // NewGrid validates and copies the given bin edges. Edges must be strictly
@@ -31,8 +35,11 @@ func NewGrid(edges []float64) (*Grid, error) {
 }
 
 // MustGrid is NewGrid for the fixed grids a package builds once at start-up
-// from a grid constructor (LinGrid, LogGrid): it panics on an error, which
-// only a bug in those constant arguments can cause.
+// from a grid constructor (LinGrid, LogGrid). It panics on an error, which
+// only a bug in those constant arguments can cause. It also registers the
+// grid under its edge checksum, so histogram snapshots on it carry the
+// checksum instead of the edges and decode onto this very Grid. Two fixed
+// grids with one checksum panic: snapshots could not tell them apart.
 func MustGrid(edges []float64, err error) *Grid {
 	if err != nil {
 		panic(err)
@@ -41,7 +48,64 @@ func MustGrid(edges []float64, err error) *Grid {
 	if err != nil {
 		panic(err)
 	}
+	fixedGridsMu.Lock()
+	defer fixedGridsMu.Unlock()
+	if _, dup := fixedGrids[g.sum]; dup {
+		panic(fmt.Sprintf("stats: MustGrid called twice for grid checksum %016x", g.sum))
+	}
+	fixedGrids[g.sum] = g
 	return g
+}
+
+// fixedGrids maps the edge checksum of every MustGrid grid to that grid.
+// Packages fill it at start-up; snapshot codecs read it.
+var (
+	fixedGridsMu sync.RWMutex
+	fixedGrids   = map[uint64]*Grid{}
+)
+
+// fixedGrid returns the fixed grid registered under checksum sum, or nil.
+func fixedGrid(sum uint64) *Grid {
+	fixedGridsMu.RLock()
+	defer fixedGridsMu.RUnlock()
+	return fixedGrids[sum]
+}
+
+// fixed returns the registered fixed grid with g's edges: g itself, or for
+// a grid built by NewGrid, the fixed grid it equals. It returns nil when no
+// fixed grid has these edges.
+func (g *Grid) fixed() *Grid {
+	f := fixedGrid(g.sum)
+	if f == nil || f == g || equalEdges(f.edges, g.edges) {
+		return f
+	}
+	return nil
+}
+
+func equalEdges(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, e := range a {
+		if math.Float64bits(e) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeChecksum is FNV-64a over the little-endian bits of every edge.
+func edgeChecksum(edges []float64) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, e := range edges {
+		b := math.Float64bits(e)
+		for i := 0; i < 8; i++ {
+			h = (h ^ b&0xff) * prime
+			b >>= 8
+		}
+	}
+	return h
 }
 
 // newGrid validates edges and adopts them without copying; the caller must
@@ -55,7 +119,7 @@ func newGrid(edges []float64) (*Grid, error) {
 			return nil, fmt.Errorf("stats: histogram edges not increasing at %d", i)
 		}
 	}
-	g := &Grid{edges: edges, inv: uniformInverse(edges)}
+	g := &Grid{edges: edges, inv: uniformInverse(edges), sum: edgeChecksum(edges)}
 	if g.inv == 0 {
 		g.logInv, g.logLo = logUniformInverse(edges)
 	}

@@ -214,18 +214,20 @@ func (s *Sketch) Edges() []float64 {
 // sketchVersion tags the Sketch binary snapshot layout.
 const sketchVersion = 2
 
-// MarshalBinary encodes the sketch as a versioned, self-describing binary
-// snapshot (the edges travel with the counts, so any process can decode and
-// merge it). Identical sketch state always yields identical bytes.
+// MarshalBinary encodes the sketch as a versioned snapshot: the extrema,
+// then the histogram snapshot, whose fixed grid travels by checksum and any
+// other grid by its edges (see Histogram.MarshalBinary), so any process
+// that builds the same fixed grids can decode and merge it. Identical
+// sketch state always yields identical bytes.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	w := newStatsWriter(32 + 8*(2*len(s.hist.grid.edges)+8))
-	w.U8(sketchVersion)
-	w.F64(s.min)
-	w.F64(s.max)
 	h, err := s.hist.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
+	w := newStatsWriter(32 + len(h))
+	w.U8(sketchVersion)
+	w.F64(s.min)
+	w.F64(s.max)
 	w.Raw(h)
 	return w.Bytes(), nil
 }

@@ -10,6 +10,7 @@ import (
 
 	pai "repro"
 	"repro/internal/analyze"
+	"repro/internal/stats/statstest"
 	"repro/internal/window"
 )
 
@@ -78,9 +79,9 @@ func TestRingFoldGolden(t *testing.T) {
 		t.Fatalf("golden stream misses a branch: %+v", st)
 	}
 	want := map[string]string{
-		"fold1": "0a55dbe8abae8db91dfbcbc73c1abb270c420468a2aa0fa12341673f7e4d1d73",
-		"fold3": "730e020a7f50560088967b993d098d6f92f37d4db11ce0c79e51fa21b8bda09b",
-		"fold8": "6f119facd807b5780018c51e67ba2cf37062e5ac6694602bcb0d5ff4b0f5e5ce",
+		"fold1": "20535adb1dfd1924d7c9926771384dab517817b6fe1d0c21ec338e08ff919628",
+		"fold3": "6bdd3985badcf3c4093c7995690d23ff2459c924112b1766b5f2c1ec8cfe4f31",
+		"fold8": "78fdc46b61085b5406469242abcb0358805fbec7069320c952e2660ce7ee951d",
 		"stats": "af13e5908b075ec1928c767489f3895228f75b026479623f3984dc99c3c17a67",
 	}
 	got := map[string]string{}
@@ -100,6 +101,20 @@ func TestRingFoldGolden(t *testing.T) {
 		if got[k] != w {
 			t.Errorf("%s: sha256 %s, want %s", k, got[k], w)
 		}
+	}
+}
+
+// TestRingFoldRoundTrip backs TestRingFoldGolden's fold hashes: each fold's
+// framed snapshot decodes to the live fold's histograms and sketches bit
+// for bit.
+func TestRingFoldRoundTrip(t *testing.T) {
+	r := goldenRing(t)
+	for _, lastN := range []int{1, 3, r.Count()} {
+		sink, _, err := r.Fold(lastN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		statstest.RoundTrip(t, sink)
 	}
 }
 

@@ -19,12 +19,13 @@ import (
 // later performance change keeps each placement and every byte: they change
 // only with an intentional snapshot-format or model change (the trace
 // generator, the step-time model or the scheduling rules), never with a
-// faster event loop. They were last recorded for the sketch snapshot
-// format without a Welford state; the stats are unchanged.
+// faster event loop. They were last recorded for histogram snapshot
+// version 2, after TestSnapshotRoundTripKeepsState showed the fleet sinks
+// decode to the live state; the stats are unchanged.
 var goldenReplaySHA256 = map[string]string{
-	"fifo-congested-stragglers": "72f59cbad5d003126c06a640dd94217bb147e13f7c42af69083ebc61eafd4407",
-	"sjf-queue-limit":           "50181c69dbfc420ec68adf491c6776eedb068414c75815268c100ff63642025a",
-	"no-nvlink-rejects":         "7db199f38408753d69ceb475ce08753cc2a1efd067c8ca70b30f0b35360ee973",
+	"fifo-congested-stragglers": "0d5fd1030307bd569ca42360a0f1e3f044c7ed1cd6fed00fb8961d6c0b23678e",
+	"sjf-queue-limit":           "86d36c6b37bbc91ddaeaa397f569d4ebb075223b90115a3742023c6cb50b17ff",
+	"no-nvlink-rejects":         "59c3b6f17937d33dfe16a349d8494eaefa75d31e895fc2abb92af16dfa9a2953",
 }
 
 // goldenReplayTrace generates the fixed-seed, arrival-stamped trace behind
@@ -42,10 +43,18 @@ func goldenReplayTrace(t *testing.T) []pai.Features {
 	return tr.Jobs
 }
 
-// TestReplayGoldenSnapshot replays the golden trace under each scenario and
-// checks the hash of the fleet snapshot plus the scalar stats.
-func TestReplayGoldenSnapshot(t *testing.T) {
-	jobs := goldenReplayTrace(t)
+// replayGoldenCase is one scenario behind goldenReplaySHA256.
+type replayGoldenCase struct {
+	name string
+	eng  *pai.Engine
+	opts []pai.ReplayOption
+	// check asserts the scenario exercises what it is named after.
+	check func(pai.ReplayStats) bool
+}
+
+// replayGoldenCases returns the golden replay scenarios.
+func replayGoldenCases(t *testing.T) []replayGoldenCase {
+	t.Helper()
 	noNVLink, err := pai.New(pai.WithConfig(hw.BaselineNoNVLink()), pai.WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
@@ -54,13 +63,7 @@ func TestReplayGoldenSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		name string
-		eng  *pai.Engine
-		opts []pai.ReplayOption
-		// check asserts the scenario exercises what it is named after.
-		check func(pai.ReplayStats) bool
-	}{
+	return []replayGoldenCase{
 		{"fifo-congested-stragglers", baseline, []pai.ReplayOption{
 			pai.WithReplayServers(16),
 			pai.WithReplayStragglers(0.05, 4),
@@ -81,6 +84,13 @@ func TestReplayGoldenSnapshot(t *testing.T) {
 			pai.WithReplayUtilizationWindow(60),
 		}, func(s pai.ReplayStats) bool { return s.Rejected > 0 && s.Completed > 0 }},
 	}
+}
+
+// TestReplayGoldenSnapshot replays the golden trace under each scenario and
+// checks the hash of the fleet snapshot plus the scalar stats.
+func TestReplayGoldenSnapshot(t *testing.T) {
+	jobs := goldenReplayTrace(t)
+	cases := replayGoldenCases(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := tc.eng.Replay(context.Background(), pai.NewSliceJobSource(jobs), tc.opts...)
