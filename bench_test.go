@@ -235,52 +235,76 @@ func (s inPlace) Merge(o pai.Sink) error { return s.Sink.Merge(o.(inPlace).Sink)
 // a trace of 3,072 distinct jobs resubmitted in 4,096-record colbin blocks
 // (so three distinct blocks, each seen four times per pass) folded through
 // a warm cached engine into NewReportSink. "hit" merges each block's
-// memoized partials; "miss" wraps the report sink's members so the memo
-// does not apply and every block folds record by record, as without it.
+// memoized partials, and its frames hit the cache by key, so no block is
+// decoded; "stamped" is "hit" over the same trace with every submission
+// stamped with its own arrival time, so no block repeats byte for byte and
+// the resubmitted ones repeat all but their ArrivalSec column;
+// "hit-decode" adds one member without a memo key, so every hit still
+// decodes its block for that member, and runs two workers, where decoding
+// the hits on them rather than on the consumer shows; "miss" wraps the
+// report sink's members so the memo does not apply and every block folds
+// record by record, as without it. Each case warms its own cached engine
+// and reports its frame hits per pass.
 func BenchmarkFoldMemo(b *testing.B) {
 	const records = 12 * 4096
-	p := pai.DefaultTraceParams()
-	p.NumJobs = records
-	p.DistinctJobs = 3072
-	tr, err := pai.GenerateTrace(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cb bytes.Buffer
-	w := pai.NewColumnWriterBlockRecords(&cb, 4096)
-	for _, f := range tr.Jobs {
-		if err := w.Write(f); err != nil {
+	encode := func(arrivalRate float64) []byte {
+		p := pai.DefaultTraceParams()
+		p.NumJobs = records
+		p.DistinctJobs = 3072
+		p.ArrivalRate = arrivalRate
+		tr, err := pai.GenerateTrace(p)
+		if err != nil {
 			b.Fatal(err)
 		}
+		var cb bytes.Buffer
+		w := pai.NewColumnWriterBlockRecords(&cb, 4096)
+		for _, f := range tr.Jobs {
+			if err := w.Write(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		return cb.Bytes()
 	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	eng, err := pai.New(pai.WithParallelism(1), pai.WithCache(1<<16))
-	if err != nil {
-		b.Fatal(err)
-	}
+	plain, stamped := encode(0), encode(3600)
 	ctx := context.Background()
 	for _, c := range []struct {
-		name string
-		wrap bool
-	}{{"miss", true}, {"hit", false}} {
+		name  string
+		cb    []byte
+		par   int
+		wrap  bool
+		extra bool
+	}{
+		{"miss", plain, 1, true, false},
+		{"hit", plain, 1, false, false},
+		{"stamped", stamped, 1, false, false},
+		{"hit-decode", plain, 2, false, true},
+	} {
 		b.Run(c.name, func(b *testing.B) {
+			eng, err := pai.New(pai.WithParallelism(c.par), pai.WithCache(1<<16))
+			if err != nil {
+				b.Fatal(err)
+			}
 			pass := func() {
 				ms, err := eng.NewReportSink(pai.ToAllReduceLocal)
 				if err != nil {
 					b.Fatal(err)
 				}
 				var s pai.Sink = ms
+				members := ms.Sinks()
 				if c.wrap {
-					members := ms.Sinks()
 					wrapped := make([]pai.Sink, len(members))
 					for i, m := range members {
 						wrapped[i] = inPlace{m}
 					}
 					s = pai.NewMultiSink(wrapped...)
 				}
-				n, err := eng.StreamColumnsInto(ctx, pai.NewColumnReader(bytes.NewReader(cb.Bytes())), s)
+				if c.extra {
+					s = pai.NewMultiSink(append(members[:len(members):len(members)], inPlace{pai.NewBreakdownAccumulator()})...)
+				}
+				n, err := eng.StreamColumnsInto(ctx, pai.NewColumnReader(bytes.NewReader(c.cb)), s)
 				if err != nil || n != records {
 					b.Fatalf("folded %d of %d records: %v", n, records, err)
 				}
@@ -289,11 +313,13 @@ func BenchmarkFoldMemo(b *testing.B) {
 			// build their partials on the first hit.
 			pass()
 			pass()
+			frames := eng.CacheStats().FrameHits
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pass()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
+			b.ReportMetric(float64(eng.CacheStats().FrameHits-frames)/float64(b.N), "frame-hits/pass")
 		})
 	}
 }

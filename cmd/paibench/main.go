@@ -209,6 +209,9 @@ type Result struct {
 	// cache is off or the run never streams blocks).
 	CacheBlockHits   uint64 `json:"cache_block_hits,omitempty"`
 	CacheBlockMisses uint64 `json:"cache_block_misses,omitempty"`
+	// Block hits answered by a colbin frame's key without decoding it
+	// (each also counts in cache_block_hits).
+	CacheFrameHits uint64 `json:"cache_frame_hits,omitempty"`
 
 	AllocsPerJob  float64 `json:"allocs_per_job"`
 	BytesPerJob   float64 `json:"bytes_per_job"`
@@ -623,8 +626,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	res.ColbinRecordsPerSec = res.Codecs["colbin"].RecordsPerSec
-	var blockHits, blockMisses uint64
-	res.JobsPerSecColumns, blockHits, blockMisses, err = benchColumns(cfg, cbSample)
+	var colStats pai.CacheStats
+	res.JobsPerSecColumns, colStats, err = benchColumns(cfg, cbSample)
 	if err != nil {
 		return err
 	}
@@ -640,10 +643,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := writeResult(res, *out, stdout); err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "paibench: %d jobs in %.2fs — %.0f jobs/sec (%d shard(s)), %.1f allocs/job, peak heap %.1f MiB, cache hit rate %.1f%%, codec %.0f ns/record, columnar %.0f jobs/sec (block cache %d/%d)\n",
+	fmt.Fprintf(stderr, "paibench: %d jobs in %.2fs — %.0f jobs/sec (%d shard(s)), %.1f allocs/job, peak heap %.1f MiB, cache hit rate %.1f%%, codec %.0f ns/record, columnar %.0f jobs/sec (block cache %d/%d, %d by frame)\n",
 		res.Jobs, res.ElapsedSec, res.JobsPerSec, res.Shards, res.AllocsPerJob,
 		float64(res.PeakHeapBytes)/(1<<20), res.CacheHitRate*100, res.CodecNsPerRecord,
-		res.JobsPerSecColumns, blockHits, blockHits+blockMisses)
+		res.JobsPerSecColumns, colStats.BlockHits, colStats.BlockHits+colStats.BlockMisses, colStats.FrameHits)
 	return nil
 }
 
@@ -872,6 +875,7 @@ func measure(eng *pai.Engine, cfg config, stderr io.Writer) (*Result, error) {
 	res.CacheAvgEntryBytes = st.AvgEntryBytes
 	res.CacheBlockHits = st.BlockHits
 	res.CacheBlockMisses = st.BlockMisses
+	res.CacheFrameHits = st.FrameHits
 	if _, err := fillSections(res, sink); err != nil {
 		return nil, err
 	}
@@ -1761,7 +1765,7 @@ func benchCodecs(cfg config) (map[string]CodecStats, []byte, error) {
 // accumulator whose snapshot is pinned byte-identical to the
 // record-streaming path over the same bytes, so the reported figure can
 // never drift from the scalar semantics.
-func benchColumns(cfg config, sample []byte) (jobsPerSec float64, blockHits, blockMisses uint64, err error) {
+func benchColumns(cfg config, sample []byte) (jobsPerSec float64, st pai.CacheStats, err error) {
 	ecfg := cfg
 	if ecfg.cacheBytes == 0 && ecfg.cache <= 0 {
 		ecfg.cache = autoCacheEntries
@@ -1772,22 +1776,22 @@ func benchColumns(cfg config, sample []byte) (jobsPerSec float64, blockHits, blo
 	// delivery (the pre-columnar path).
 	recEng, err := newEngine(ecfg)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, st, err
 	}
 	recSink := pai.NewBreakdownAccumulator()
 	if _, err := recEng.EvaluateSource(ctx, pai.NewColumnReader(bytes.NewReader(sample)), func(r pai.StreamResult) error {
 		return recSink.Add(r.Job, r.Times)
 	}); err != nil {
-		return 0, 0, 0, err
+		return 0, st, err
 	}
 	want, err := recSink.MarshalBinary()
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, st, err
 	}
 
 	colEng, err := newEngine(ecfg)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, st, err
 	}
 	const minDuration = 200 * time.Millisecond
 	records := 0
@@ -1796,20 +1800,19 @@ func benchColumns(cfg config, sample []byte) (jobsPerSec float64, blockHits, blo
 		sink := pai.NewBreakdownAccumulator()
 		n, err := colEng.StreamColumnsInto(ctx, pai.NewColumnReader(bytes.NewReader(sample)), sink)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, st, err
 		}
 		got, err := sink.MarshalBinary()
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, st, err
 		}
 		if !bytes.Equal(got, want) {
-			return 0, 0, 0, fmt.Errorf("columnar snapshot diverges from the record-streaming path")
+			return 0, st, fmt.Errorf("columnar snapshot diverges from the record-streaming path")
 		}
 		records += n
 	}
 	elapsed := time.Since(start)
-	st := colEng.CacheStats()
-	return float64(records) / elapsed.Seconds(), st.BlockHits, st.BlockMisses, nil
+	return float64(records) / elapsed.Seconds(), colEng.CacheStats(), nil
 }
 
 // benchParallelFile measures the file-parallel decode path on the shared

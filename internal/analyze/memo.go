@@ -3,10 +3,9 @@ package analyze
 import (
 	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/evalcache"
 	"repro/internal/project"
-	"repro/internal/workload"
+	"repro/internal/stream"
 )
 
 // The fold memo: production traces resubmit the same jobs again and again,
@@ -42,14 +41,16 @@ type memoSink interface {
 
 // addBlock folds one evaluated block into s. With a block-cache entry, a
 // MultiSink memoizes member by member and a memoizable sink merges the
-// block's partial; otherwise a column-capable sink takes the whole block
-// and any other sink the row loop. This is the only place the choice is
+// block's partial, reading no columns at all once the partial is built;
+// otherwise a column-capable sink takes the whole block and any other sink
+// the row loop. A frame hit arrives undecoded and is decoded here only when
+// one of those needs its columns. This is the only place the choice is
 // made.
-func addBlock(s Sink, cols *workload.Columns, times []core.Times, blk *evalcache.Block) error {
-	if blk != nil {
+func addBlock(s Sink, b *stream.Evaluated) error {
+	if blk := b.Memo(); blk != nil {
 		if m, ok := s.(*MultiSink); ok {
 			for _, member := range m.sinks {
-				if err := addBlock(member, cols, times, blk); err != nil {
+				if err := addBlock(member, b); err != nil {
 					return err
 				}
 			}
@@ -57,9 +58,13 @@ func addBlock(s Sink, cols *workload.Columns, times []core.Times, blk *evalcache
 		}
 		if ms, ok := s.(memoSink); ok {
 			if key, ok := ms.memoKey(); ok {
-				return mergePartial(ms, key, cols, times, blk)
+				return mergePartial(ms, key, b, blk)
 			}
 		}
+	}
+	cols, times, err := b.Columns()
+	if err != nil {
+		return err
 	}
 	if cs, ok := s.(ColumnSink); ok {
 		return cs.AddColumns(cols, times)
@@ -72,10 +77,33 @@ func addBlock(s Sink, cols *workload.Columns, times []core.Times, blk *evalcache
 	return nil
 }
 
+// readsColumns reports whether folding a block-cache hit into s reads the
+// block's columns even when every partial is built: s or one of its
+// members has no memo key.
+func readsColumns(s Sink) bool {
+	if m, ok := s.(*MultiSink); ok {
+		for _, member := range m.sinks {
+			if readsColumns(member) {
+				return true
+			}
+		}
+		return false
+	}
+	if ms, ok := s.(memoSink); ok {
+		_, ok := ms.memoKey()
+		return !ok
+	}
+	return true
+}
+
 // mergePartial merges the block's partial for key into s, folding the block
 // into a fresh partial first when this is the key's first sighting.
-func mergePartial(s memoSink, key any, cols *workload.Columns, times []core.Times, blk *evalcache.Block) error {
+func mergePartial(s memoSink, key any, b *stream.Evaluated, blk *evalcache.Block) error {
 	p, err := blk.Memo(key, func() (any, int64, error) {
+		cols, times, err := b.Columns()
+		if err != nil {
+			return nil, 0, err
+		}
 		part := s.newPartial()
 		if err := part.AddColumns(cols, times); err != nil {
 			return nil, 0, err

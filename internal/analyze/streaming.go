@@ -8,7 +8,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/binenc"
 	"repro/internal/core"
-	"repro/internal/evalcache"
 	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -369,8 +368,8 @@ func FoldInto(ctx context.Context, ev backend.Evaluator, parallelism int, src st
 	if sink == nil {
 		return 0, fmt.Errorf("analyze: FoldInto with nil sink")
 	}
-	n, err := stream.EvaluateBlocksInto(ctx, ev, src, parallelism, func(cols *workload.Columns, times []core.Times, blk *evalcache.Block) error {
-		return addBlock(sink, cols, times, blk)
+	n, err := stream.EvaluateBlocksInto(ctx, ev, src, parallelism, readsColumns(sink), func(b *stream.Evaluated) error {
+		return addBlock(sink, b)
 	})
 	if err != nil {
 		return n, fmt.Errorf("analyze: %w", err)

@@ -138,31 +138,53 @@ func Detect(prefix []byte) bool {
 // ~30x faster than the byte-serial hash/fnv loop, which would otherwise
 // dominate block decode.
 func checksum(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h0 := uint64(offset64)
-	h1 := uint64(offset64) + 1
-	h2 := uint64(offset64) + 2
-	h3 := uint64(offset64) + 3
+	body := len(b) &^ 31
+	return checksumTail(checksumLanes(checksumSeed, b[:body]), b[body:])
+}
+
+// checksumSplit returns checksum(b) and checksum(b[:k]) in one pass over b,
+// for 0 <= k <= len(b): the lanes of the prefix's whole 32-byte chunks are
+// the whole payload's lanes at that point.
+func checksumSplit(b []byte, k int) (whole, prefix uint64) {
+	head, body := k&^31, len(b)&^31
+	h := checksumLanes(checksumSeed, b[:head])
+	prefix = checksumTail(h, b[head:k])
+	return checksumTail(checksumLanes(h, b[head:body]), b[body:]), prefix
+}
+
+const (
+	checksumOffset = 14695981039346656037
+	checksumPrime  = 1099511628211
+)
+
+var checksumSeed = [4]uint64{checksumOffset, checksumOffset + 1, checksumOffset + 2, checksumOffset + 3}
+
+// checksumLanes folds b, a whole number of 32-byte chunks, into the four
+// lanes h.
+func checksumLanes(h [4]uint64, b []byte) [4]uint64 {
+	h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
 	for len(b) >= 32 {
-		h0 = (h0 ^ binary.LittleEndian.Uint64(b)) * prime64
-		h1 = (h1 ^ binary.LittleEndian.Uint64(b[8:])) * prime64
-		h2 = (h2 ^ binary.LittleEndian.Uint64(b[16:])) * prime64
-		h3 = (h3 ^ binary.LittleEndian.Uint64(b[24:])) * prime64
+		h0 = (h0 ^ binary.LittleEndian.Uint64(b)) * checksumPrime
+		h1 = (h1 ^ binary.LittleEndian.Uint64(b[8:])) * checksumPrime
+		h2 = (h2 ^ binary.LittleEndian.Uint64(b[16:])) * checksumPrime
+		h3 = (h3 ^ binary.LittleEndian.Uint64(b[24:])) * checksumPrime
 		b = b[32:]
 	}
-	h := uint64(offset64)
-	for _, lane := range [...]uint64{h0, h1, h2, h3} {
-		h = (h ^ lane) * prime64
+	return [4]uint64{h0, h1, h2, h3}
+}
+
+// checksumTail combines the lanes and folds in the tail b (under 32 bytes).
+func checksumTail(lanes [4]uint64, b []byte) uint64 {
+	h := uint64(checksumOffset)
+	for _, lane := range lanes {
+		h = (h ^ lane) * checksumPrime
 	}
 	for len(b) >= 8 {
-		h = (h ^ binary.LittleEndian.Uint64(b)) * prime64
+		h = (h ^ binary.LittleEndian.Uint64(b)) * checksumPrime
 		b = b[8:]
 	}
 	for _, c := range b {
-		h = (h ^ uint64(c)) * prime64
+		h = (h ^ uint64(c)) * checksumPrime
 	}
 	return h
 }
@@ -397,6 +419,8 @@ func (w *Writer) flushBlock() error {
 	enc.F64Col(w.block.DenseWeightBytes)
 	enc.F64Col(w.block.EmbeddingWeightBytes)
 	enc.F64Col(w.block.WeightTrafficBytes)
+	// ArrivalSec stays last: a frame's key (Reader.NextFrame) is the
+	// payload without it.
 	enc.F64Col(w.block.ArrivalSec)
 
 	payload := enc.Bytes()
@@ -431,23 +455,29 @@ func (w *Writer) flushBlock() error {
 	return nil
 }
 
-// Reader decodes a colbin stream block by block. It serves three calling
+// Reader decodes a colbin stream block by block. It serves four calling
 // conventions: NextBlock fills a caller-owned Columns with a whole decoded
 // block (the bulk path stream.EvaluateBlocks rides), NextPayload hands the
 // checksummed payload off as a decode closure (the pipelined path, so column
-// decode can run on a worker while the reader fetches the next frame), and
-// Next yields one record at a time (the stream.Source interface every record
-// consumer already speaks). Errors are sticky and carry the 1-based block
-// number.
+// decode can run on a worker while the reader fetches the next frame),
+// NextFrame hands off the payload's key bytes and their checksum beside such
+// a closure (the frame path, so a block cache can answer a repeated block
+// without decoding it), and Next yields one record at a time (the
+// stream.Source interface every record consumer already speaks). Errors are
+// sticky and carry the 1-based block number.
 type Reader struct {
 	rd       io.Reader // underlying reader, for bulk payload reads
 	br       *bufio.Reader
-	intern   map[string]string // cross-block name table, see maxInternNames
-	block    workload.Columns  // record-at-a-time staging for Next
+	block    workload.Columns // record-at-a-time staging for Next
 	row      int
 	blockIdx int
 	readHdr  bool
 	err      error
+
+	// internMu guards intern, the cross-block name table (see
+	// maxInternNames): decode closures run on any goroutine, several at once.
+	internMu sync.Mutex
+	intern   map[string]string
 }
 
 // payloadState bundles one frame's buffers — the checksummed payload bytes,
@@ -547,13 +577,13 @@ func (r *Reader) NextBlock(c *workload.Columns) error {
 	return nil
 }
 
-// NextPayload reads, checksums, and prefix-parses the next block frame,
-// returning a single-use decode closure plus the block's record count. Only
-// the stages that must stay sequential run here — frame framing, the
-// checksum, and the name-dictionary parse (which feeds the cross-block
-// intern table); the returned closure decodes the remaining columns into a
-// caller-owned Columns and can run on any goroutine, which is what lets the
-// pipeline overlap decode of block N+1 with evaluation of block N.
+// NextPayload reads and checksums the next block frame and parses its
+// record count, returning a single-use decode closure plus that count. Only
+// the stages that must stay sequential run here — frame framing and the
+// checksum; the returned closure parses the name dictionary (interning it in
+// the Reader's cross-block table, under a lock) and decodes the columns into
+// a caller-owned Columns, and can run on any goroutine, which is what lets
+// the pipeline overlap decode of block N+1 with evaluation of block N.
 //
 // The closure must be called exactly once; dec(nil) releases the payload
 // without decoding. It returns io.EOF at a clean end of stream; frame and
@@ -561,18 +591,77 @@ func (r *Reader) NextBlock(c *workload.Columns) error {
 // (decode errors become sticky when the sequential NextBlock path reports
 // them; the pipelined caller cancels the whole pipeline instead).
 func (r *Reader) NextPayload() (func(c *workload.Columns) error, int, error) {
+	ps, n, off, _, _, err := r.nextFrame(false)
+	if err != nil {
+		return nil, 0, err
+	}
+	blockIdx := r.blockIdx
+	dec := func(c *workload.Columns) error {
+		defer payloadPool.Put(ps)
+		if c == nil {
+			return nil
+		}
+		return r.decode(ps, n, off, blockIdx, c)
+	}
+	return dec, n, nil
+}
+
+// NextFrame is the frame handoff: NextPayload's frame read and checksum,
+// returning the frame's key and the key's checksum beside the decode
+// closure. The key is the payload without its trailing ArrivalSec column —
+// the record count, names and every keyed column — so a resubmitted block
+// stamped with new arrival times has the same key. Byte-identical keys
+// decode to identical columns except ArrivalSec, so a consumer holding what
+// it derived from an earlier block with the same key, and reading no
+// arrival times, can skip the decode altogether. key is nil when the frame
+// cannot be answered that way: its arrival column is malformed or holds a
+// value decode rejects, so only decode can report the error.
+//
+// The closure's contract differs from NextPayload's: dec(c) with a non-nil
+// c decodes into c and leaves the payload alone, and dec(nil) releases it
+// and must be the last call, made exactly once. key stays valid, and must
+// not be modified, until then.
+func (r *Reader) NextFrame() (key []byte, sum uint64, dec func(*workload.Columns) error, err error) {
+	ps, n, off, keyLen, sum, err := r.nextFrame(true)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if keyLen >= 0 {
+		key = ps.payload[:keyLen]
+	}
+	blockIdx := r.blockIdx
+	dec = func(c *workload.Columns) error {
+		if c == nil {
+			payloadPool.Put(ps)
+			return nil
+		}
+		return r.decode(ps, n, off, blockIdx, c)
+	}
+	return key, sum, dec, nil
+}
+
+// nextFrame reads and checksums the next block frame into a pooled payload
+// state and parses its record count, returning the state, the count and
+// the offset of the name dictionary that follows it. With keyed set it also
+// returns the length of the frame's key (see NextFrame), or -1 when the
+// frame has none, and the key's checksum, taken in the same pass as the
+// frame's. Frame errors are sticky.
+func (r *Reader) nextFrame(keyed bool) (ps *payloadState, n, off, keyLen int, keySum uint64, err error) {
+	fail := func(err error) (*payloadState, int, int, int, uint64, error) {
+		return nil, 0, 0, 0, 0, r.fail(err)
+	}
 	if r.err != nil {
-		return nil, 0, r.err
+		return nil, 0, 0, 0, 0, r.err
 	}
 	if err := r.readHeader(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, 0, 0, err
 	}
 	payloadLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, 0, r.fail(io.EOF) // clean end: no more blocks
+			return fail(io.EOF) // clean end: no more blocks
 		}
-		return nil, 0, r.fail(fmt.Errorf("colbin: block %d: frame length: %w", r.blockIdx+1, truncated(err)))
+		return fail(fmt.Errorf("colbin: block %d: frame length: %w", r.blockIdx+1, truncated(err)))
 	}
 	if payloadLen == 0 {
 		// The index-footer sentinel: no real block frames a zero-length
@@ -582,16 +671,16 @@ func (r *Reader) NextPayload() (func(c *workload.Columns) error, int, error) {
 		// index-bearing and index-less files decode identically.
 		io.Copy(io.Discard, r.br)
 		io.Copy(io.Discard, r.rd)
-		return nil, 0, r.fail(io.EOF)
+		return fail(io.EOF)
 	}
 	r.blockIdx++
 	if payloadLen > maxBlockBytes {
-		return nil, 0, r.fail(fmt.Errorf("colbin: block %d: implausible payload length %d", r.blockIdx, payloadLen))
+		return fail(fmt.Errorf("colbin: block %d: implausible payload length %d", r.blockIdx, payloadLen))
 	}
-	ps := payloadPool.Get().(*payloadState)
-	release := func(err error) (func(c *workload.Columns) error, int, error) {
+	ps = payloadPool.Get().(*payloadState)
+	release := func(err error) (*payloadState, int, int, int, uint64, error) {
 		payloadPool.Put(ps)
-		return nil, 0, r.fail(err)
+		return fail(err)
 	}
 	// Grow the payload buffer as bytes actually arrive rather than trusting
 	// the claimed length up front: a corrupted frame can claim up to
@@ -613,29 +702,67 @@ func (r *Reader) NextPayload() (func(c *workload.Columns) error, int, error) {
 			return release(fmt.Errorf("colbin: block %d: truncated payload: %w", r.blockIdx, truncated(err)))
 		}
 	}
-	var sum [8]byte
-	if _, err := io.ReadFull(r.br, sum[:]); err != nil {
+	var frameSum [8]byte
+	if _, err := io.ReadFull(r.br, frameSum[:]); err != nil {
 		return release(fmt.Errorf("colbin: block %d: truncated checksum: %w", r.blockIdx, truncated(err)))
 	}
-	if got, want := checksum(ps.payload), binary.LittleEndian.Uint64(sum[:]); got != want {
-		return release(fmt.Errorf("colbin: block %d: checksum mismatch (payload %#x, frame %#x)", r.blockIdx, got, want))
-	}
 
-	// Sequential prefix: record count plus the name dictionary, whose
-	// interning shares the Reader's cross-block table.
+	// The record count is all the handoff needs; the name dictionary after
+	// it is parsed by the decode closure. It is read before the checksum
+	// only to place the key, and reported after it.
 	rd := binenc.NewReader(ps.payload)
-	n := rd.Int()
+	n = rd.Int()
+	keyLen = -1
+	if keyed && rd.Err() == nil && n >= 1 && n <= maxBlockRecords {
+		keyLen = keyLength(ps.payload, n)
+	}
+	var sum uint64
+	if keyLen >= 0 {
+		sum, keySum = checksumSplit(ps.payload, keyLen)
+	} else {
+		sum = checksum(ps.payload)
+	}
+	if want := binary.LittleEndian.Uint64(frameSum[:]); sum != want {
+		return release(fmt.Errorf("colbin: block %d: checksum mismatch (payload %#x, frame %#x)", r.blockIdx, sum, want))
+	}
 	if err := rd.Err(); err != nil {
 		return release(fmt.Errorf("colbin: block %d: %w", r.blockIdx, err))
 	}
 	if n < 1 || n > maxBlockRecords {
 		return release(fmt.Errorf("colbin: block %d: implausible record count %d", r.blockIdx, n))
 	}
+	return ps, n, len(ps.payload) - rd.Len(), keyLen, keySum, nil
+}
+
+// keyLength returns the length of payload without its trailing ArrivalSec
+// column of n float64s, or -1 when that column is short or holds a value
+// decode rejects (it accepts finite arrivals >= 0).
+func keyLength(payload []byte, n int) int {
+	k := len(payload) - 8*n
+	if k < 0 {
+		return -1
+	}
+	for b := payload[k:]; len(b) >= 8; b = b[8:] {
+		if v := math.Float64frombits(binary.LittleEndian.Uint64(b)); !(v >= 0 && v <= math.MaxFloat64) {
+			return -1
+		}
+	}
+	return k
+}
+
+// decode parses the name dictionary at payload offset off — interning it in
+// the Reader's cross-block table — and the column section after it into c.
+// It touches only the payload state and, under internMu, the intern table,
+// so closures over different states run concurrently. Errors carry the
+// block number.
+func (r *Reader) decode(ps *payloadState, n, off, blockIdx int, c *workload.Columns) error {
+	rd := binenc.NewReader(ps.payload[off:])
 	d := rd.Int()
 	if rd.Err() == nil && (d < 1 || d > n) {
-		return release(fmt.Errorf("colbin: block %d: implausible dictionary size %d for %d records", r.blockIdx, d, n))
+		return fmt.Errorf("colbin: block %d: implausible dictionary size %d for %d records", blockIdx, d, n)
 	}
 	ps.dict = ps.dict[:0]
+	r.internMu.Lock()
 	for i := 0; i < d; i++ {
 		nb := rd.Int()
 		b := rd.U8Col(nb)
@@ -652,23 +779,14 @@ func (r *Reader) NextPayload() (func(c *workload.Columns) error, int, error) {
 		}
 		ps.dict = append(ps.dict, s)
 	}
+	r.internMu.Unlock()
 	if err := rd.Err(); err != nil {
-		return release(fmt.Errorf("colbin: block %d: %w", r.blockIdx, err))
+		return fmt.Errorf("colbin: block %d: %w", blockIdx, err)
 	}
-
-	off := len(ps.payload) - rd.Len()
-	blockIdx := r.blockIdx
-	dec := func(c *workload.Columns) error {
-		defer payloadPool.Put(ps)
-		if c == nil {
-			return nil
-		}
-		if err := decodeRest(ps, n, off, c); err != nil {
-			return fmt.Errorf("colbin: block %d: %w", blockIdx, err)
-		}
-		return nil
+	if err := decodeRest(ps, n, len(ps.payload)-rd.Len(), c); err != nil {
+		return fmt.Errorf("colbin: block %d: %w", blockIdx, err)
 	}
-	return dec, n, nil
+	return nil
 }
 
 // decodeRest parses the column section of a prefix-parsed payload into c.

@@ -331,3 +331,74 @@ func TestClassEnumContiguous(t *testing.T) {
 		t.Fatalf("last class is %v, want PEARL", all[len(all)-1])
 	}
 }
+
+// TestChecksumSplit: the one-pass split checksum agrees with checksum of
+// the whole buffer and of every prefix, across chunk and word boundaries.
+func TestChecksumSplit(t *testing.T) {
+	b := make([]byte, 200)
+	for i := range b {
+		b[i] = byte(i*131 + 7)
+	}
+	for n := 0; n <= len(b); n += 13 {
+		for k := 0; k <= n; k++ {
+			whole, prefix := checksumSplit(b[:n], k)
+			if whole != checksum(b[:n]) || prefix != checksum(b[:k]) {
+				t.Fatalf("len %d, split %d: (%#x, %#x), want (%#x, %#x)", n, k, whole, prefix, checksum(b[:n]), checksum(b[:k]))
+			}
+		}
+	}
+}
+
+// TestNextFrameKey: a frame's key is its payload without the ArrivalSec
+// column, checksummed with the frame, so a block resubmitted at other
+// times has the key of the original and any other change gives another
+// key; a frame whose arrivals decode would reject has no key, and its
+// decode still fails as NextBlock's does.
+func TestNextFrameKey(t *testing.T) {
+	jobs := testJobs(t, 64, 64)
+	restamped := append([]workload.Features(nil), jobs...)
+	renamed := append([]workload.Features(nil), jobs...)
+	late := append([]workload.Features(nil), jobs...)
+	for i := range restamped {
+		restamped[i].ArrivalSec += 1000
+	}
+	renamed[5].Name += "-again"
+	late[7].ArrivalSec = -1
+	data := encodeAll(t, append(append(append(append([]workload.Features(nil), jobs...), restamped...), renamed...), late...), 64)
+
+	r := NewReader(bytes.NewReader(data))
+	var keys [][]byte
+	for i := 0; ; i++ {
+		key, sum, dec, err := r.NextFrame()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c workload.Columns
+		decErr := dec(&c)
+		if i == 3 {
+			if key != nil || decErr == nil || !strings.Contains(decErr.Error(), "block 4: record 7:") {
+				t.Errorf("frame with a negative arrival: key of %d bytes, decode error %v", len(key), decErr)
+			}
+		} else {
+			if decErr != nil {
+				t.Fatal(decErr)
+			}
+			if key == nil || sum != checksum(key) {
+				t.Errorf("frame %d: key of %d bytes with checksum %#x", i, len(key), sum)
+			}
+			if c.Len() != 64 {
+				t.Errorf("frame %d: decoded %d records", i, c.Len())
+			}
+		}
+		keys = append(keys, bytes.Clone(key))
+		if err := dec(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(keys) != 4 || !bytes.Equal(keys[0], keys[1]) || bytes.Equal(keys[0], keys[2]) {
+		t.Errorf("restamped block does not share the key, or the renamed one does")
+	}
+}

@@ -208,7 +208,7 @@ func TestBlockCacheMemoizeRespectsBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entry := newBlockEntry(sample, ts).bytes
+	entry := newBlockEntry(0, sample, ts).bytes
 	budget := 8 * entry
 	if blocks*ghostBytes >= budget || blocks*entry <= budget {
 		t.Fatalf("budget %d B does not sit between %d ghosts and %d entries of %d B", budget, blocks, blocks, entry)
@@ -268,7 +268,7 @@ func TestBlockCacheLengthMismatch(t *testing.T) {
 func hitBlock(t *testing.T, c *Cache, b *workload.Columns) *Block {
 	t.Helper()
 	for i := 0; i < 3; i++ {
-		blk, err := c.EvaluateBlock(b, make([]core.Times, b.Len()))
+		blk, err := c.EvaluateBlock(b, make([]core.Times, b.Len()), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestBlockMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := blockOf(64, 16, 0)
-	if blk, err := c.EvaluateBlock(b, make([]core.Times, b.Len())); err != nil || blk != nil {
+	if blk, err := c.EvaluateBlock(b, make([]core.Times, b.Len()), nil, 0); err != nil || blk != nil {
 		t.Fatalf("first sighting: handle %v, err %v; want neither", blk, err)
 	}
 	builds := 0
@@ -332,7 +332,7 @@ func TestBlockMemoChargesBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entry := newBlockEntry(sample, ts).bytes
+	entry := newBlockEntry(0, sample, ts).bytes
 	value := 4 * entry
 	budget := 2 * blocks * entry
 	c, err := NewBytes(ev, spec, budget)

@@ -150,8 +150,12 @@ type Cache struct {
 	// Memoized (non-ghost) entries in blockCur and blockPrev, kept in step
 	// by blockInsert and blockDropPrev so Stats never walks a generation.
 	blockCurMemo, blockPrevMemo int
+	// frames is the frame index: the checksums (through frameSlot) of the
+	// linked frame keys to their entries, which are resident in blockCur
+	// or blockPrev.
+	frames map[uint64]*blockEntry
 
-	blockHits, blockMisses atomic.Uint64
+	blockHits, blockMisses, frameHits atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the cache's effectiveness counters.
@@ -184,6 +188,9 @@ type Stats struct {
 	// not counted.
 	BlockHits, BlockMisses uint64
 	BlockEntries           int
+	// FrameHits counts the block hits answered by a frame key without
+	// decoding the frame (Cache.Frame); each is also one of BlockHits.
+	FrameHits uint64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
@@ -257,6 +264,7 @@ func build(ev backend.Evaluator, spec backend.Spec, entries int, targetBytes int
 		shardCap:    perShard,
 		targetBytes: targetBytes,
 		blockBudget: blockBudget,
+		frames:      make(map[uint64]*blockEntry),
 	}
 }
 
@@ -405,6 +413,7 @@ func (c *Cache) Stats() Stats {
 		TargetBytes: c.targetBytes,
 		BlockHits:   c.blockHits.Load(),
 		BlockMisses: c.blockMisses.Load(),
+		FrameHits:   c.frameHits.Load(),
 	}
 	c.blockMu.Lock()
 	st.BlockEntries = c.blockCurMemo + c.blockPrevMemo

@@ -453,6 +453,7 @@ type metricsResponse struct {
 	CacheAvgEntryBytes float64 `json:"cache_avg_entry_bytes"`
 	CacheBlockHits     uint64  `json:"cache_block_hits"`
 	CacheBlockMisses   uint64  `json:"cache_block_misses"`
+	CacheFrameHits     uint64  `json:"cache_frame_hits"`
 	CacheBlockEntries  int     `json:"cache_block_entries"`
 
 	Tenants map[string]tenantMetrics `json:"tenants"`
@@ -480,6 +481,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		CacheAvgEntryBytes: cs.AvgEntryBytes,
 		CacheBlockHits:     cs.BlockHits,
 		CacheBlockMisses:   cs.BlockMisses,
+		CacheFrameHits:     cs.FrameHits,
 		CacheBlockEntries:  cs.BlockEntries,
 
 		Tenants: map[string]tenantMetrics{},

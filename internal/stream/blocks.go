@@ -28,12 +28,13 @@ type BlockSource interface {
 }
 
 // PayloadSource is the pipelined handoff beside BlockSource: NextPayload
-// does only the work that must stay sequential — frame read, checksum,
-// name-dictionary interning — and returns a single-use decode closure plus
-// the block's record count. The pipeline runs the closure on a worker, so
-// decode of block N+1 overlaps evaluation of block N instead of serializing
-// behind it. The closure must be called exactly once; calling it with a nil
-// Columns releases the payload without decoding (the drain paths use that).
+// does only the work that must stay sequential — frame read and checksum —
+// and returns a single-use decode closure plus the block's record count.
+// The pipeline runs the closure on a worker, so decode of block N+1
+// (name-dictionary interning included) overlaps evaluation of block N
+// instead of serializing behind it. The closure must be called exactly
+// once; calling it with a nil Columns releases the payload without decoding
+// (the drain paths use that).
 //
 // colbin.Reader implements it; the block pipeline upgrades any BlockSource
 // that does.
@@ -41,19 +42,97 @@ type PayloadSource interface {
 	NextPayload() (dec func(*workload.Columns) error, n int, err error)
 }
 
+// FrameSource is the frame handoff beside PayloadSource: NextFrame reads
+// and checksums the next frame and returns its key — the encoded block
+// without its ArrivalSec column — and the key's checksum with a decode
+// closure, and decodes nothing. Byte-identical keys decode to identical
+// keyed columns (everything the model reads), so when the evaluator is a
+// result cache the pipeline looks each key up in the cache's frame index
+// (evalcache.Cache.Frame) first, and a hit skips the decode. A nil key is
+// never looked up.
+//
+// dec(c) with a non-nil c decodes into c and may be called more than once;
+// dec(nil) releases the frame and must be the last call, made exactly once.
+// key stays valid, and unmodified, until then.
+//
+// colbin.Reader implements it; the block pipeline upgrades any BlockSource
+// that does when it evaluates through a cache.
+type FrameSource interface {
+	NextFrame() (key []byte, sum uint64, dec func(*workload.Columns) error, err error)
+}
+
 // blockChunk is one in-flight block. In decoded form cols is set; in payload
-// form (PayloadSource upgrade) dec carries the pending decode, and the
-// worker that picks the chunk up decodes it.
+// and frame form (PayloadSource and FrameSource upgrades) dec carries the
+// pending decode under FrameSource's contract, and the worker that picks
+// the chunk up decodes it unless a frame chunk's key hits the cache.
 type blockChunk struct {
 	seq  int
 	cols *workload.Columns
 	dec  func(*workload.Columns) error
+	key  []byte
+	sum  uint64
 }
 
-type evaluatedBlock struct {
-	blockChunk
-	times []core.Times
+// payloadDec gives a PayloadSource's single-use closure the FrameSource
+// contract for the pipeline's use of it — one decode, then dec(nil) — by
+// making every call after the first a no-op.
+func payloadDec(dec func(*workload.Columns) error) func(*workload.Columns) error {
+	used := false
+	return func(c *workload.Columns) error {
+		if used {
+			return nil
+		}
+		used = true
+		return dec(c)
+	}
+}
+
+// Evaluated is one evaluated block as the pipeline hands it to its
+// consumer. A block that is a frame hit may arrive undecoded: Columns
+// decodes it on first use. Its buffers are owned by the pipeline and
+// recycled after the consumer returns — do not retain them.
+type Evaluated struct {
+	seq   int
+	n     int
+	cols  *workload.Columns // pooled; nil until decoded
+	times []core.Times      // pooled; nil until decoded
 	memo  *evalcache.Block
+	dec   func(*workload.Columns) error // a frame hit's frame decode
+}
+
+// Len returns the block's record count.
+func (b *Evaluated) Len() int { return b.n }
+
+// Memo returns the handle of the block-cache entry that answered the block,
+// or nil when its evaluation was not a block-cache hit. It lets the
+// consumer memoize what it derives from the block without hashing or
+// verifying it again.
+func (b *Evaluated) Memo() *evalcache.Block { return b.memo }
+
+// Columns returns the block's columns and times (parallel by index),
+// decoding a frame hit on first use; a hit's times are copied out of the
+// cache entry then, so the consumer may use both buffers as its own until
+// it returns.
+func (b *Evaluated) Columns() (*workload.Columns, []core.Times, error) {
+	if b.cols == nil {
+		cols := getCols()
+		if err := b.dec(cols); err != nil {
+			putCols(cols)
+			return nil, nil, err
+		}
+		b.cols, b.times = cols, getTimes(b.n)
+		copy(b.times, b.memo.Times())
+	}
+	return b.cols, b.times, nil
+}
+
+// release returns whatever the block holds to where it came from.
+func (b *Evaluated) release() {
+	putCols(b.cols)
+	putTimes(b.times)
+	if b.dec != nil {
+		_ = b.dec(nil)
+	}
 }
 
 // Block buffers recycle through pools: at millions of jobs per second the
@@ -116,14 +195,48 @@ func releaseChunk(c blockChunk) {
 	putCols(c.cols)
 }
 
-// evaluateBlock evaluates one block through backend.EvaluateColumns, or
-// through the result cache's block path when ev is one, returning the
-// cache's entry handle on a block-cache hit.
-func evaluateBlock(ev backend.Evaluator, cols *workload.Columns, ts []core.Times) (*evalcache.Block, error) {
-	if c, ok := ev.(*evalcache.Cache); ok {
-		return c.EvaluateBlock(cols, ts)
+// evaluateChunk decodes and evaluates one chunk — through the result
+// cache's block path when ev is one, returning the entry's handle on a
+// block-cache hit. A frame chunk is looked up by its key first, and a hit
+// skips the decode unless decodeHits is set. On error every buffer the
+// chunk held has been released.
+func evaluateChunk(ev backend.Evaluator, c blockChunk, decodeHits bool) (Evaluated, error) {
+	cache, _ := ev.(*evalcache.Cache)
+	b := Evaluated{seq: c.seq, cols: c.cols}
+	if c.key != nil {
+		if blk := cache.Frame(c.key, c.sum); blk != nil {
+			b.n, b.memo, b.dec = blk.Len(), blk, c.dec
+			if decodeHits {
+				if _, _, err := b.Columns(); err != nil {
+					b.release()
+					return Evaluated{}, err
+				}
+			}
+			return b, nil
+		}
 	}
-	return nil, backend.EvaluateColumns(ev, cols, ts)
+	if c.dec != nil {
+		// The frame stays until the cache has linked its key.
+		defer c.dec(nil)
+		b.cols = getCols()
+		if err := c.dec(b.cols); err != nil {
+			putCols(b.cols)
+			return Evaluated{}, err
+		}
+	}
+	b.n = b.cols.Len()
+	b.times = getTimes(b.n)
+	var err error
+	if cache != nil {
+		b.memo, err = cache.EvaluateBlock(b.cols, b.times, c.key, c.sum)
+	} else {
+		err = backend.EvaluateColumns(ev, b.cols, b.times)
+	}
+	if err != nil {
+		b.release()
+		return Evaluated{}, fmt.Errorf("stream: %w", err)
+	}
+	return b, nil
 }
 
 // EvaluateBlocks evaluates every block of src (a record Source comes in
@@ -138,10 +251,14 @@ func EvaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, 
 	// Blocks arrive in input order, so the running count is each record's
 	// stream index; it also counts the records before a failing fn call.
 	delivered := 0
-	_, err := EvaluateBlocksInto(ctx, ev, src, parallelism, func(cols *workload.Columns, times []core.Times, _ *evalcache.Block) error {
+	_, err := EvaluateBlocksInto(ctx, ev, src, parallelism, fn != nil, func(b *Evaluated) error {
 		if fn == nil {
-			delivered += cols.Len()
+			delivered += b.Len()
 			return nil
+		}
+		cols, times, err := b.Columns()
+		if err != nil {
+			return err
 		}
 		for i := 0; i < cols.Len(); i++ {
 			if err := fn(Result{Index: delivered, Job: cols.Row(i), Times: times[i]}); err != nil {
@@ -156,19 +273,22 @@ func EvaluateBlocks(ctx context.Context, ev backend.Evaluator, src BlockSource, 
 
 // EvaluateBlocksInto is the one worker pipeline — reader, workers and the
 // in-order collector — and EvaluateBlocks with block-granular delivery:
-// blockFn receives each whole evaluated block (columns plus times, parallel
-// by index) in input order instead of per-record Results, so a
-// column-capable sink folds one call per block and no Result is ever
-// materialized. Both buffers are owned by the pipeline and recycled after
-// blockFn returns — do not retain them. A nil blockFn discards results. The
-// count returned is records (not blocks), matching EvaluateBlocks.
+// blockFn receives each whole evaluated block in input order instead of
+// per-record Results, so a column-capable sink folds one call per block and
+// no Result is ever materialized. A nil blockFn discards results. The count
+// returned is records (not blocks), matching EvaluateBlocks.
 //
 // When ev is a result cache (evalcache.Cache) and a block's evaluation is a
-// block-cache hit, blockFn also receives the handle of the memoized entry
-// that answered it — taken by the evaluating worker, so the consumer can
-// memoize what it derives from the block without hashing or verifying it
-// again. Otherwise the handle is nil.
-func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSource, parallelism int, blockFn func(*workload.Columns, []core.Times, *evalcache.Block) error) (int, error) {
+// block-cache hit, the block carries the handle of the memoized entry that
+// answered it (Evaluated.Memo) — taken by the evaluating worker, so the
+// consumer can memoize what it derives from the block without hashing or
+// verifying it again. A source that hands off frames (FrameSource) is then
+// looked up by its frame key before anything is decoded; a frame hit reaches
+// blockFn undecoded unless decodeHits is set, and Evaluated.Columns decodes
+// it on the consumer's goroutine if the consumer asks. A consumer that
+// reads the columns of every block sets decodeHits, so that decode stays on
+// the workers.
+func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSource, parallelism int, decodeHits bool, blockFn func(*Evaluated) error) (int, error) {
 	if ev == nil {
 		return 0, fmt.Errorf("stream: EvaluateBlocks with nil evaluator")
 	}
@@ -187,7 +307,7 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 	maxOutstanding := 2 * parallelism
 	tokens := make(chan struct{}, maxOutstanding)
 	work := make(chan blockChunk, parallelism)
-	done := make(chan evaluatedBlock, parallelism)
+	done := make(chan Evaluated, parallelism)
 
 	var (
 		errOnce  sync.Once
@@ -200,16 +320,33 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 		})
 	}
 
-	// Reader: pull blocks — whole decoded blocks from a plain BlockSource,
-	// or checksummed payload closures from a PayloadSource, so the decode
-	// itself lands on the worker pool and overlaps evaluation.
+	// Reader: pull blocks — checksummed frames from a FrameSource when a
+	// result cache can answer them by key, checksummed payload closures
+	// from a PayloadSource, or whole decoded blocks from a plain
+	// BlockSource — so any decode lands on the worker pool and overlaps
+	// evaluation.
+	fs, framed := src.(FrameSource)
+	if _, cached := ev.(*evalcache.Cache); !cached {
+		framed = false
+	}
 	ps, pipelined := src.(PayloadSource)
 	go func() {
 		defer close(work)
 		seq := 0
 		for {
 			var c blockChunk
-			if pipelined {
+			switch {
+			case framed:
+				key, sum, dec, err := fs.NextFrame()
+				if errors.Is(err, io.EOF) {
+					return
+				}
+				if err != nil {
+					fail(err)
+					return
+				}
+				c = blockChunk{seq: seq, dec: dec, key: key, sum: sum}
+			case pipelined:
 				dec, n, err := ps.NextPayload()
 				if errors.Is(err, io.EOF) {
 					return
@@ -222,8 +359,8 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 					_ = dec(nil)
 					continue // tolerate empty blocks
 				}
-				c = blockChunk{seq: seq, dec: dec}
-			} else {
+				c = blockChunk{seq: seq, dec: payloadDec(dec)}
+			default:
 				cols := getCols()
 				err := src.NextBlock(cols)
 				if errors.Is(err, io.EOF) {
@@ -259,7 +396,7 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 		}
 	}()
 
-	// Workers: decode (payload mode) and evaluate whole blocks.
+	// Workers: look up (frame mode), decode and evaluate whole blocks.
 	var wg sync.WaitGroup
 	for w := 0; w < parallelism; w++ {
 		wg.Add(1)
@@ -271,29 +408,15 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 					fail(context.Cause(ctx))
 					return
 				}
-				if c.dec != nil {
-					cols := getCols()
-					if err := c.dec(cols); err != nil {
-						putCols(cols)
-						fail(err)
-						return
-					}
-					c.dec = nil
-					c.cols = cols
-				}
-				ts := getTimes(c.cols.Len())
-				memo, err := evaluateBlock(ev, c.cols, ts)
+				b, err := evaluateChunk(ev, c, decodeHits)
 				if err != nil {
-					putTimes(ts)
-					putCols(c.cols)
-					fail(fmt.Errorf("stream: %w", err))
+					fail(err)
 					return
 				}
 				select {
-				case done <- evaluatedBlock{blockChunk: c, times: ts, memo: memo}:
+				case done <- b:
 				case <-ctx.Done():
-					putTimes(ts)
-					putCols(c.cols)
+					b.release()
 					fail(context.Cause(ctx))
 					return
 				}
@@ -315,8 +438,9 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 	var (
 		delivered int
 		next      int
-		pending   = make(map[int]evaluatedBlock, maxOutstanding)
+		pending   = make(map[int]Evaluated, maxOutstanding)
 		failed    bool
+		b         Evaluated // the block in delivery; one holder per run
 	)
 	for e := range done {
 		if !failed && ctx.Err() != nil {
@@ -324,29 +448,27 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 			failed = true
 		}
 		if failed {
-			putCols(e.cols)
-			putTimes(e.times)
+			e.release()
 			<-tokens
 			continue
 		}
 		pending[e.seq] = e
 		for {
-			c, ok := pending[next]
-			if !ok {
+			var ok bool
+			if b, ok = pending[next]; !ok {
 				break
 			}
 			delete(pending, next)
 			if blockFn != nil {
-				if err := blockFn(c.cols, c.times, c.memo); err != nil {
+				if err := blockFn(&b); err != nil {
 					fail(fmt.Errorf("stream: sink: %w", err))
 					failed = true
 				}
 			}
 			if !failed {
-				delivered += c.cols.Len()
+				delivered += b.Len()
 			}
-			putCols(c.cols)
-			putTimes(c.times)
+			b.release()
 			<-tokens
 			next++
 			if failed {
@@ -356,8 +478,7 @@ func EvaluateBlocksInto(ctx context.Context, ev backend.Evaluator, src BlockSour
 	}
 	// A failure can leave reordered blocks parked; their buffers recycle too.
 	for _, e := range pending {
-		putCols(e.cols)
-		putTimes(e.times)
+		e.release()
 	}
 	if firstErr != nil {
 		return delivered, firstErr

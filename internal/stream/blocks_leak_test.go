@@ -1,12 +1,16 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/colbin"
 	"repro/internal/evalcache"
+	"repro/internal/tracegen"
 	"repro/internal/workload"
 )
 
@@ -54,11 +58,64 @@ func (s *payloadSliceSource) NextPayload() (func(*workload.Columns) error, int, 
 	return dec, len(jobs), nil
 }
 
+// frameSource serves a colbin trace through the FrameSource handoff and
+// counts the frames it has handed out and not yet seen released.
+type frameSource struct {
+	r   *colbin.Reader
+	out *atomic.Int64
+}
+
+func (s *frameSource) NextBlock(c *workload.Columns) error { return s.r.NextBlock(c) }
+
+func (s *frameSource) NextFrame() ([]byte, uint64, func(*workload.Columns) error, error) {
+	key, sum, dec, err := s.r.NextFrame()
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	s.out.Add(1)
+	released := false
+	return key, sum, func(c *workload.Columns) error {
+		if released {
+			panic("frame used after its release")
+		}
+		if c == nil {
+			released = true
+			s.out.Add(-1)
+		}
+		return dec(c)
+	}, nil
+}
+
+// repeatingColbin encodes n jobs cycling through distinct ones into colbin
+// blocks of blockRecords.
+func repeatingColbin(t *testing.T, n, distinct, blockRecords int) []byte {
+	t.Helper()
+	p := tracegen.Default()
+	p.NumJobs = n
+	p.DistinctJobs = distinct
+	tr, err := tracegen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := colbin.NewWriterBlockRecords(&buf, blockRecords)
+	for _, f := range tr.Jobs {
+		if err := w.Write(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestEvaluateBlocksBufferBalance is the pooled-buffer leak audit: across
 // success, every error path, and cancellation — in decoded-block,
-// pipelined-payload and cut-record (Blocks adapter) modes — the pool get/put
-// balances must return to their starting values. A Columns or times buffer dropped on an error path shows
-// up as a positive residue.
+// pipelined-payload, frame-hit and cut-record (Blocks adapter) modes — the
+// pool get/put balances must return to their starting values, and every
+// frame handed off must be released. A Columns or times buffer dropped on
+// an error path shows up as a positive residue.
 func TestEvaluateBlocksBufferBalance(t *testing.T) {
 	jobs := testJobs(t, 2000)
 	ev := testBackend(t)
@@ -78,7 +135,7 @@ func TestEvaluateBlocksBufferBalance(t *testing.T) {
 		}
 	})
 	balanced("success/blockFn", func() {
-		if _, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, func(*workload.Columns, []core.Times, *evalcache.Block) error { return nil }); err != nil {
+		if _, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, true, func(*Evaluated) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -113,7 +170,7 @@ func TestEvaluateBlocksBufferBalance(t *testing.T) {
 	balanced("blockFn-error", func() {
 		blockErr := errors.New("columnar sink broke")
 		calls := 0
-		_, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, func(*workload.Columns, []core.Times, *evalcache.Block) error {
+		_, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, true, func(*Evaluated) error {
 			calls++
 			if calls == 3 {
 				return blockErr
@@ -172,6 +229,82 @@ func TestEvaluateBlocksBufferBalance(t *testing.T) {
 			t.Fatal("pre-canceled context accepted")
 		}
 	})
+
+	// Frame-hit mode: a colbin trace of two distinct 64-record frame keys
+	// through a result cache, so from the fifth block on (each payload's
+	// third sighting) blocks reach blockFn as frame hits, undecoded unless
+	// decodeHits is set.
+	cb := repeatingColbin(t, 2048, 128, 64)
+	cache, err := evalcache.New(ev, ev.Spec(), 1<<14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames atomic.Int64
+	frameSrc := func() *frameSource {
+		return &frameSource{r: colbin.NewReader(bytes.NewReader(cb)), out: &frames}
+	}
+	balancedFrames := func(name string, run func()) {
+		t.Helper()
+		balanced(name, run)
+		if n := frames.Swap(0); n != 0 {
+			t.Errorf("%s: %d frames never released", name, n)
+		}
+	}
+	for _, decodeHits := range []bool{false, true} {
+		balancedFrames(fmt.Sprintf("frame/success/decodeHits=%v", decodeHits), func() {
+			hits0 := cache.Stats().FrameHits
+			n, err := EvaluateBlocksInto(context.Background(), cache, frameSrc(), 4, decodeHits, func(b *Evaluated) error {
+				if b.cols == nil && (decodeHits || b.Memo() == nil) {
+					t.Errorf("block %d reached blockFn undecoded (decodeHits %v, hit %v)", b.seq, decodeHits, b.Memo() != nil)
+				}
+				if b.seq%2 == 0 {
+					c, ts, err := b.Columns()
+					if err != nil {
+						return err
+					}
+					if c.Len() != b.Len() || len(ts) != b.Len() {
+						t.Errorf("block %d: %d columns and %d times for %d records", b.seq, c.Len(), len(ts), b.Len())
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 2048 {
+				t.Fatalf("frame mode delivered %d of 2048", n)
+			}
+			if cache.Stats().FrameHits == hits0 {
+				t.Error("the pass had no frame hit")
+			}
+		})
+		balancedFrames(fmt.Sprintf("frame/cancellation/decodeHits=%v", decodeHits), func() {
+			ctx, cancel := context.WithCancel(context.Background())
+			calls := 0
+			_, err := EvaluateBlocksInto(ctx, cache, frameSrc(), 4, decodeHits, func(*Evaluated) error {
+				calls++
+				if calls == 5 {
+					cancel()
+				}
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v", err)
+			}
+		})
+	}
+	balancedFrames("frame/sink-error-on-hit", func() {
+		hitErr := errors.New("sink broke on a frame hit")
+		_, err := EvaluateBlocksInto(context.Background(), cache, frameSrc(), 4, false, func(b *Evaluated) error {
+			if b.Memo() != nil && b.cols == nil {
+				return hitErr
+			}
+			return nil
+		})
+		if !errors.Is(err, hitErr) {
+			t.Fatalf("err = %v (no undecoded frame hit reached the sink?)", err)
+		}
+	})
 }
 
 // TestEvaluateBlocksIntoDeliversWholeBlocks: blockFn receives whole evaluated
@@ -180,7 +313,11 @@ func TestEvaluateBlocksIntoDeliversWholeBlocks(t *testing.T) {
 	jobs := testJobs(t, 500)
 	ev := testBackend(t)
 	next := 0
-	n, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, func(c *workload.Columns, ts []core.Times, _ *evalcache.Block) error {
+	n, err := EvaluateBlocksInto(context.Background(), ev, &blockSliceSource{jobs: jobs, blockSize: 64}, 4, true, func(b *Evaluated) error {
+		c, ts, err := b.Columns()
+		if err != nil {
+			return err
+		}
 		if len(ts) != c.Len() {
 			t.Fatalf("block of %d records came with %d times", c.Len(), len(ts))
 		}
