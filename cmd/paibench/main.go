@@ -111,7 +111,7 @@
 //
 // -replay switches from infinite-capacity evaluation to discrete-event
 // cluster replay: the -trace stream is scheduled onto -servers servers under
-// a registered policy (-policy, default fifo), per-job occupancy comes from
+// a scheduling policy (-policy, default fifo), per-job occupancy comes from
 // the engine's backend, and the result JSON gains a replay section (admission
 // counters, makespan, utilization, queue-delay quantiles) that benchdiff
 // -smoke gates. -replay-snapshot additionally writes the merged fleet-sink

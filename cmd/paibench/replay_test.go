@@ -142,7 +142,7 @@ func TestReplayModeFlagValidation(t *testing.T) {
 	}
 }
 
-// TestReplayModeSJF: the -policy flag reaches the scheduler registry.
+// TestReplayModeSJF: the -policy flag reaches the replay scheduler.
 func TestReplayModeSJF(t *testing.T) {
 	trace := writeStampedColbinTrace(t, 800, 72000)
 	r := runToFile(t, []string{"-trace", trace, "-replay", "-servers", "16", "-policy", "sjf"})

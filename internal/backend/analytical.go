@@ -1,8 +1,6 @@
 package backend
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -31,21 +29,6 @@ func newAnalytical(spec Spec) (Backend, error) {
 	m.OverlapAlpha = spec.OverlapAlpha
 	m.Arch = spec.Arch
 	return &analytical{m: m, spec: spec}, nil
-}
-
-// FromModel wraps an existing analytical model as a Backend (the bridge the
-// deprecated free functions use).
-func FromModel(m *core.Model) (Backend, error) {
-	if m == nil {
-		return nil, fmt.Errorf("backend: FromModel with nil model")
-	}
-	return &analytical{m: m, spec: Spec{
-		Config:       m.Config,
-		Eff:          m.Eff,
-		Overlap:      m.Overlap,
-		OverlapAlpha: m.OverlapAlpha,
-		Arch:         m.Arch,
-	}}, nil
 }
 
 func (a *analytical) Name() string { return AnalyticalName }

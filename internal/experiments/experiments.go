@@ -44,7 +44,7 @@ type Suite struct {
 	// Parallelism caps the per-job evaluation worker pool.
 	Parallelism int
 	// ReplayPolicy names the scheduling policy the cluster-replay extension
-	// (EXT-6) runs under; empty selects FIFO (see sched.PolicyNames).
+	// (EXT-6) runs under; empty selects FIFO (see replay.PolicyNames).
 	ReplayPolicy string
 }
 

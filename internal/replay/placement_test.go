@@ -10,7 +10,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/sched"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -59,11 +58,11 @@ func placementState(t testing.TB, servers, gpus int) *state {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := sched.NewPolicy("")
+	st, err := newState(Config{Cluster: c}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newState(Config{Cluster: c}, pol, 1, nil)
+	return st
 }
 
 // placementStats counts what a differential run exercised.
@@ -252,7 +251,7 @@ func TestDrainConservation(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		arrival := float64(i) * 0.02
 		if i%5 == 2 {
-			jobs = append(jobs, psJob("ps", 1+i%3, arrival))
+			jobs = append(jobs, classJob("ps", workload.PSWorker, 1+i%3, arrival))
 		} else {
 			jobs = append(jobs, quickJob("w", arrival))
 		}
@@ -286,15 +285,18 @@ func (unvalidatedEvaluator) Breakdown(workload.Features) (core.Times, error) {
 
 // TestNonPositiveCNodesRefused: a record with no cNodes reaching the loop
 // through an evaluator that does not validate it is a malformed-record
-// error, not a gang the free-level index cannot hold.
+// error, not a gang the free-level index cannot hold, nor a PS/Worker
+// placement of a negative number of workers.
 func TestNonPositiveCNodesRefused(t *testing.T) {
-	for _, cnodes := range []int{0, -2} {
-		job := quickJob("bad", 0)
-		job.Class, job.CNodes = workload.OneWorkerNGPU, cnodes
-		_, err := Run(context.Background(), unvalidatedEvaluator{}, 1, stream.NewSliceSource([]workload.Features{job}),
-			Config{Cluster: testCluster(t, 2)}, nil)
-		if err == nil || !strings.Contains(err.Error(), "CNodes must be positive") {
-			t.Errorf("CNodes %d: err = %v, want a malformed-record error", cnodes, err)
+	for _, class := range []workload.Class{workload.OneWorkerNGPU, workload.PSWorker} {
+		for _, cnodes := range []int{0, -2} {
+			job := quickJob("bad", 0)
+			job.Class, job.CNodes = class, cnodes
+			_, err := Run(context.Background(), unvalidatedEvaluator{}, 1, stream.NewSliceSource([]workload.Features{job}),
+				Config{Cluster: testCluster(t, 2)}, nil)
+			if err == nil || !strings.Contains(err.Error(), "CNodes must be positive") {
+				t.Errorf("%v with CNodes %d: err = %v, want a malformed-record error", class, cnodes, err)
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package replay is the discrete-event cluster replay engine: it streams an
 // arrival-stamped trace from any stream.Source through the Table II
-// placement rules of internal/sched against an internal/cluster inventory,
+// placement rules (placementFor) against an internal/cluster inventory,
 // with per-job durations predicted by a backend evaluator, and folds
 // fleet-level outcomes (queue delays, occupancy timelines, admission
 // counters) into analyze.Sink aggregates.
@@ -34,7 +34,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -55,8 +54,7 @@ var ErrUnsortedArrivals = errors.New("replay: arrivals are not in nondecreasing 
 type Config struct {
 	// Cluster is the capacity inventory the replay schedules against.
 	Cluster *cluster.Cluster
-	// Policy names a registered scheduling policy (sched.PolicyNames);
-	// empty selects FIFO.
+	// Policy names a scheduling policy (PolicyNames); empty selects FIFO.
 	Policy string
 	// Steps maps a job to its training-step count, which scales the
 	// predicted step time into the job's runtime. Nil runs every job for
@@ -173,12 +171,10 @@ func Run(ctx context.Context, ev backend.Evaluator, parallelism int, src stream.
 	if math.IsNaN(factor) || math.IsInf(factor, 0) {
 		return Result{}, fmt.Errorf("replay: straggler factor %v must be finite", cfg.StragglerFactor)
 	}
-	pol, err := sched.NewPolicy(cfg.Policy)
+	st, err := newState(cfg, factor, sink)
 	if err != nil {
-		return Result{}, fmt.Errorf("replay: %w", err)
+		return Result{}, err
 	}
-
-	st := newState(cfg, pol, factor, sink)
 	_, err = stream.EvaluateBlocks(ctx, ev, stream.Blocks(src), parallelism, func(r stream.Result) error {
 		return st.submit(r.Index, r.Job, r.Times)
 	})
@@ -198,7 +194,7 @@ func Run(ctx context.Context, ev backend.Evaluator, parallelism int, src stream.
 // the stream collector goroutine.
 type state struct {
 	cfg     Config
-	policy  sched.Policy
+	policy  string
 	factor  float64
 	sink    analyze.Sink
 	servers []cluster.Server
@@ -233,18 +229,23 @@ type state struct {
 	maxQueueDepth                              int
 }
 
-func newState(cfg Config, pol sched.Policy, factor float64, sink analyze.Sink) *state {
+func newState(cfg Config, factor float64, sink analyze.Sink) (*state, error) {
+	policy, less, err := policyOrder(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
 	n := cfg.Cluster.NumServers()
 	words := (n + 63) / 64
 	st := &state{
 		cfg:           cfg,
-		policy:        pol,
+		policy:        policy,
 		factor:        factor,
 		sink:          sink,
 		gpusPerServer: cfg.Cluster.Config().GPUsPerServer,
 		totalGPUs:     cfg.Cluster.NumGPUs(),
 		free:          make([]int, n),
 		taken:         make([]uint64, words),
+		pending:       minHeap[*pendingJob]{less: less},
 	}
 	st.level = make([][]uint64, st.gpusPerServer+1)
 	for k := range st.level {
@@ -257,22 +258,13 @@ func newState(cfg Config, pol sched.Policy, factor float64, sink analyze.Sink) *
 		st.level[0][i>>6] |= 1 << (i & 63)
 		st.move(i, srv.NumGPUs)
 	}
-	st.pending.less = func(a, b *pendingJob) bool {
-		if pol.Less(a.q, b.q) {
-			return true
-		}
-		if pol.Less(b.q, a.q) {
-			return false
-		}
-		return a.q.Index < b.q.Index
-	}
 	st.events.less = func(a, b event) bool {
 		if a.time != b.time {
 			return a.time < b.time
 		}
 		return a.seq < b.seq
 	}
-	return st
+	return st, nil
 }
 
 // move changes server s's free GPU count by delta and moves its bit to the
@@ -313,15 +305,15 @@ func (st *state) submit(index int, f workload.Features, times core.Times) error 
 		}
 	}
 
-	place, perr := sched.PlacementFor(f, st.gpusPerServer)
-	if perr != nil && !knownClass(f.Class) {
-		// An unknown class is a malformed record, not an admission decision.
-		return fmt.Errorf("replay: job %d: %w", index, perr)
-	}
 	if f.CNodes <= 0 {
 		// workload.Features.Validate refuses these too; a gang of no GPUs
 		// (or fewer) has no place on the free-level index.
 		return fmt.Errorf("replay: job %d (%q): CNodes must be positive, got %d", index, f.Name, f.CNodes)
+	}
+	place, perr := placementFor(f, st.gpusPerServer)
+	if errors.Is(perr, errUnknownClass) {
+		// An unknown class is a malformed record, not an admission decision.
+		return fmt.Errorf("replay: job %d: %w", index, perr)
 	}
 	// Admission: jobs the cluster can never host are rejected and counted
 	// (the real cluster is far larger than any replay inventory), as are
@@ -330,10 +322,10 @@ func (st *state) submit(index int, f workload.Features, times core.Times) error 
 	switch {
 	case perr != nil:
 		reason = perr.Error()
-	case place.NeedsNVLink && !st.cfg.Cluster.Config().HasNVLink:
+	case place.needsNVLink && !st.cfg.Cluster.Config().HasNVLink:
 		reason = fmt.Sprintf("class %v requires NVLink servers", f.Class)
-	case place.Servers() > len(st.servers):
-		reason = fmt.Sprintf("needs %d distinct servers, cluster has %d", place.Servers(), len(st.servers))
+	case place.servers() > len(st.servers):
+		reason = fmt.Sprintf("needs %d distinct servers, cluster has %d", place.servers(), len(st.servers))
 	case st.cfg.QueueLimit > 0 && len(st.pending.items) >= st.cfg.QueueLimit:
 		reason = fmt.Sprintf("admission queue full (%d pending)", len(st.pending.items))
 	}
@@ -352,33 +344,21 @@ func (st *state) submit(index int, f workload.Features, times core.Times) error 
 		duration *= st.factor
 		st.stragglers++
 	}
-	// PlacementFor returns a fresh slice, so it is sorted in place. Largest
-	// gang first: the same fit-hardest-first greedy order
-	// sched.SimulateWith uses.
-	gangs := place.Gangs
+	// placementFor returns a fresh slice, so it is sorted in place. Largest
+	// gang first: fit the hardest gang while the most servers are free.
+	gangs := place.gangs
 	for i := 1; i < len(gangs); i++ {
 		for j := i; j > 0 && gangs[j] > gangs[j-1]; j-- {
 			gangs[j], gangs[j-1] = gangs[j-1], gangs[j]
 		}
 	}
 	st.pending.push(&pendingJob{
-		q: sched.QueuedJob{Index: index, Arrival: arrival, Duration: duration, GPUs: place.GPUs()},
+		q: queuedJob{index: index, arrival: arrival, duration: duration, gpus: place.gpus()},
 		f: f, times: times, steps: steps,
-		gangs: gangs, distinct: place.Distinct, straggler: straggler,
+		gangs: gangs, distinct: place.distinct, straggler: straggler,
 	})
 	st.maxQueueDepth = max(st.maxQueueDepth, len(st.pending.items))
 	return st.schedule()
-}
-
-// knownClass reports whether the class is one of the six Table II (+PEARL)
-// classes the placement rules cover.
-func knownClass(c workload.Class) bool {
-	switch c {
-	case workload.OneWorkerOneGPU, workload.OneWorkerNGPU, workload.AllReduceLocal,
-		workload.PSWorker, workload.AllReduceCluster, workload.PEARL:
-		return true
-	}
-	return false
 }
 
 // advanceTo processes every completion event up to and including time t,
@@ -419,20 +399,20 @@ func (st *state) schedule() error {
 		st.blocked = nil
 		j := st.pending.pop()
 		start := st.now
-		finish := start + j.q.Duration
+		finish := start + j.q.duration
 		st.completed++
-		st.gpuSeconds += float64(j.q.GPUs) * j.q.Duration
-		st.totalWait += start - j.q.Arrival
+		st.gpuSeconds += float64(j.q.gpus) * j.q.duration
+		st.totalWait += start - j.q.arrival
 		if finish > st.makespan {
 			st.makespan = finish
 		}
 		st.events.push(event{time: finish, seq: st.seq, alloc: alloc})
 		st.seq++
 		if err := st.dispatch(Outcome{
-			Index: j.q.Index, Job: j.f, Times: j.times, Steps: j.steps,
-			GPUs: j.q.GPUs, Servers: len(alloc),
-			Arrival: j.q.Arrival, Start: start, Finish: finish,
-			Duration: j.q.Duration, Straggler: j.straggler,
+			Index: j.q.index, Job: j.f, Times: j.times, Steps: j.steps,
+			GPUs: j.q.gpus, Servers: len(alloc),
+			Arrival: j.q.arrival, Start: start, Finish: finish,
+			Duration: j.q.duration, Straggler: j.straggler,
 		}); err != nil {
 			return err
 		}
@@ -563,7 +543,7 @@ func dispatchInto(sink analyze.Sink, o Outcome) error {
 
 func (st *state) result() Result {
 	r := Result{
-		Policy:  st.policy.Name(),
+		Policy:  st.policy,
 		Servers: len(st.servers), GPUs: st.totalGPUs,
 		Submitted: st.submitted, Completed: st.completed,
 		Rejected: st.rejected, Stragglers: st.stragglers,
@@ -595,7 +575,7 @@ func sampleStraggler(seed int64, index int, fraction float64) bool {
 // pendingJob is one queued submission with everything placement and
 // dispatch need.
 type pendingJob struct {
-	q         sched.QueuedJob
+	q         queuedJob
 	f         workload.Features
 	times     core.Times
 	steps     int
@@ -612,11 +592,10 @@ type event struct {
 }
 
 // minHeap is a binary min-heap under less. The queue orders by the run's
-// policy, ties by submission index — so even a policy whose Less considers
-// two jobs equal yields a deterministic queue — and the events by
-// completion time, ties by start sequence. The sifts make exactly the
-// comparisons container/heap makes, moving the sifted item through a hole
-// instead of swapping, so the pop order matches it for any less.
+// policy, whose final tiebreak is the unique submission index, and the
+// events by completion time, ties by start sequence. The sifts make exactly
+// the comparisons container/heap makes, moving the sifted item through a
+// hole instead of swapping, so the pop order matches it for any less.
 type minHeap[T any] struct {
 	items []T
 	less  func(a, b T) bool

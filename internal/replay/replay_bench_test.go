@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 	"repro/internal/tracegen"
 	"repro/internal/workload"
 )
@@ -35,16 +34,15 @@ func BenchmarkReplayCongested(b *testing.B) {
 		Cluster: testCluster(b, 64),
 		Steps:   func(int, workload.Features) int { return 2000 },
 	}
-	pol, err := sched.NewPolicy(cfg.Policy)
-	if err != nil {
-		b.Fatal(err)
-	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var res Result
 	for n := 0; n < b.N; n++ {
-		st := newState(cfg, pol, 1, nil)
+		st, err := newState(cfg, 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for i, f := range jobs {
 			if err := st.submit(i, f, times[i]); err != nil {
 				b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/analyze"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/sched"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -47,9 +47,11 @@ func quickJob(name string, arrival float64) workload.Features {
 	}
 }
 
-func psJob(name string, workers int, arrival float64) workload.Features {
+// classJob is a record of any class with cNodes GPUs and small
+// communication terms.
+func classJob(name string, class workload.Class, cNodes int, arrival float64) workload.Features {
 	return workload.Features{
-		Name: name, Class: workload.PSWorker, CNodes: workers, BatchSize: 8,
+		Name: name, Class: class, CNodes: cNodes, BatchSize: 8,
 		FLOPs: 7.7e12, MemAccessBytes: 1e6, InputBytes: 1e3,
 		DenseWeightBytes: 1e6, ArrivalSec: arrival,
 	}
@@ -107,6 +109,14 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(ctx, ev, 1, src(), Config{Cluster: cl, Policy: "no-such-policy"}, nil); err == nil {
 		t.Error("expected error for unknown policy")
+	} else if !strings.Contains(err.Error(), fifoName) || !strings.Contains(err.Error(), sjfName) {
+		t.Errorf("unknown-policy error %q should list the policy names", err)
+	}
+	// A class outside Table II is a malformed record, not a rejection.
+	odd := quickJob("odd", 0)
+	odd.Class = workload.Class(99)
+	if _, err := Run(ctx, unvalidatedEvaluator{}, 1, stream.NewSliceSource([]workload.Features{odd}), Config{Cluster: cl}, nil); !errors.Is(err, errUnknownClass) {
+		t.Errorf("unknown class: err = %v, want errUnknownClass", err)
 	}
 	badSteps := Config{Cluster: cl, AllowUnstamped: true,
 		Steps: func(int, workload.Features) int { return 0 }}
@@ -149,9 +159,8 @@ func TestUnsortedArrivalsRefused(t *testing.T) {
 	}
 }
 
-// TestQueueingWhenFull mirrors the sched package's canonical scenario on the
-// replay engine: one 8-GPU server, nine 10-second 1-GPU jobs submitted at
-// t=0 — the ninth waits exactly one service time.
+// TestQueueingWhenFull: one 8-GPU server, nine 10-second 1-GPU jobs
+// submitted at t=0 — the ninth waits exactly one service time.
 func TestQueueingWhenFull(t *testing.T) {
 	jobs := make([]workload.Features, 9)
 	for i := range jobs {
@@ -197,11 +206,114 @@ func TestQueueingWhenFull(t *testing.T) {
 	}
 }
 
+// TestSchedulingScenarios pins batch replays of the cluster-level claims,
+// including the paper's porting claim: every job of a row runs one runtime
+// d (its predicted step time x steps), and each row gives every job's
+// queueing delay in units of d and the number of servers its placement
+// spans. Starts (arrival + wait·d), finishes (start + d), the makespan, the
+// GPU-seconds and the utilization are all compared exactly.
+func TestSchedulingScenarios(t *testing.T) {
+	porting := func(class workload.Class) []workload.Features {
+		jobs := make([]workload.Features, 12)
+		for i := range jobs {
+			jobs[i] = workload.Features{
+				Name: "porting", Class: class, CNodes: 8, BatchSize: 64,
+				FLOPs: 1e12, MemAccessBytes: 5e9, InputBytes: 1e6,
+				DenseWeightBytes: 1e9, WeightTrafficBytes: 8e9,
+			}
+		}
+		return jobs
+	}
+	ps := classJob("ps", workload.PSWorker, 4, 0)
+	results := map[string]Result{}
+	for _, row := range []struct {
+		name    string
+		servers int
+		steps   int
+		jobs    []workload.Features
+		waits   []float64 // per job, in units of d
+		spans   []int     // servers per job
+	}{
+		{"single-job", 1, 10, []workload.Features{quickJob("a", 0)}, []float64{0}, []int{1}},
+		// Two 8-GPU AllReduce-Local gangs on one server: the second starts
+		// exactly when the first finishes.
+		{"gang-blocks-until-server-free", 1, 1,
+			[]workload.Features{classJob("a", workload.AllReduceLocal, 8, 0), classJob("b", workload.AllReduceLocal, 8, 0)},
+			[]float64{0, 1}, []int{1, 1}},
+		{"arrivals-respected", 1, 1, []workload.Features{quickJob("late", 100)}, []float64{0}, []int{1}},
+		{"empty-job-list", 2, 1, nil, nil, nil},
+		// Two 4-worker PS jobs on four servers: one worker per server each,
+		// and the second still fits beside the first.
+		{"ps-workers-on-distinct-servers", 4, 1, []workload.Features{ps, ps}, []float64{0, 0}, []int{4, 4}},
+		// A 20-GPU AllReduce-Cluster job packs 8+8+4 onto three servers.
+		{"allreduce-cluster-packs-servers", 3, 1,
+			[]workload.Features{classJob("arc", workload.AllReduceCluster, 20, 0)}, []float64{0}, []int{3}},
+		// Nine 1-GPU jobs on one 8-GPU server: the ninth waits one runtime.
+		{"queueing-when-full", 1, 10,
+			[]workload.Features{quickJob("j", 0), quickJob("j", 0), quickJob("j", 0), quickJob("j", 0),
+				quickJob("j", 0), quickJob("j", 0), quickJob("j", 0), quickJob("j", 0), quickJob("j", 0)},
+			[]float64{0, 0, 0, 0, 0, 0, 0, 0, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1, 1}},
+		// Twelve 8-worker PS jobs on eight servers, then the same jobs
+		// ported to AllReduce-Local: eight run at once either way.
+		{"porting/ps-worker", 8, 10, porting(workload.PSWorker),
+			[]float64{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1}, []int{8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8}},
+		{"porting/allreduce-local", 8, 10, porting(workload.AllReduceLocal),
+			[]float64{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1}, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cap := &captureSink{}
+			res := runReplay(t, row.jobs, Config{
+				Cluster:        testCluster(t, row.servers),
+				AllowUnstamped: true,
+				Steps:          func(int, workload.Features) int { return row.steps },
+			}, cap)
+			if res.Policy != fifoName {
+				t.Errorf("the empty policy name ran %q, want the FIFO default", res.Policy)
+			}
+			if res.Completed != len(row.jobs) || res.Rejected != 0 || len(cap.outcomes) != len(row.jobs) {
+				t.Fatalf("completed/rejected/outcomes = %d/%d/%d, want %d/0/%d",
+					res.Completed, res.Rejected, len(cap.outcomes), len(row.jobs), len(row.jobs))
+			}
+			makespan, gpuSeconds := 0.0, 0.0
+			for _, o := range cap.outcomes {
+				d := o.Times.Total() * float64(row.steps)
+				arrival := row.jobs[o.Index].ArrivalSec
+				if start := arrival + row.waits[o.Index]*d; o.Start != start || o.Finish != start+d {
+					t.Errorf("job %d: start/finish = %v/%v, want %v/%v", o.Index, o.Start, o.Finish, start, start+d)
+				}
+				if o.Servers != row.spans[o.Index] || o.GPUs != row.jobs[o.Index].CNodes {
+					t.Errorf("job %d: %d GPUs on %d servers, want %d on %d",
+						o.Index, o.GPUs, o.Servers, row.jobs[o.Index].CNodes, row.spans[o.Index])
+				}
+				makespan = max(makespan, o.Finish)
+				gpuSeconds += float64(o.GPUs) * d
+			}
+			util := 0.0
+			if makespan > 0 {
+				util = gpuSeconds / (float64(res.GPUs) * makespan)
+			}
+			if res.Makespan != makespan || res.GPUSeconds != gpuSeconds || res.Utilization != util {
+				t.Errorf("makespan/GPU-seconds/utilization = %v/%v/%v, want %v/%v/%v",
+					res.Makespan, res.GPUSeconds, res.Utilization, makespan, gpuSeconds, util)
+			}
+			results[row.name] = res
+		})
+	}
+
+	// The paper's porting claim: AllReduce-Local jobs occupy one server and
+	// run faster, so GPU-seconds and makespan both fall on a busy cluster.
+	before, after := results["porting/ps-worker"], results["porting/allreduce-local"]
+	if after.GPUSeconds >= before.GPUSeconds || after.Makespan >= before.Makespan {
+		t.Errorf("porting PS jobs to AllReduce-Local: GPU-seconds %v -> %v, makespan %v -> %v; both should fall",
+			before.GPUSeconds, after.GPUSeconds, before.Makespan, after.Makespan)
+	}
+}
+
 // TestAdmissionRejections: jobs the cluster can never host are rejected and
 // reach OutcomeSinks but never plain sinks.
 func TestAdmissionRejections(t *testing.T) {
 	// A 4-worker PS job needs 4 distinct servers; the cluster has 2.
-	jobs := []workload.Features{quickJob("ok", 0), psJob("wide", 4, 1)}
+	jobs := []workload.Features{quickJob("ok", 0), classJob("wide", workload.PSWorker, 4, 1)}
 	cap := &captureSink{}
 	plain := &plainCountSink{}
 	res := runReplay(t, jobs, Config{Cluster: testCluster(t, 2)},
@@ -267,52 +379,68 @@ func TestQueueLimitRejects(t *testing.T) {
 	}
 }
 
-// TestPolicyOrdersDispatch: with the cluster blocked until t=100 and a long
-// job queued before a short one, FIFO starts the earlier arrival first and
-// SJF the shorter job first. Both released at the same instant, the policies
-// differ exactly in dispatch order.
+// TestPolicyOrdersDispatch: eight blockers hold the single server until
+// t=100, so every later job queues and all start together at t=100; the
+// dispatch order is then the policy's queue order alone. A long job queued
+// before a short one starts first under FIFO and second under SJF. Two
+// equal jobs queued around a shorter one keep their submission order under
+// both policies: the tiebreak by index, not the heap's layout, decides.
 func TestPolicyOrdersDispatch(t *testing.T) {
-	var jobs []workload.Features
-	for i := 0; i < 8; i++ {
-		jobs = append(jobs, quickJob("blocker", 0))
-	}
-	jobs = append(jobs, quickJob("long", 1), quickJob("short", 2))
-	steps := func(index int, f workload.Features) int {
-		switch f.Name {
-		case "blocker":
-			return 100
-		case "long":
-			return 5
-		default:
-			return 1
-		}
-	}
-
-	order := func(policy string) []string {
-		cap := &captureSink{}
-		res := runReplay(t, jobs, Config{
-			Cluster: testCluster(t, 1), Policy: policy, Steps: steps,
-		}, cap)
-		if res.Completed != 10 {
-			t.Fatalf("%s: completed %d, want 10", policy, res.Completed)
-		}
-		var names []string
-		for _, o := range cap.outcomes {
-			if o.Job.Name != "blocker" {
-				names = append(names, o.Job.Name)
-				if math.Abs(o.Start-100) > 1e-9 {
-					t.Errorf("%s: %s started at %v, want 100", policy, o.Job.Name, o.Start)
+	for _, tc := range []struct {
+		name      string
+		queued    []workload.Features
+		steps     map[string]int
+		fifo, sjf []string
+	}{
+		{
+			name:   "long-then-short",
+			queued: []workload.Features{quickJob("long", 1), quickJob("short", 2)},
+			steps:  map[string]int{"long": 5, "short": 1},
+			fifo:   []string{"long", "short"},
+			sjf:    []string{"short", "long"},
+		},
+		{
+			name:   "equal-jobs-by-index",
+			queued: []workload.Features{quickJob("tie-first", 1), quickJob("short", 1), quickJob("tie-second", 1)},
+			steps:  map[string]int{"tie-first": 3, "short": 1, "tie-second": 3},
+			fifo:   []string{"tie-first", "short", "tie-second"},
+			sjf:    []string{"short", "tie-first", "tie-second"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var jobs []workload.Features
+			for i := 0; i < 8; i++ {
+				jobs = append(jobs, quickJob("blocker", 0))
+			}
+			jobs = append(jobs, tc.queued...)
+			steps := func(_ int, f workload.Features) int {
+				if n, ok := tc.steps[f.Name]; ok {
+					return n
+				}
+				return 100
+			}
+			for policy, want := range map[string][]string{fifoName: tc.fifo, sjfName: tc.sjf} {
+				cap := &captureSink{}
+				res := runReplay(t, jobs, Config{
+					Cluster: testCluster(t, 1), Policy: policy, Steps: steps,
+				}, cap)
+				if res.Completed != len(jobs) || res.Policy != policy {
+					t.Fatalf("%s: completed %d under %q, want %d", policy, res.Completed, res.Policy, len(jobs))
+				}
+				var names []string
+				for _, o := range cap.outcomes {
+					if o.Job.Name != "blocker" {
+						names = append(names, o.Job.Name)
+						if math.Abs(o.Start-100) > 1e-9 {
+							t.Errorf("%s: %s started at %v, want 100", policy, o.Job.Name, o.Start)
+						}
+					}
+				}
+				if !slices.Equal(names, want) {
+					t.Errorf("%s: dispatch order = %v, want %v", policy, names, want)
 				}
 			}
-		}
-		return names
-	}
-
-	if got := order(sched.FIFOName); got[0] != "long" || got[1] != "short" {
-		t.Errorf("fifo dispatch order = %v, want [long short]", got)
-	}
-	if got := order(sched.SJFName); got[0] != "short" || got[1] != "long" {
-		t.Errorf("sjf dispatch order = %v, want [short long]", got)
+		})
 	}
 }
 
@@ -359,7 +487,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		arrival := float64(i) * 0.05
 		if i%7 == 3 {
-			jobs = append(jobs, psJob("ps", 1+i%2, arrival))
+			jobs = append(jobs, classJob("ps", workload.PSWorker, 1+i%2, arrival))
 		} else {
 			jobs = append(jobs, quickJob("w", arrival))
 		}

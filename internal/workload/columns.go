@@ -93,18 +93,3 @@ func (c *Columns) CheckShape() error {
 	}
 	return nil
 }
-
-// Validate checks shape and then every record with Features.Validate — the
-// same acceptance rule the record-at-a-time codecs apply, so a block-decoded
-// trace admits exactly the records a streamed decode would.
-func (c *Columns) Validate() error {
-	if err := c.CheckShape(); err != nil {
-		return err
-	}
-	for i := 0; i < c.Len(); i++ {
-		if err := c.Row(i).Validate(); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	return nil
-}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/analyze"
 	"repro/internal/cluster"
 	"repro/internal/replay"
-	"repro/internal/sched"
 )
 
 // DefaultReplayServers is the cluster size Engine.Replay simulates when
@@ -46,7 +45,7 @@ func WithReplayServers(n int) ReplayOption {
 	}
 }
 
-// WithReplayPolicy selects a registered scheduling policy by name (see
+// WithReplayPolicy selects a scheduling policy by name (see
 // SchedulerPolicies; "fifo" by default).
 func WithReplayPolicy(name string) ReplayOption {
 	return func(o *replayOptions) error {
@@ -257,6 +256,6 @@ func (e *Engine) Replay(ctx context.Context, src JobSource, opts ...ReplayOption
 	return res, nil
 }
 
-// SchedulerPolicies lists the registered replay scheduling policy names,
-// sorted ("fifo", "sjf").
-func SchedulerPolicies() []string { return sched.PolicyNames() }
+// SchedulerPolicies lists the replay scheduling policy names, sorted
+// ("fifo", "sjf").
+func SchedulerPolicies() []string { return replay.PolicyNames() }
